@@ -10,8 +10,8 @@ Submodules:
   cli           command-line front end
 """
 
-from .exact_linalg import (LiftedMatrix, Rational, TensorVector, apply_lift,
-                           commutes, diag_lift, kron_lift, materialize)
+from .exact_linalg import (LiftedMatrix, TensorVector, apply_lift, commutes,
+                           diag_lift, kron_lift, materialize)
 from .krawtchouk import (TriPoly, classical_krawtchouk, eval_at_lifts,
                          genfun_coeff, poly_direct, poly_recursive)
 from .oracle import (PartitionInstance, PerfectStructure, brute_interweight,
@@ -26,7 +26,7 @@ from .screen import Certificate, SweepReport, certify, sweep_ci
 __version__ = "0.1.0"
 
 __all__ = [
-    "LiftedMatrix", "Rational", "TensorVector", "apply_lift", "commutes",
+    "LiftedMatrix", "TensorVector", "apply_lift", "commutes",
     "diag_lift", "kron_lift", "materialize",
     "TriPoly", "classical_krawtchouk", "eval_at_lifts", "genfun_coeff",
     "poly_direct", "poly_recursive",

@@ -26,6 +26,7 @@ input (bad JSON, missing fields, malformed flags).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -81,6 +82,14 @@ def load_matrix(path: str) -> tuple[int, list[list[int]]]:
     if (not isinstance(S, list) or not S
             or any(not isinstance(row, list) for row in S)):
         raise InputError(f"{path}: S must be a list of rows")
+    if any(len(row) != len(S) for row in S):
+        raise InputError(f"{path}: S must be square: {len(S)} rows, "
+                         f"row lengths {[len(row) for row in S]}")
+    for i, row in enumerate(S):
+        for j, v in enumerate(row):
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise InputError(f"{path}: S entry ({i + 1},{j + 1}) = {v!r} "
+                                 f"is not an integer")
     return n, S
 
 
@@ -149,10 +158,15 @@ def write_table(table: DistributionTable, fmt: str, out) -> None:
                              render_value(vec.get(i, j, k))])
 
 
+@contextlib.contextmanager
 def _open_out(path: str | None):
+    """The output stream: stdout for None or "-", else the file, closed
+    on exit."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        yield fh
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +185,8 @@ def cmd_table(args: argparse.Namespace) -> int:
                   f"{len(report.marginal_mismatches)} marginal mismatches",
                   file=sys.stderr)
             return 1
-    out, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         write_table(table, args.format, out)
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -255,9 +265,10 @@ def cmd_screen(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     report = screen.sweep_ci(args.n_max, jobs=args.jobs)
-    out, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         for cand in report.candidates:
             rec = {
                 "n": cand.n, "a": cand.a, "b": cand.b,
@@ -268,13 +279,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                                   else render_value(cand.witness_value)),
             }
             out.write(json.dumps(rec) + "\n")
-    finally:
-        if close:
-            out.close()
     summary = (f"sweep n_max={report.n_max}: {report.total} candidates, "
                f"{report.with_witness} with witness, "
                f"{report.without_witness} without")
-    print(summary, file=sys.stdout if close else sys.stderr)
+    # records written to stdout own it; the summary then goes to stderr
+    print(summary, file=sys.stderr if out is sys.stdout else sys.stdout)
     return 0 if report.without_witness == 0 else 1
 
 
@@ -301,24 +310,16 @@ def cmd_oracle_verify(args: argparse.Namespace) -> int:
 def cmd_oracle_triangle(args: argparse.Namespace) -> int:
     P = load_partition(args.partition)
     table = oracle.brute_triangle(P, force=args.force)
-    out, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         write_table(table, args.format, out)
-    finally:
-        if close:
-            out.close()
     return 0
 
 
 def cmd_oracle_interweight(args: argparse.Namespace) -> int:
     P = load_partition(args.partition)
     table = oracle.brute_interweight(P, args.vertex, force=args.force)
-    out, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         write_table(table, args.format, out)
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -375,12 +376,8 @@ def cmd_oracle_ps_table(args: argparse.Namespace) -> int:
     initial = oracle.ps_initial_triangle(PS)
     table = recursion.build_table(Q, TRIANGLE, max_level=args.max_level,
                                   initial=initial)
-    out, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         write_table(table, args.format, out)
-    finally:
-        if close:
-            out.close()
     return 0
 
 

@@ -12,7 +12,7 @@ stored structurally (base matrix, slot, transpose flag) and applied by
 index contraction in O(m^4) time; the dense m^3 x m^3 matrix is only
 ever built by `materialize`, a debugging and testing aid.
 
-All arithmetic is over `fractions.Fraction`.  Nothing here rounds.
+Entries are Python ints or `fractions.Fraction`s.  Nothing here rounds.
 """
 
 from __future__ import annotations
@@ -20,10 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
-
-Rational = Fraction
-
-Scalar = "int | Fraction"
 
 
 def flat_index(m: int, i: int, j: int, k: int) -> int:
@@ -101,9 +97,6 @@ class TensorVector:
             return NotImplemented
         return self.m == other.m and all(
             a == b for a, b in zip(self.entries, other.entries))
-
-    def __hash__(self) -> int:  # entries may mix int/Fraction; normalize
-        return hash((self.m, tuple(Fraction(e) for e in self.entries)))
 
     def __repr__(self) -> str:
         return f"TensorVector(m={self.m}, {list(self.entries)!r})"
@@ -235,14 +228,6 @@ def mat_mul(A: Sequence[Sequence], B: Sequence[Sequence]) -> tuple[tuple, ...]:
         out.append(tuple(
             sum(r[t] * B[t][c] for t in range(rows_b)) for c in range(cols_b)))
     return tuple(out)
-
-
-def mat_add(A: Sequence[Sequence], B: Sequence[Sequence]) -> tuple[tuple, ...]:
-    return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
-def mat_scale(A: Sequence[Sequence], c) -> tuple[tuple, ...]:
-    return tuple(tuple(a * c for a in row) for row in A)
 
 
 def vec_mat(v: Sequence, M: Sequence[Sequence]) -> tuple:

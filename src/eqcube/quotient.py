@@ -165,7 +165,8 @@ def spectrum_check(Q: QuotientMatrix) -> SpectrumReport:
     is exact synthetic division; repeated roots are divided out with
     multiplicity.
     """
-    poly = char_poly(Q.rows)
+    coeffs = char_poly(Q.rows)
+    poly = coeffs
     eigen: list[int] = []
     for w in range(Q.n + 1):
         e = Q.n - 2 * w
@@ -177,7 +178,7 @@ def spectrum_check(Q: QuotientMatrix) -> SpectrumReport:
             poly = quot
     splits = len(poly) == 1
     return SpectrumReport(
-        char_coeffs=char_poly(Q.rows),
+        char_coeffs=coeffs,
         splits=splits,
         eigenvalues=tuple(eigen),
         residual=None if splits else tuple(poly),

@@ -15,8 +15,8 @@ Both families satisfy three exchange identities coupling an S-lifted
 vector to its neighbors in the index lattice.  Solved for the highest
 term they climb the table from level 0 (level = r1 + r2 + r3):
 
-  T^{a,b,c} = [ T^{a-1,b,c} L1 - (b+1) T^{a-1,b+1,c-1}
-                - (c+1) T^{a-1,b-1,c+1} - (n-a-b-c+2) T^{a-2,b,c} ] / a
+  a T^{a,b,c} = T^{a-1,b,c} L1 - (b+1) T^{a-1,b+1,c-1}
+                - (c+1) T^{a-1,b-1,c+1} - (n-a-b-c+2) T^{a-2,b,c}
 
 and cyclically with L2 (slot 2) when climbing b, L3 (slot 3) when
 climbing c.  L2 and L3 are the slot lifts of S; L1 is the slot-1 lift
@@ -24,14 +24,32 @@ of S for the triangle family but of S^T for the interweight family
 (anchoring at v breaks the symmetry of the first slot).  Out-of-range
 triples (negative part, or level > n) are zero.
 
+The engine climbs the fraction-free form of these identities (the idea
+of Bareiss's fraction-free elimination).  It keeps the scaled vectors
+
+  U^{r1,r2,r3} = r1! r2! r3! D T^{r1,r2,r3},
+
+where D is the least common multiple of the denominators of the
+level-0 vector.  Multiplying the identity by (a-1)! b! c! D gives,
+with k = n-a-b-c+2,
+
+  U^{a,b,c} = U^{a-1,b,c} L1 - c U^{a-1,b+1,c-1} - b U^{a-1,b-1,c+1}
+              - k(a-1) U^{a-2,b,c}
+
+with coefficients (c, a, k(b-1)) and (b, a, k(c-1)) when climbing b
+and c, so every U is an integer vector and no step divides.  Exact
+rationals appear only at the edge: `build_table` divides each U by its
+scale once, returning an int where the quotient is exact and a
+Fraction otherwise.
+
 Any triple with two or three positive parts is reachable by several
 routes; `cross_check` verifies that all of them agree and checks the
 index symmetries, the T = W * D' relation and exact multinomial
 marginals on top.
 
-Entries are exact rationals throughout.  For a partition that actually
-exists every T entry is a count divisible by the anchor cell size, so a
-negative or non-integral entry refutes existence (`scan_violations`).
+For a partition that actually exists every T entry is a count
+divisible by the anchor cell size, so a negative or non-integral entry
+refutes existence (`scan_violations`).
 """
 
 from __future__ import annotations
@@ -86,35 +104,62 @@ def iter_triples_of_level(level: int) -> Iterator[Triple]:
 def derive_entry(lookup: Callable[[Triple], TensorVector],
                  lifts: tuple[LiftedMatrix, ...],
                  n: int, triple: Triple, via: int) -> TensorVector:
-    """One step of the solved exchange identity, climbing part `via`.
+    """One fraction-free step of the exchange identity, climbing part `via`.
 
-    `lookup` must return the table vector for any triple of level at
-    most level(triple) - 1 (zero when out of range).  Requires
-    triple[via - 1] > 0.
+    `lookup` must return the scaled vector U^t = t1! t2! t3! D T^t for
+    any triple t of level at most level(triple) - 1 (zero when out of
+    range); the result is U^triple with the same D.  Integer inputs give
+    an integer result: the step multiplies and subtracts, never divides.
+    Requires triple[via - 1] > 0.
     """
     a, b, c = triple
-    lead = triple[via - 1]
-    if lead <= 0:
+    if triple[via - 1] <= 0:
         raise ValueError(f"cannot climb part {via} of {triple}")
     k = n - a - b - c + 2
     if via == 1:
         base = apply_lift(lookup((a - 1, b, c)), lifts[0])
-        t1 = lookup((a - 1, b + 1, c - 1)) * (b + 1)
-        t2 = lookup((a - 1, b - 1, c + 1)) * (c + 1)
-        t3 = lookup((a - 2, b, c)) * k
+        c1, t1 = c, lookup((a - 1, b + 1, c - 1))
+        c2, t2 = b, lookup((a - 1, b - 1, c + 1))
+        c3, t3 = k * (a - 1), lookup((a - 2, b, c))
     elif via == 2:
         base = apply_lift(lookup((a, b - 1, c)), lifts[1])
-        t1 = lookup((a + 1, b - 1, c - 1)) * (a + 1)
-        t2 = lookup((a - 1, b - 1, c + 1)) * (c + 1)
-        t3 = lookup((a, b - 2, c)) * k
+        c1, t1 = c, lookup((a + 1, b - 1, c - 1))
+        c2, t2 = a, lookup((a - 1, b - 1, c + 1))
+        c3, t3 = k * (b - 1), lookup((a, b - 2, c))
     elif via == 3:
         base = apply_lift(lookup((a, b, c - 1)), lifts[2])
-        t1 = lookup((a + 1, b - 1, c - 1)) * (a + 1)
-        t2 = lookup((a - 1, b + 1, c - 1)) * (b + 1)
-        t3 = lookup((a, b, c - 2)) * k
+        c1, t1 = b, lookup((a + 1, b - 1, c - 1))
+        c2, t2 = a, lookup((a - 1, b + 1, c - 1))
+        c3, t3 = k * (c - 1), lookup((a, b, c - 2))
     else:
         raise ValueError(f"via must be 1, 2 or 3, got {via}")
-    return (base - t1 - t2 - t3) / lead
+    # base - c1 t1 - c2 t2 - c3 t3, in one pass over the entries
+    return TensorVector(base.m, [
+        x - c1 * y1 - c2 * y2 - c3 * y3 for x, y1, y2, y3
+        in zip(base.entries, t1.entries, t2.entries, t3.entries)])
+
+
+def _ratio(num: int, den: int):
+    """num / den as an int when the division is exact, else a Fraction."""
+    q, r = divmod(num, den)
+    return q if r == 0 else Fraction(num, den)
+
+
+def _exact_sizes(Q: QuotientMatrix) -> tuple:
+    """Cell sizes, as ints where integral, so integer vectors stay ints."""
+    return tuple(_ratio(s.numerator, s.denominator) for s in cell_sizes(Q))
+
+
+def common_denominator(vec: TensorVector) -> int:
+    """D: the least common multiple of the denominators of vec's entries."""
+    return math.lcm(*(e.denominator for e in vec.entries))
+
+
+def entry_scale(triple: Triple, D: int) -> int:
+    """The factor r1! r2! r3! D taking T^triple to the engine's U^triple."""
+    r1, r2, r3 = triple
+    return (math.factorial(r1) * math.factorial(r2) * math.factorial(r3)
+            * D)
 
 
 def canonical_via(triple: Triple) -> int:
@@ -157,12 +202,21 @@ class DistributionTable:
 def iter_table_levels(Q: QuotientMatrix, kind: str,
                       initial: TensorVector,
                       max_level: int) -> Iterator[dict[Triple, TensorVector]]:
-    """Yield the table one level at a time, keeping two levels of state."""
+    """Yield the scaled table one level at a time, keeping two levels of
+    state.
+
+    Each level maps its triples to integer vectors
+    U^t = t1! t2! t3! D T^t, with D = common_denominator(initial); level
+    0 is D * initial.
+    """
     n = Q.n
     lifts = lifts_for(Q, kind)
     zero = TensorVector.zero(Q.m)
+    D = common_denominator(initial)
     prev: dict[Triple, TensorVector] = {}
-    cur: dict[Triple, TensorVector] = {(0, 0, 0): initial}
+    # D clears every denominator of the initial vector, so int() is exact
+    cur: dict[Triple, TensorVector] = {
+        (0, 0, 0): TensorVector(Q.m, (int(e * D) for e in initial.entries))}
     yield cur
     for level in range(1, max_level + 1):
         older, prev = prev, cur
@@ -183,7 +237,12 @@ def iter_table_levels(Q: QuotientMatrix, kind: str,
 def build_table(Q: QuotientMatrix, kind: str = TRIANGLE,
                 max_level: int | None = None,
                 initial: TensorVector | None = None) -> DistributionTable:
-    """Construct the full distribution table up to max_level (default n)."""
+    """Construct the full distribution table up to max_level (default n).
+
+    Entries are exact: each scaled vector from `iter_table_levels` is
+    divided by its scale, giving ints where the quotient is integral and
+    Fractions elsewhere.
+    """
     if kind not in (TRIANGLE, INTERWEIGHT):
         raise ValueError(f"unknown table kind {kind!r}")
     n = Q.n
@@ -199,9 +258,13 @@ def build_table(Q: QuotientMatrix, kind: str = TRIANGLE,
             initial = initial_interweight(Q.m)
     elif initial.m != Q.m:
         raise ValueError(f"initial vector has m={initial.m}, matrix m={Q.m}")
+    D = common_denominator(initial)
     entries: dict[Triple, TensorVector] = {}
     for level_entries in iter_table_levels(Q, kind, initial, max_level):
-        entries.update(level_entries)
+        for triple, U in level_entries.items():
+            s = entry_scale(triple, D)
+            entries[triple] = TensorVector(
+                Q.m, (_ratio(u, s) for u in U.entries))
     return DistributionTable(kind=kind, n=n, m=Q.m, max_level=max_level,
                              entries=entries, standard_initial=standard)
 
@@ -252,19 +315,32 @@ def scan_violations(table: DistributionTable,
     out: list[Violation] = []
     for triple in table.triples():
         vec = table.entries[triple]
-        for (i, j, k) in iter_index_triples(table.m):
-            v = vec.get(i, j, k)
+        for index, v in zip(iter_index_triples(table.m), vec.entries):
             if v < 0:
-                out.append(Violation(triple, (i, j, k), Fraction(v), "negative"))
+                out.append(Violation(triple, index, Fraction(v), "negative"))
                 continue
             if table.kind == TRIANGLE:
                 if sizes is None:
                     continue
-                per_anchor = Fraction(v) / sizes[i - 1]
+                size = sizes[index[0] - 1]
             else:
-                per_anchor = Fraction(v)
-            if per_anchor.denominator != 1:
-                out.append(Violation(triple, (i, j, k), Fraction(v), "non-integer"))
+                size = 1
+            # v / size is an integer iff its reduced denominator is 1
+            if (v.numerator * size.denominator) % (v.denominator
+                                                   * size.numerator):
+                out.append(Violation(triple, index, Fraction(v), "non-integer"))
+    return out
+
+
+def scaled_entries(table: DistributionTable) -> dict[Triple, TensorVector]:
+    """The table's vectors in the engine's scaled form U = r1! r2! r3! D T,
+    with D the common denominator of its level-0 vector."""
+    D = common_denominator(table.entries[(0, 0, 0)])
+    out = {}
+    for triple, vec in table.entries.items():
+        s = entry_scale(triple, D)
+        out[triple] = TensorVector(table.m, (
+            _ratio(e.numerator * s, e.denominator) for e in vec.entries))
     return out
 
 
@@ -288,7 +364,8 @@ def cross_check(table: DistributionTable, Q: QuotientMatrix,
                 companion: DistributionTable | None = None) -> CrossCheckReport:
     """Audit a table against every identity it must satisfy.
 
-    (a) every alternative climbing route reproduces the stored vector;
+    (a) every alternative climbing route reproduces the stored vector
+        (compared in the engine's scaled form U, see `scaled_entries`);
     (b) index symmetries.  Triangle tables count unordered structure, so
         both the swap and the cyclic relabeling hold:
         X^{r1,r2,r3}_{ijk} = X^{r2,r1,r3}_{jik} = X^{r2,r3,r1}_{jki}.
@@ -309,14 +386,20 @@ def cross_check(table: DistributionTable, Q: QuotientMatrix,
     checks = ["derivations", "symmetry"]
 
     deriv: list[tuple[Triple, int]] = []
+    scaled = scaled_entries(table)
+
+    def lookup(t: Triple) -> TensorVector:
+        got = scaled.get(t)
+        return got if got is not None else table.entry(t)
+
     for triple in table.triples():
         if sum(triple) == 0:
             continue
         for via in (1, 2, 3):
             if triple[via - 1] <= 0:
                 continue
-            redone = derive_entry(table.entry, lifts, n, triple, via)
-            if redone != table.entries[triple]:
+            redone = derive_entry(lookup, lifts, n, triple, via)
+            if redone != scaled[triple]:
                 deriv.append((triple, via))
 
     sym: list[tuple[Triple, tuple[int, int, int], str]] = []
@@ -346,7 +429,7 @@ def cross_check(table: DistributionTable, Q: QuotientMatrix,
         inter = companion if table.kind == TRIANGLE else table
         if tri.standard_initial and inter.standard_initial:
             checks.append("pairing")
-            D = diag_lift(cell_sizes(Q))
+            D = diag_lift(_exact_sizes(Q))
             for triple in sorted(set(tri.entries) & set(inter.entries),
                                  key=lambda t: (sum(t), t)):
                 if tri.entries[triple] != apply_lift(inter.entries[triple], D):
@@ -356,9 +439,9 @@ def cross_check(table: DistributionTable, Q: QuotientMatrix,
     if table.standard_initial:
         checks.append("marginals")
         if table.kind == TRIANGLE:
-            factors = cell_sizes(Q)
+            factors = _exact_sizes(Q)
         else:
-            factors = (Fraction(1),) * m
+            factors = (1,) * m
         for triple in table.triples():
             r1, r2, r3 = triple
             count = (math.factorial(n)

@@ -18,14 +18,16 @@ records without one are flagged loudly.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .quotient import (FeasibilityReport, InvalidQuotient, QuotientMatrix,
                        feasibility_conditions, validate_quotient)
-from .recursion import (TRIANGLE, Violation, build_table, initial_triangle,
-                        iter_table_levels, scan_violations)
+from .recursion import (TRIANGLE, Violation, build_table, common_denominator,
+                        entry_scale, initial_triangle, iter_table_levels,
+                        scan_violations)
 
 
 @dataclass(frozen=True)
@@ -128,19 +130,23 @@ def enumerate_ci_candidates(n_max: int) -> list[tuple[int, int, int, int, int]]:
 def hunt_witness(params: tuple[int, int, int, int, int]) -> SweepCandidate:
     """Build the triangle table of [[a, b], [c, d]] level by level and
     return the first (r2, r3), in order of increasing r2 + r3 then r2,
-    where the entry T^{0,r2,r3}_{111} is negative."""
+    where the entry T^{0,r2,r3}_{111} is negative.
+
+    Signs are read off the engine's scaled vectors U = r2! r3! D T, whose
+    scale is positive; only the witness is divided back to T."""
     n, a, b, c, d = params
     Q = validate_quotient(((a, b), (c, d)), n)
     initial = initial_triangle(_two_cell_sizes(n, b, c))
-    for level_entries in iter_table_levels(Q, TRIANGLE, initial, n):
-        for triple in sorted(level_entries):
-            if triple[0] != 0:
-                continue
+    D = common_denominator(initial)
+    levels = iter_table_levels(Q, TRIANGLE, initial, n)
+    for level, level_entries in enumerate(levels):
+        for r2 in range(level + 1):
+            triple = (0, r2, level - r2)
             value = level_entries[triple].get(1, 1, 1)
             if value < 0:
-                return SweepCandidate(n=n, a=a, b=b, c=c, d=d,
-                                      witness=(triple[1], triple[2]),
-                                      witness_value=Fraction(value))
+                return SweepCandidate(
+                    n=n, a=a, b=b, c=c, d=d, witness=triple[1:],
+                    witness_value=Fraction(value, entry_scale(triple, D)))
     return SweepCandidate(n=n, a=a, b=b, c=c, d=d,
                           witness=None, witness_value=None)
 
@@ -150,16 +156,26 @@ def _two_cell_sizes(n: int, b: int, c: int) -> tuple[Fraction, Fraction]:
     return (Fraction(total * c, b + c), Fraction(total * b, b + c))
 
 
+def worker_count(jobs: int, tasks: int) -> int:
+    """Processes to start for `tasks` independent tasks when `jobs` are
+    asked for: never more than the CPUs or the tasks.  Rejects jobs < 1."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1, tasks)
+
+
 def sweep_ci(n_max: int, jobs: int = 1) -> SweepReport:
     """Hunt witnesses for every qualifying two-cell candidate up to n_max.
 
     Candidates are independent; with jobs > 1 they are farmed out to a
-    process pool and collected in enumeration order, so the report is
-    identical for any job count.
+    process pool of `worker_count(jobs, #candidates)` workers and
+    collected in enumeration order, so the report is identical for any
+    job count.
     """
     params = enumerate_ci_candidates(n_max)
-    if jobs > 1 and len(params) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = worker_count(jobs, len(params))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(hunt_witness, params, chunksize=1))
     else:
         results = [hunt_witness(p) for p in params]

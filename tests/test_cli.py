@@ -186,6 +186,26 @@ def test_screen_structural_failure(write_doc, capsys):
 
 # -- input failures ----------------------------------------------------------
 
+@pytest.mark.parametrize("S", [
+    [[0, 3], [1, 2.5]],   # float entry
+    [[0, "3"], [1, 2]],   # string entry
+    [[0, 3], [1]],        # ragged rows
+])
+def test_malformed_matrix_is_usage_error_not_verdict(write_doc, capsys, S):
+    path = write_doc("malformed.json", {"n": 3, "S": S})
+    assert main(["screen", "--input", path]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+def test_non_square_and_bool_matrices_are_usage_errors(write_doc, capsys):
+    wide = write_doc("wide.json", {"n": 3, "S": [[0, 3, 0], [1, 2, 0]]})
+    assert main(["table", "--input", wide]) == 64
+    boolean = write_doc("bool.json", {"n": 2, "S": [[True, 1], [1, 1]]})
+    assert main(["oracle", "search", "--input", boolean]) == 64
+
+
 def test_bad_json_is_usage_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
@@ -225,6 +245,11 @@ def test_sweep_empty_range(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "0 candidates" in captured.err
+
+
+def test_sweep_rejects_jobs_below_one(capsys):
+    assert main(["sweep", "--n-max", "5", "--jobs", "0"]) == 64
+    assert capsys.readouterr().out == ""
 
 
 def test_sweep_to_file_moves_summary_to_stdout(tmp_path, capsys):

@@ -8,11 +8,12 @@ import pytest
 from eqcube.exact_linalg import TensorVector, iter_index_triples
 from eqcube.quotient import cell_sizes, validate_quotient
 from eqcube.recursion import (INTERWEIGHT, TRIANGLE, DistributionTable,
-                              build_table, canonical_via, cross_check,
-                              derive_entry, initial_interweight,
-                              initial_triangle, iter_table_levels,
-                              iter_triples_of_level, lifts_for,
-                              scan_violations, weight_distribution)
+                              build_table, canonical_via, common_denominator,
+                              cross_check, derive_entry, entry_scale,
+                              initial_interweight, initial_triangle,
+                              iter_table_levels, iter_triples_of_level,
+                              lifts_for, scaled_entries, scan_violations,
+                              weight_distribution)
 
 Q_PAIR = validate_quotient([[0, 3], [1, 2]], 3)
 Q22 = validate_quotient([[0, 22, 0], [5, 6, 11], [0, 10, 12]], 22)
@@ -85,12 +86,18 @@ def test_table_triples_scan_order():
 
 
 def test_iter_table_levels_streams_the_same_table():
+    # the stream holds the scaled U^t = t1! t2! t3! D T^t; divided back
+    # it is exactly the table
     whole = build_table(Q_PAIR, INTERWEIGHT)
+    initial = initial_interweight(2)
+    D = common_denominator(initial)
     seen = {}
-    for level in iter_table_levels(Q_PAIR, INTERWEIGHT,
-                                   initial_interweight(2), 3):
+    for level in iter_table_levels(Q_PAIR, INTERWEIGHT, initial, 3):
         seen.update(level)
-    assert seen == whole.entries
+    unscaled = {t: TensorVector(2, (Fraction(u, entry_scale(t, D))
+                                    for u in U.entries))
+                for t, U in seen.items()}
+    assert unscaled == whole.entries
 
 
 def test_weight_distribution_pair_partition():
@@ -233,9 +240,11 @@ def test_triangle_equals_interweight_times_sizes():
 def test_one_level_past_the_dimension_vanishes(kind):
     table = build_table(Q_PAIR, kind)
     lifts = lifts_for(Q_PAIR, kind)
+    scaled = scaled_entries(table)
 
     def lookup(t):
-        return table.entry(t)
+        got = scaled.get(t)
+        return got if got is not None else table.entry(t)
 
     for triple in iter_triples_of_level(4):
         got = derive_entry(lookup, lifts, 3, triple, canonical_via(triple))

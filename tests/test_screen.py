@@ -1,12 +1,15 @@
 """Certification outcomes and the two-cell sweep on frozen candidates."""
 
 import math
+import os
 from fractions import Fraction
+
+import pytest
 
 from eqcube.quotient import cell_sizes, validate_quotient
 from eqcube.screen import (Certificate, SweepCandidate, _two_cell_sizes,
                            certify, enumerate_ci_candidates, hunt_witness,
-                           sweep_ci)
+                           sweep_ci, worker_count)
 from eqcube.recursion import TRIANGLE, build_table
 
 
@@ -123,6 +126,21 @@ def test_sweep_parallel_matches_serial():
     serial = sweep_ci(11, jobs=1)
     parallel = sweep_ci(11, jobs=2)
     assert serial == parallel
+
+
+def test_worker_count_is_clamped_to_cpus_and_tasks(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert worker_count(10 ** 9, 100) == 4
+    assert worker_count(3, 100) == 3
+    assert worker_count(8, 2) == 2
+    assert worker_count(1, 0) == 0
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert worker_count(8, 100) == 1
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            worker_count(bad, 100)
+        with pytest.raises(ValueError):
+            sweep_ci(2, jobs=bad)
 
 
 def test_sweep_empty_range():
