@@ -201,6 +201,8 @@ def cmd_poly(args: argparse.Namespace) -> int:
     r = (args.r1, args.r2, args.r3)
     if min(r) < 0:
         raise InputError("polynomial indices must be nonnegative")
+    if args.n is not None and args.n < 0:
+        raise InputError("--n must be nonnegative")
     if args.method == "all":
         polys = {name: fn(*r) for name, fn in _POLY_METHODS.items()}
         first = polys["recursion"]

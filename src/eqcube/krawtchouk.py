@@ -20,12 +20,20 @@ constructions are provided and their agreement is part of the tests:
 
   expanding each factor by the generalized binomial series.
 
+Routes 2 and 3 share one integer kernel, `_scaled_ff` (4^L times the
+L-term falling factorial of a quarter argument): both sum integer
+polynomials scaled by 4^R r1! r2! r3! and divide by that once at the
+end.  Route 1 works on Fractions throughout and is the reference.
+
 At r2 = r3 = 0 the family degenerates to the classical Krawtchouk
 polynomial: P^{r,0,0}(x, y, z) = K_r((n - x)/2).
 
 Polynomials are exact: monomials x^i y^j z^k n^d with Fraction
 coefficients.  `render` produces the canonical text form (graded-lex
-monomial order, common denominator pulled out).
+monomial order, common denominator pulled out).  The lift evaluators
+share `_scaled_images`: it specializes n, multiplies the coefficients by
+the lcm D of their denominators once, and applies integer combinations
+of lift powers; `eval_at_lifts` divides by D on return.
 """
 
 from __future__ import annotations
@@ -33,14 +41,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .exact_linalg import TensorVector, apply_lift, iter_index_triples
-from .quotient import QuotientMatrix, cell_sizes
-from .recursion import (INTERWEIGHT, TRIANGLE, initial_interweight,
-                        initial_triangle, lifts_for)
-
-Mono = "tuple[int, int, int, int]"  # exponents of x, y, z, n
+from .quotient import QuotientMatrix
+from .recursion import TRIANGLE, _ratio, default_initial, lifts_for
 
 
 class TriPoly:
@@ -268,26 +273,8 @@ def _P(a: int, b: int, c: int) -> TriPoly:
 # ---------------------------------------------------------------------------
 # route 2: the closed triple sum
 
-# quarter arguments (n + s1 x + s2 y + s3 z)/4 for the four sign patterns
+# signs (s1, s2, s3) of the quarter arguments (n + s1 x + s2 y + s3 z)/4
 _SIGNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
-_QUARTERS = tuple(
-    (N + s1 * X + s2 * Y + s3 * Z) / 4 for (s1, s2, s3) in _SIGNS)
-
-
-@lru_cache(maxsize=None)
-def _quarter_ff(f: int, length: int) -> TriPoly:
-    if length == 0:
-        return ONE
-    return _quarter_ff(f, length - 1) * (
-        _QUARTERS[f] - TriPoly.const(length - 1))
-
-
-@lru_cache(maxsize=None)
-def _quad(f: int, a: int, b: int, c: int) -> TriPoly:
-    """Quadrinomial coefficient of the f-th quarter argument:
-    ff(delta_f, a+b+c) / (a! b! c!)."""
-    return _quarter_ff(f, a + b + c) / (
-        math.factorial(a) * math.factorial(b) * math.factorial(c))
 
 
 def _tuples_sum_at_most(r: int) -> Iterator[tuple[int, int, int]]:
@@ -307,6 +294,12 @@ def _scaled_ff(f: int, length: int) -> TriPoly:
     linear = TriPoly({(0, 0, 0, 1): 1, (1, 0, 0, 0): s1, (0, 1, 0, 0): s2,
                       (0, 0, 1, 0): s3, (0, 0, 0, 0): -4 * (length - 1)})
     return _scaled_ff(f, length - 1) * linear
+
+
+def _scale(r1: int, r2: int, r3: int) -> int:
+    """4^(r1+r2+r3) r1! r2! r3!: the one divisor of routes 2 and 3."""
+    return (4 ** (r1 + r2 + r3) * math.factorial(r1) * math.factorial(r2)
+            * math.factorial(r3))
 
 
 @lru_cache(maxsize=None)
@@ -351,9 +344,7 @@ def poly_direct(r1: int, r2: int, r3: int) -> TriPoly:
     for (sa, sb, sc), w in sorted(weights.items()):
         if w:
             total = total + w * _ff_product(sa, sb, sc, R - sa - sb - sc)
-    denom = (4 ** R * math.factorial(r1) * math.factorial(r2)
-             * math.factorial(r3))
-    return total / denom
+    return total / _scale(r1, r2, r3)
 
 
 # ---------------------------------------------------------------------------
@@ -362,13 +353,16 @@ def poly_direct(r1: int, r2: int, r3: int) -> TriPoly:
 @lru_cache(maxsize=None)
 def _genfun_product(R: int) -> dict[tuple[int, int, int], TriPoly]:
     """Truncated product of the four factors (1 + s1 X + s2 Y + s3 Z)^delta_f,
-    keeping series terms of total degree at most R.  Coefficient of
-    X^a Y^b Z^c in factor f is quad(delta_f; a, b, c) s1^a s2^b s3^c."""
+    keeping series terms of total degree at most R.  Entry (a, b, c) is
+    _scale(a, b, c) times the coefficient of X^a Y^b Z^c: in factor f that
+    is s1^a s2^b s3^c _scaled_ff(f, a+b+c), and scaled series multiply by
+    convolution with the weights C(a1+a2, a2) C(b1+b2, b2) C(c1+c2, c2),
+    so every coefficient is an integer polynomial."""
     acc: dict[tuple[int, int, int], TriPoly] = {(0, 0, 0): ONE}
     for f in range(4):
         s1, s2, s3 = _SIGNS[f]
         factor = {
-            (a, b, c): (s1 ** a * s2 ** b * s3 ** c) * _quad(f, a, b, c)
+            (a, b, c): (s1 ** a * s2 ** b * s3 ** c) * _scaled_ff(f, a + b + c)
             for (a, b, c) in _tuples_sum_at_most(R)
         }
         nxt: dict[tuple[int, int, int], TriPoly] = {}
@@ -377,7 +371,8 @@ def _genfun_product(R: int) -> dict[tuple[int, int, int], TriPoly]:
                 e = (a1 + a2, b1 + b2, c1 + c2)
                 if e[0] + e[1] + e[2] > R:
                     continue
-                prod = p1 * p2
+                prod = (math.comb(e[0], a2) * math.comb(e[1], b2)
+                        * math.comb(e[2], c2)) * (p1 * p2)
                 nxt[e] = nxt[e] + prod if e in nxt else prod
         acc = nxt
     return acc
@@ -389,7 +384,7 @@ def genfun_coeff(r1: int, r2: int, r3: int) -> TriPoly:
     if min(r1, r2, r3) < 0:
         raise ValueError(f"negative part in ({r1}, {r2}, {r3})")
     prod = _genfun_product(r1 + r2 + r3)
-    return prod.get((r1, r2, r3), ZERO)
+    return prod.get((r1, r2, r3), ZERO) / _scale(r1, r2, r3)
 
 
 # ---------------------------------------------------------------------------
@@ -411,38 +406,36 @@ def classical_krawtchouk(r: int) -> TriPoly:
 # ---------------------------------------------------------------------------
 # lift evaluation
 
-def _default_initial(Q: QuotientMatrix, mode: str) -> TensorVector:
-    if mode == TRIANGLE:
-        return initial_triangle(cell_sizes(Q))
-    if mode == INTERWEIGHT:
-        return initial_interweight(Q.m)
-    raise ValueError(f"unknown mode {mode!r}")
+def _scaled_images(P: TriPoly, Q: QuotientMatrix, mode: str,
+                   n_value: int | None, vectors: Iterable[TensorVector]
+                   ) -> tuple[int, Iterator[TensorVector]]:
+    """D and the images D v P(L1, L2, L3) of the given vectors, lazily.
 
-
-def _apply_poly(P: TriPoly, Q: QuotientMatrix, mode: str, n_value: int,
-                initial: TensorVector) -> TensorVector:
+    D is the lcm of the denominators of P's coefficients at n = n_value
+    (default Q.n), so each image is an integer combination of the lift
+    powers of v.  The powers are shared between the monomials of one v.
+    """
     lifts = lifts_for(Q, mode)
-    coeffs = P.specialize_n(n_value)
-    cache: dict[tuple[int, int, int], TensorVector] = {(0, 0, 0): initial}
+    coeffs = P.specialize_n(Q.n if n_value is None else n_value)
+    D = math.lcm(*(c.denominator for c in coeffs.values()))
+    terms = [(e, int(c * D)) for e, c in sorted(coeffs.items())]
 
-    def power(e: tuple[int, int, int]) -> TensorVector:
-        got = cache.get(e)
-        if got is not None:
-            return got
-        i, j, k = e
-        if i > 0:
-            vec = apply_lift(power((i - 1, j, k)), lifts[0])
-        elif j > 0:
-            vec = apply_lift(power((i, j - 1, k)), lifts[1])
-        else:
-            vec = apply_lift(power((i, j, k - 1)), lifts[2])
-        cache[e] = vec
-        return vec
+    def image(v: TensorVector) -> TensorVector:
+        powers = {(0, 0, 0): v}
 
-    out = TensorVector.zero(Q.m)
-    for e in sorted(coeffs):
-        out = out + power(e) * coeffs[e]
-    return out
+        def power(e: tuple[int, int, int]) -> TensorVector:
+            if e not in powers:
+                slot = 0 if e[0] else 1 if e[1] else 2
+                down = tuple(x - (s == slot) for s, x in enumerate(e))
+                powers[e] = apply_lift(power(down), lifts[slot])
+            return powers[e]
+
+        out = TensorVector.zero(Q.m)
+        for e, c in terms:
+            out = out + power(e) * c
+        return out
+
+    return D, map(image, vectors)
 
 
 def eval_at_lifts(P: TriPoly, Q: QuotientMatrix, mode: str = TRIANGLE,
@@ -454,38 +447,29 @@ def eval_at_lifts(P: TriPoly, Q: QuotientMatrix, mode: str = TRIANGLE,
     default initial vector and n_value = Q.n this reproduces the table
     entry at (r1, r2, r3) whenever r1 + r2 + r3 <= n; at index sum n + 1
     the image is the zero vector even though P(L1, L2, L3) itself need
-    not vanish as a matrix.
+    not vanish as a matrix.  Entries are ints where integral, as in
+    `build_table`.
     """
-    if n_value is None:
-        n_value = Q.n
     if initial is None:
-        initial = _default_initial(Q, mode)
-    return _apply_poly(P, Q, mode, n_value, initial)
+        initial = default_initial(Q, mode)
+    D, images = _scaled_images(P, Q, mode, n_value, [initial])
+    return TensorVector(Q.m, (_ratio(u, D) for u in next(images).entries))
 
 
 def lift_image_is_zero(P: TriPoly, Q: QuotientMatrix, mode: str = TRIANGLE,
                        n_value: int | None = None) -> bool:
     """Whether P(L1, L2, L3) is the zero matrix: checks every basis row
     without materializing, short-circuiting at the first nonzero image."""
-    if n_value is None:
-        n_value = Q.n
-    m = Q.m
-    for triple in iter_index_triples(m):
-        e = TensorVector.unit(m, triple)
-        if not _apply_poly(P, Q, mode, n_value, e).is_zero():
-            return False
-    return True
+    basis = (TensorVector.unit(Q.m, t) for t in iter_index_triples(Q.m))
+    _, images = _scaled_images(P, Q, mode, n_value, basis)
+    return all(image.is_zero() for image in images)
 
 
 def materialize_poly_at_lifts(P: TriPoly, Q: QuotientMatrix,
                               mode: str = TRIANGLE,
                               n_value: int | None = None) -> tuple[tuple, ...]:
     """Dense m^3 x m^3 matrix P(L1, L2, L3).  Debug and test aid only."""
-    if n_value is None:
-        n_value = Q.n
-    m = Q.m
-    rows = []
-    for triple in iter_index_triples(m):
-        e = TensorVector.unit(m, triple)
-        rows.append(_apply_poly(P, Q, mode, n_value, e).entries)
-    return tuple(rows)
+    basis = (TensorVector.unit(Q.m, t) for t in iter_index_triples(Q.m))
+    D, images = _scaled_images(P, Q, mode, n_value, basis)
+    return tuple(tuple(_ratio(u, D) for u in image.entries)
+                 for image in images)

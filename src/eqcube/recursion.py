@@ -86,8 +86,19 @@ def initial_interweight(m: int) -> TensorVector:
     return TensorVector(m, vec)
 
 
+def default_initial(Q: QuotientMatrix, kind: str) -> TensorVector:
+    """The standard level-0 vector of a table of the given kind."""
+    if kind == TRIANGLE:
+        return initial_triangle(cell_sizes(Q))
+    if kind == INTERWEIGHT:
+        return initial_interweight(Q.m)
+    raise ValueError(f"unknown table kind {kind!r}")
+
+
 def lifts_for(Q: QuotientMatrix, kind: str) -> tuple[LiftedMatrix, ...]:
     """The three slot lifts driving a table of the given kind."""
+    if kind not in (TRIANGLE, INTERWEIGHT):
+        raise ValueError(f"unknown table kind {kind!r}")
     L1 = kron_lift(Q.rows, 1)
     if kind == INTERWEIGHT:
         L1 = L1.T
@@ -243,8 +254,6 @@ def build_table(Q: QuotientMatrix, kind: str = TRIANGLE,
     divided by its scale, giving ints where the quotient is integral and
     Fractions elsewhere.
     """
-    if kind not in (TRIANGLE, INTERWEIGHT):
-        raise ValueError(f"unknown table kind {kind!r}")
     n = Q.n
     if max_level is None:
         max_level = n
@@ -252,10 +261,7 @@ def build_table(Q: QuotientMatrix, kind: str = TRIANGLE,
         raise ValueError(f"max_level must lie in [0, {n}], got {max_level}")
     standard = initial is None
     if initial is None:
-        if kind == TRIANGLE:
-            initial = initial_triangle(cell_sizes(Q))
-        else:
-            initial = initial_interweight(Q.m)
+        initial = default_initial(Q, kind)
     elif initial.m != Q.m:
         raise ValueError(f"initial vector has m={initial.m}, matrix m={Q.m}")
     D = common_denominator(initial)

@@ -153,6 +153,14 @@ def test_poly_rejects_negative_index(capsys):
     assert main(["poly", "--r1", "-1", "--r2", "0", "--r3", "0"]) == 64
 
 
+def test_poly_rejects_negative_dimension(capsys):
+    assert main(["poly", "--r1", "1", "--r2", "0", "--r3", "0",
+                 "--n", "-3"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--n" in captured.err
+
+
 # -- screen ------------------------------------------------------------------
 
 def test_screen_candidate_exit_zero(write_doc, capsys):

@@ -1,17 +1,22 @@
 """Three-route polynomial computation and evaluation at lifts."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from eqcube.exact_linalg import kron3, mat_identity, mat_mul, vec_mat
 from eqcube.krawtchouk import (ONE, TriPoly, X, Y, Z, classical_krawtchouk,
                                eval_at_lifts, genfun_coeff,
                                lift_image_is_zero, materialize_poly_at_lifts,
                                poly_direct, poly_recursive)
+from eqcube.oracle import singleton_partition, verify_equitable
 from eqcube.quotient import validate_quotient
-from eqcube.recursion import INTERWEIGHT, TRIANGLE, build_table
+from eqcube.recursion import (INTERWEIGHT, TRIANGLE, build_table,
+                              default_initial)
 
 Q_PAIR = validate_quotient([[0, 3], [1, 2]], 3)
+Q_SINGLE2 = verify_equitable(singleton_partition(2))
 
 # canonical renderings of every polynomial of total degree at most four
 GOLDEN = {
@@ -54,6 +59,15 @@ def test_three_routes_agree_through_degree_four():
 def test_spot_agreement_beyond_the_table():
     for t in [(2, 2, 1), (3, 1, 1), (0, 2, 3), (2, 2, 2)]:
         assert poly_recursive(*t) == poly_direct(*t) == genfun_coeff(*t)
+
+
+def test_three_routes_agree_at_seeded_degree_seven_triples():
+    rng = random.Random(7)
+    for _ in range(4):
+        a = rng.randint(0, 7)
+        b = rng.randint(0, 7 - a)
+        t = (a, b, 7 - a - b)
+        assert poly_recursive(*t) == poly_direct(*t) == genfun_coeff(*t), t
 
 
 def test_negative_indices_rejected():
@@ -153,3 +167,55 @@ def test_eval_with_explicit_n_override():
     right = eval_at_lifts(P, Q_PAIR, TRIANGLE)
     wrong = eval_at_lifts(P, Q_PAIR, TRIANGLE, n_value=5)
     assert right != wrong
+
+
+def _mat_power(M, e):
+    out = mat_identity(len(M))
+    for _ in range(e):
+        out = mat_mul(out, M)
+    return out
+
+
+def _dense_poly_at_lifts(P, Q, mode, n_value):
+    """Sum of c_ijk kron3(A^i, S^j, S^k), with A = S^T for interweight
+    tables and S for triangle tables: the lifts as dense matrices."""
+    S = Q.rows
+    A = tuple(zip(*S)) if mode == INTERWEIGHT else S
+    size = Q.m ** 3
+    out = [[0] * size for _ in range(size)]
+    for (i, j, k), c in P.specialize_n(n_value).items():
+        K = kron3(_mat_power(A, i), _mat_power(S, j), _mat_power(S, k))
+        for r in range(size):
+            for col in range(size):
+                out[r][col] += c * K[r][col]
+    return tuple(tuple(row) for row in out)
+
+
+# every triple one level past the dimension, plus one wrong-dimension case
+DENSE_CASES = [
+    (Q_PAIR, [t for t in _triples_with_sum_at_most(4) if sum(t) == 4], 3),
+    (Q_SINGLE2, [t for t in _triples_with_sum_at_most(3) if sum(t) == 3], 2),
+    (Q_PAIR, [(0, 1, 2)], 5),
+]
+
+
+@pytest.mark.parametrize("mode", [TRIANGLE, INTERWEIGHT])
+@pytest.mark.parametrize("Q,triples,n_value", DENSE_CASES)
+def test_lift_evaluators_match_dense_reference(Q, triples, n_value, mode):
+    initial = default_initial(Q, mode).entries
+    for t in triples:
+        P = poly_recursive(*t)
+        dense = _dense_poly_at_lifts(P, Q, mode, n_value)
+        assert materialize_poly_at_lifts(P, Q, mode, n_value) == dense
+        assert lift_image_is_zero(P, Q, mode, n_value) == all(
+            v == 0 for row in dense for v in row)
+        got = eval_at_lifts(P, Q, mode, n_value=n_value)
+        assert got.entries == vec_mat(initial, dense)
+
+
+def test_lift_evaluators_reject_unknown_mode():
+    P = poly_recursive(0, 0, 1)
+    with pytest.raises(ValueError):
+        lift_image_is_zero(P, Q_PAIR, "bogus")
+    with pytest.raises(ValueError):
+        build_table(Q_PAIR, "bogus", initial=default_initial(Q_PAIR, TRIANGLE))
