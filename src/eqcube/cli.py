@@ -35,7 +35,7 @@ from typing import Any, Sequence
 
 from . import krawtchouk, oracle, recursion, screen
 from .exact_linalg import iter_index_triples
-from .quotient import QuotientError, QuotientMatrix, validate_quotient
+from .quotient import QuotientError, validate_quotient
 from .recursion import INTERWEIGHT, TRIANGLE, DistributionTable
 
 
@@ -124,11 +124,6 @@ def load_structure(path: str) -> oracle.PerfectStructure:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _validated(n: int, S: Sequence[Sequence[int]]) -> QuotientMatrix:
-    # QuotientError propagates to the operational-error handler (exit 1)
-    return validate_quotient(S, n)
-
-
 def table_document(table: DistributionTable) -> dict:
     entries: dict[str, list[str]] = {}
     for triple in table.triples():
@@ -174,7 +169,7 @@ def _open_out(path: str | None):
 
 def cmd_table(args: argparse.Namespace) -> int:
     n, S = load_matrix(args.input)
-    Q = _validated(n, S)
+    Q = validate_quotient(S, n)
     table = recursion.build_table(Q, args.kind, max_level=args.max_level)
     if args.cross_check:
         report = recursion.cross_check(table, Q)
@@ -351,7 +346,7 @@ def _parse_pins(raw: list[str]) -> dict[int, int]:
 
 def cmd_oracle_search(args: argparse.Namespace) -> int:
     n, S = load_matrix(args.input)
-    Q = _validated(n, S)
+    Q = validate_quotient(S, n)
     result = oracle.search_partitions(n, Q, limit=args.limit,
                                       pins=_parse_pins(args.pin))
     print(json.dumps({
@@ -365,7 +360,7 @@ def cmd_oracle_search(args: argparse.Namespace) -> int:
 def cmd_oracle_ps_verify(args: argparse.Namespace) -> int:
     PS = load_structure(args.structure)
     n, S = load_matrix(args.input)
-    Q = _validated(n, S)
+    Q = validate_quotient(S, n)
     ok, vertex = oracle.verify_perfect_structure(PS, Q)
     print(json.dumps({"ok": ok, "vertex": vertex}, indent=2))
     return 0 if ok else 1
@@ -374,7 +369,7 @@ def cmd_oracle_ps_verify(args: argparse.Namespace) -> int:
 def cmd_oracle_ps_table(args: argparse.Namespace) -> int:
     PS = load_structure(args.structure)
     n, S = load_matrix(args.input)
-    Q = _validated(n, S)
+    Q = validate_quotient(S, n)
     initial = oracle.ps_initial_triangle(PS)
     table = recursion.build_table(Q, TRIANGLE, max_level=args.max_level,
                                   initial=initial)

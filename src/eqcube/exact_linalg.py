@@ -8,9 +8,10 @@ The central object is a length-m^3 row vector U indexed by triples
 A "lift" of an m x m matrix S acts on one of the three tensor slots of
 such a vector: position 1 is S (x) I (x) I, position 2 is I (x) S (x) I,
 and position 3 is I (x) I (x) S ((x) = Kronecker product).  Lifts are
-stored structurally (base matrix, slot, transpose flag) and applied by
-index contraction in O(m^4) time; the dense m^3 x m^3 matrix is only
-ever built by `materialize`, a debugging and testing aid.
+stored structurally (the matrix that acts and its slot; `.T` stores the
+transpose) and applied by index contraction in O(m^4) time; the dense
+m^3 x m^3 matrix is only ever built by `materialize`, a debugging and
+testing aid.
 
 Entries are Python ints or `fractions.Fraction`s.  Nothing here rounds.
 """
@@ -113,13 +114,12 @@ def _as_rows(S: Sequence[Sequence]) -> tuple[tuple, ...]:
 class LiftedMatrix:
     """An m x m matrix acting on one slot of a TensorVector.
 
-    `base` is the matrix, `position` in {1, 2, 3} the slot it contracts,
-    `transposed` whether the transpose acts instead.
+    `base` is the matrix that acts, `position` in {1, 2, 3} the slot it
+    contracts.
     """
 
     base: tuple[tuple, ...]
     position: int
-    transposed: bool = False
 
     @property
     def m(self) -> int:
@@ -127,7 +127,8 @@ class LiftedMatrix:
 
     @property
     def T(self) -> "LiftedMatrix":
-        return LiftedMatrix(self.base, self.position, not self.transposed)
+        """The lift of the transposed base, at the same slot."""
+        return LiftedMatrix(tuple(zip(*self.base)), self.position)
 
 
 def kron_lift(S: Sequence[Sequence], position: int) -> LiftedMatrix:
@@ -155,20 +156,16 @@ def apply_lift(U: TensorVector, L: LiftedMatrix) -> TensorVector:
     """Row-vector product U * L without materializing L.
 
     Contracting slot p replaces index t with index i there:
-    position 1 gives V_ijk = sum_t U_tjk S_ti (or S_it when transposed),
-    and similarly at the other slots.  O(m^4) scalar products.
+    position 1 gives V_ijk = sum_t U_tjk S_ti, and similarly at the other
+    slots.  O(m^4) scalar products.
     """
     m = L.m
     if U.m != m:
         raise ValueError(f"dimension mismatch: vector m={U.m}, lift m={m}")
     S = L.base
     # View U as shape (A, m, B): the contracted slot has stride B.
-    if L.position == 1:
-        A, B = 1, m * m
-    elif L.position == 2:
-        A, B = m, m
-    else:
-        A, B = m * m, 1
+    B = m ** (3 - L.position)
+    A = m ** (L.position - 1)
     ent = U.entries
     out = [0] * (m ** 3)
     for a in range(A):
@@ -178,7 +175,7 @@ def apply_lift(U: TensorVector, L: LiftedMatrix) -> TensorVector:
             for i in range(m):
                 acc = 0
                 for t in range(m):
-                    s = S[i][t] if L.transposed else S[t][i]
+                    s = S[t][i]
                     if s:
                         acc += ent[off + t * B] * s
                 out[off + i * B] = acc

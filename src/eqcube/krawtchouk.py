@@ -234,9 +234,6 @@ def falling_factorial(p: TriPoly, length: int) -> TriPoly:
 # ---------------------------------------------------------------------------
 # route 1: the exchange-identity recursion
 
-_P_CACHE: dict[tuple[int, int, int], TriPoly] = {}
-
-
 def poly_recursive(r1: int, r2: int, r3: int) -> TriPoly:
     """Route 1: climb the solved exchange identity for the first part,
 
@@ -250,24 +247,18 @@ def poly_recursive(r1: int, r2: int, r3: int) -> TriPoly:
     return _P(r1, r2, r3)
 
 
+@lru_cache(maxsize=None)
 def _P(a: int, b: int, c: int) -> TriPoly:
     if a < 0 or b < 0 or c < 0:
         return ZERO
-    key = (a, b, c)
-    got = _P_CACHE.get(key)
-    if got is not None:
-        return got
     if a == b == c == 0:
-        out = ONE
-    elif a > 0:
-        out = (X * _P(a - 1, b, c)
-               - (N + TriPoly.const(2 - a - b - c)) * _P(a - 2, b, c)
-               - (b + 1) * _P(a - 1, b + 1, c - 1)
-               - (c + 1) * _P(a - 1, b - 1, c + 1)) / a
-    else:
-        out = _P(b, c, a).rotated()
-    _P_CACHE[key] = out
-    return out
+        return ONE
+    if a > 0:
+        return (X * _P(a - 1, b, c)
+                - (N + TriPoly.const(2 - a - b - c)) * _P(a - 2, b, c)
+                - (b + 1) * _P(a - 1, b + 1, c - 1)
+                - (c + 1) * _P(a - 1, b - 1, c + 1)) / a
+    return _P(b, c, a).rotated()
 
 
 # ---------------------------------------------------------------------------
@@ -439,20 +430,17 @@ def _scaled_images(P: TriPoly, Q: QuotientMatrix, mode: str,
 
 
 def eval_at_lifts(P: TriPoly, Q: QuotientMatrix, mode: str = TRIANGLE,
-                  n_value: int | None = None,
-                  initial: TensorVector | None = None) -> TensorVector:
+                  n_value: int | None = None) -> TensorVector:
     """Apply P(L1, L2, L3) to the level-0 vector of the given mode.
 
-    The lifts commute pairwise, so monomials are well defined.  With the
-    default initial vector and n_value = Q.n this reproduces the table
-    entry at (r1, r2, r3) whenever r1 + r2 + r3 <= n; at index sum n + 1
-    the image is the zero vector even though P(L1, L2, L3) itself need
-    not vanish as a matrix.  Entries are ints where integral, as in
-    `build_table`.
+    The lifts commute pairwise, so monomials are well defined.  With
+    n_value = Q.n this reproduces the table entry at (r1, r2, r3)
+    whenever r1 + r2 + r3 <= n; at index sum n + 1 the image is the zero
+    vector even though P(L1, L2, L3) itself need not vanish as a matrix.
+    Entries are ints where integral, as in `build_table`.
     """
-    if initial is None:
-        initial = default_initial(Q, mode)
-    D, images = _scaled_images(P, Q, mode, n_value, [initial])
+    D, images = _scaled_images(P, Q, mode, n_value,
+                               [default_initial(Q, mode)])
     return TensorVector(Q.m, (_ratio(u, D) for u in next(images).entries))
 
 

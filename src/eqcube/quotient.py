@@ -43,10 +43,6 @@ class QuotientMatrix:
     def m(self) -> int:
         return len(self.rows)
 
-    def entry(self, i: int, j: int) -> int:
-        """1-based access S_ij."""
-        return self.rows[i - 1][j - 1]
-
 
 def validate_quotient(S: Sequence[Sequence[int]], n: int) -> QuotientMatrix:
     """Check shape, integrality, row sums and support symmetry.
@@ -124,15 +120,15 @@ def char_poly(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     m = len(rows)
     A = tuple(tuple(row) for row in rows)
     coeffs = [1]
-    M = tuple(tuple(0 for _ in range(m)) for _ in range(m))
+    # A M_0 with M_0 = 0; each step's A M_k is the next step's A M_{k-1}
+    AM = tuple(tuple(0 for _ in range(m)) for _ in range(m))
     c = 1
     for k in range(1, m + 1):
         # M_k = A M_{k-1} + c_{k-1} I
-        AM = mat_mul(A, M)
         M = tuple(tuple(AM[i][j] + (c if i == j else 0) for j in range(m))
                   for i in range(m))
-        AMk = mat_mul(A, M)
-        tr = sum(AMk[i][i] for i in range(m))
+        AM = mat_mul(A, M)
+        tr = sum(AM[i][i] for i in range(m))
         q, r = divmod(-tr, k)
         assert r == 0, "characteristic polynomial division must be exact"
         c = q

@@ -80,10 +80,7 @@ def initial_triangle(sizes: Sequence) -> TensorVector:
 
 def initial_interweight(m: int) -> TensorVector:
     """Level-0 interweight vector: entry (i, i, i) = 1, rest zero."""
-    vec = [0] * m ** 3
-    for i in range(m):
-        vec[(i * m + i) * m + i] = 1
-    return TensorVector(m, vec)
+    return initial_triangle((1,) * m)
 
 
 def default_initial(Q: QuotientMatrix, kind: str) -> TensorVector:
@@ -278,25 +275,27 @@ def build_table(Q: QuotientMatrix, kind: str = TRIANGLE,
 def weight_distribution(Q: QuotientMatrix) -> tuple[tuple[tuple, ...], ...]:
     """Matrices W^0..W^n with W^w_ij = #{y in C_j : d(v, y) = w}, v in C_i.
 
-    Climbs W^{w+1} = (W^w S - (n - w + 1) W^{w-1}) / (w + 1) from
-    W^0 = I.  Equals the interweight slice W^{w,0,0}_{ijj}.
+    W^w_ij is the interweight entry W^{w,0,0}_{ijj}, and the (w, 0, 0)
+    line climbs on its own: `derive_entry` gives U^w = w! W^{w,0,0} from
+    the level-0 interweight vector, and each entry is divided by w! once
+    at the end (an int where integral, as in `build_table`).
     """
     n, m = Q.n, Q.m
-    S = Q.rows
-    prev: tuple[tuple, ...] = tuple(tuple(0 for _ in range(m)) for _ in range(m))
-    cur: tuple[tuple, ...] = tuple(tuple(1 if i == j else 0 for j in range(m))
-                                   for i in range(m))
-    out = [cur]
-    for w in range(n):
-        nxt = tuple(
-            tuple(Fraction(
-                sum(cur[i][t] * S[t][j] for t in range(m))
-                - (n - w + 1) * prev[i][j], w + 1)
-                for j in range(m))
-            for i in range(m))
-        prev, cur = cur, nxt
-        out.append(cur)
-    return tuple(out)
+    lifts = lifts_for(Q, INTERWEIGHT)
+    zero = TensorVector.zero(m)
+    line = {(0, 0, 0): initial_interweight(m)}
+
+    def lookup(t: Triple) -> TensorVector:
+        # off the line the identity's coefficients vanish
+        return line.get(t, zero)
+
+    for w in range(1, n + 1):
+        line[(w, 0, 0)] = derive_entry(lookup, lifts, n, (w, 0, 0), 1)
+    return tuple(
+        tuple(tuple(_ratio(U.get(i, j, j), math.factorial(w))
+                    for j in range(1, m + 1))
+              for i in range(1, m + 1))
+        for (w, _, _), U in line.items())
 
 
 @dataclass(frozen=True)

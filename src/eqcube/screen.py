@@ -23,10 +23,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .quotient import (FeasibilityReport, InvalidQuotient, QuotientMatrix,
+from .quotient import (FeasibilityReport, InvalidQuotient,
                        feasibility_conditions, validate_quotient)
 from .recursion import (TRIANGLE, Violation, build_table, common_denominator,
-                        entry_scale, initial_triangle, iter_table_levels,
+                        default_initial, entry_scale, iter_table_levels,
                         scan_violations)
 
 
@@ -136,7 +136,7 @@ def hunt_witness(params: tuple[int, int, int, int, int]) -> SweepCandidate:
     scale is positive; only the witness is divided back to T."""
     n, a, b, c, d = params
     Q = validate_quotient(((a, b), (c, d)), n)
-    initial = initial_triangle(_two_cell_sizes(n, b, c))
+    initial = default_initial(Q, TRIANGLE)
     D = common_denominator(initial)
     levels = iter_table_levels(Q, TRIANGLE, initial, n)
     for level, level_entries in enumerate(levels):
@@ -149,11 +149,6 @@ def hunt_witness(params: tuple[int, int, int, int, int]) -> SweepCandidate:
                     witness_value=Fraction(value, entry_scale(triple, D)))
     return SweepCandidate(n=n, a=a, b=b, c=c, d=d,
                           witness=None, witness_value=None)
-
-
-def _two_cell_sizes(n: int, b: int, c: int) -> tuple[Fraction, Fraction]:
-    total = 1 << n
-    return (Fraction(total * c, b + c), Fraction(total * b, b + c))
 
 
 def worker_count(jobs: int, tasks: int) -> int:

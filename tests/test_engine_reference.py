@@ -22,8 +22,7 @@ from eqcube.recursion import (INTERWEIGHT, TRIANGLE, build_table,
                               canonical_via, common_denominator,
                               initial_interweight, initial_triangle,
                               iter_triples_of_level, lifts_for)
-from eqcube.screen import (_two_cell_sizes, enumerate_ci_candidates,
-                           hunt_witness)
+from eqcube.screen import enumerate_ci_candidates, hunt_witness
 
 Q_PAIR = validate_quotient([[0, 3], [1, 2]], 3)
 Q22 = validate_quotient([[0, 22, 0], [5, 6, 11], [0, 10, 12]], 22)
@@ -137,7 +136,7 @@ def test_hunt_witness_matches_fraction_reference():
     for params in enumerate_ci_candidates(11):
         n, a, b, c, d = params
         Q = validate_quotient([[a, b], [c, d]], n)
-        initial = initial_triangle(_two_cell_sizes(n, b, c))
+        initial = initial_triangle(cell_sizes(Q))
         expected = None
         for level in reference_levels(Q, TRIANGLE, initial, n):
             plane = sorted(t for t in level if t[0] == 0)

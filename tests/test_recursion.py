@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from eqcube.exact_linalg import TensorVector, iter_index_triples
+from eqcube.oracle import singleton_partition, verify_equitable
 from eqcube.quotient import cell_sizes, validate_quotient
 from eqcube.recursion import (INTERWEIGHT, TRIANGLE, DistributionTable,
                               build_table, canonical_via, common_denominator,
@@ -17,6 +18,7 @@ from eqcube.recursion import (INTERWEIGHT, TRIANGLE, DistributionTable,
 
 Q_PAIR = validate_quotient([[0, 3], [1, 2]], 3)
 Q22 = validate_quotient([[0, 22, 0], [5, 6, 11], [0, 10, 12]], 22)
+Q_FIFTHS = validate_quotient([[0, 3], [2, 1]], 3)  # sizes 16/5, 24/5
 
 
 def test_initial_vectors():
@@ -119,7 +121,22 @@ def test_weight_distribution_22_cube_shows_no_contradiction():
     for mat in W:
         for row in mat:
             for v in row:
-                assert v >= 0 and Fraction(v).denominator == 1
+                assert type(v) is int and v >= 0
+
+
+@pytest.mark.parametrize("Q", [Q_PAIR, Q22,
+                               verify_equitable(singleton_partition(3))],
+                         ids=["pair", "22-cube", "singleton-3-cube"])
+def test_weight_distribution_is_the_interweight_line(Q):
+    W = weight_distribution(Q)
+    table = build_table(Q, INTERWEIGHT)
+    assert len(W) == Q.n + 1
+    for w, mat in enumerate(W):
+        vec = table.entries[(w, 0, 0)]
+        assert len(mat) == Q.m and all(len(row) == Q.m for row in mat)
+        for i in range(1, Q.m + 1):
+            for j in range(1, Q.m + 1):
+                assert mat[i - 1][j - 1] == vec.get(i, j, j), (w, i, j)
 
 
 def test_scan_violations_empty_for_realizable_matrix():
@@ -147,6 +164,27 @@ def test_scan_violations_non_integer_entries():
     assert ni[0].triple == (0, 0, 2)
     assert ni[0].index == (1, 1, 1)
     assert ni[0].value == Fraction(24, 5)
+
+
+def test_scan_violations_interweight_tests_the_entry_itself():
+    t = build_table(Q_FIFTHS, INTERWEIGHT)
+    v = scan_violations(t)
+    ni = [x for x in v if x.reason == "non-integer"]
+    assert ni
+    assert (ni[0].triple, ni[0].index, ni[0].value) == ((0, 0, 2), (1, 1, 1),
+                                                        Fraction(3, 2))
+    assert all(x.value.denominator != 1 for x in ni)
+    # cell sizes only scale triangle entries: an interweight scan ignores them
+    assert scan_violations(t, sizes=cell_sizes(Q_FIFTHS)) == v
+
+
+def test_scan_violations_triangle_without_sizes_counts_negatives_only():
+    t = build_table(Q_FIFTHS, TRIANGLE)
+    sized = scan_violations(t, sizes=cell_sizes(Q_FIFTHS))
+    assert any(x.reason == "non-integer" for x in sized)
+    unsized = scan_violations(t)
+    assert unsized
+    assert unsized == [x for x in sized if x.reason == "negative"]
 
 
 def test_scan_violations_order_is_level_triple_index():
@@ -199,15 +237,36 @@ def test_cross_check_skips_marginals_for_external_initial():
     assert rep.ok
 
 
+def _tampered_pair_table(kind, triple, index):
+    """The pair partition's table of the given kind, with 1 added to the
+    entry at `index` of the vector at `triple`."""
+    bad = dict(build_table(Q_PAIR, kind).entries)
+    bad[triple] = bad[triple] + TensorVector.unit(2, index)
+    return DistributionTable(kind=kind, n=3, m=2, max_level=3, entries=bad)
+
+
 def test_cross_check_reports_tampered_entry():
-    t = build_table(Q_PAIR, TRIANGLE)
-    bad = dict(t.entries)
-    bad[(0, 0, 3)] = bad[(0, 0, 3)] + TensorVector.unit(2, (1, 1, 1))
-    tampered = DistributionTable(kind=TRIANGLE, n=3, m=2, max_level=3,
-                                 entries=bad)
+    tampered = _tampered_pair_table(TRIANGLE, (0, 0, 3), (1, 1, 1))
     rep = cross_check(tampered, Q_PAIR)
     assert not rep.ok
     assert any(t_ == (0, 0, 3) for (t_, _via) in rep.derivation_mismatches)
+
+
+def test_cross_check_reports_broken_triangle_symmetry_and_pairing():
+    tampered = _tampered_pair_table(TRIANGLE, (0, 1, 2), (1, 1, 2))
+    rep = cross_check(tampered, Q_PAIR, build_table(Q_PAIR, INTERWEIGHT))
+    assert not rep.ok
+    assert "pairing" in rep.checks_run
+    assert ((0, 1, 2), (1, 1, 2), "swap") in rep.symmetry_mismatches
+    assert ((0, 1, 2), (1, 1, 2), "cyclic") in rep.symmetry_mismatches
+    assert (0, 1, 2) in rep.pairing_mismatches
+
+
+def test_cross_check_reports_broken_interweight_exchange():
+    tampered = _tampered_pair_table(INTERWEIGHT, (1, 0, 2), (1, 1, 2))
+    rep = cross_check(tampered, Q_PAIR)
+    assert not rep.ok
+    assert ((1, 0, 2), (1, 1, 2), "exchange") in rep.symmetry_mismatches
 
 
 def test_marginal_totals_are_multinomial():

@@ -2,14 +2,13 @@
 
 import math
 import os
-from fractions import Fraction
 
 import pytest
 
 from eqcube.quotient import cell_sizes, validate_quotient
-from eqcube.screen import (Certificate, SweepCandidate, _two_cell_sizes,
-                           certify, enumerate_ci_candidates, hunt_witness,
-                           sweep_ci, worker_count)
+from eqcube.screen import (Certificate, SweepCandidate, certify,
+                           enumerate_ci_candidates, hunt_witness, sweep_ci,
+                           worker_count)
 from eqcube.recursion import TRIANGLE, build_table
 
 
@@ -105,10 +104,12 @@ def test_hunt_witness_first_candidate():
     assert rec.witness_value < 0
 
 
-def test_two_cell_sizes_match_quotient_sizes():
-    for (n, a, b, c, d) in enumerate_ci_candidates(11):
-        Q = validate_quotient([[a, b], [c, d]], n)
-        assert _two_cell_sizes(n, b, c) == cell_sizes(Q)
+def test_hunt_without_witness_reports_none():
+    # [[0, 3], [1, 2]] at n = 3 is the realizable pair partition
+    rec = hunt_witness((3, 0, 3, 1, 2))
+    assert (rec.n, rec.a, rec.b, rec.c, rec.d) == (3, 0, 3, 1, 2)
+    assert rec.witness is None
+    assert rec.witness_value is None
 
 
 def test_sweep_small_range_all_witnessed():
