@@ -2,11 +2,11 @@
 Certifying that a candidate quotient matrix is unrealizable
 ===========================================================
 
-A 3x3 matrix for the 22-cube passes every arithmetic screen - integral
-cell sizes, spectrum inside the cube spectrum - and its per-distance
-count matrices are all nonnegative and integral.  Its full triangle
-table still contains a negative entry, which no actual partition could
-produce, so no partition with this matrix exists.
+A 3x3 matrix for the 22-cube passes every screen `feasibility_conditions`
+runs - integral cell sizes, spectrum inside the cube spectrum - and its
+per-distance count matrices are all nonnegative and integral.  Its full
+triangle table still contains a negative entry, which no actual
+partition could produce, so no partition with this matrix exists.
 """
 
 from eqcube.quotient import cell_sizes, feasibility_conditions, validate_quotient

@@ -35,7 +35,7 @@ from typing import Any, Sequence
 
 from . import krawtchouk, oracle, recursion, screen
 from .exact_linalg import iter_index_triples
-from .quotient import QuotientError, validate_quotient
+from .quotient import validate_quotient
 from .recursion import INTERWEIGHT, TRIANGLE, DistributionTable
 
 
@@ -164,11 +164,17 @@ def _open_out(path: str | None):
         yield fh
 
 
+def _check_max_level(max_level: int | None, n: int) -> None:
+    if max_level is not None and not 0 <= max_level <= n:
+        raise InputError(f"--max-level must lie in [0, {n}], got {max_level}")
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 def cmd_table(args: argparse.Namespace) -> int:
     n, S = load_matrix(args.input)
+    _check_max_level(args.max_level, n)
     Q = validate_quotient(S, n)
     table = recursion.build_table(Q, args.kind, max_level=args.max_level)
     if args.cross_check:
@@ -240,6 +246,7 @@ def _feasibility_json(rep) -> dict:
 
 def cmd_screen(args: argparse.Namespace) -> int:
     n, S = load_matrix(args.input)
+    _check_max_level(args.max_level, n)
     cert = screen.certify(S, n, max_level=args.max_level)
     doc = {
         "n": cert.n,
@@ -345,6 +352,8 @@ def _parse_pins(raw: list[str]) -> dict[int, int]:
 
 
 def cmd_oracle_search(args: argparse.Namespace) -> int:
+    if args.limit < 1:
+        raise InputError(f"--limit must be at least 1, got {args.limit}")
     n, S = load_matrix(args.input)
     Q = validate_quotient(S, n)
     result = oracle.search_partitions(n, Q, limit=args.limit,
@@ -369,6 +378,7 @@ def cmd_oracle_ps_verify(args: argparse.Namespace) -> int:
 def cmd_oracle_ps_table(args: argparse.Namespace) -> int:
     PS = load_structure(args.structure)
     n, S = load_matrix(args.input)
+    _check_max_level(args.max_level, n)
     Q = validate_quotient(S, n)
     initial = oracle.ps_initial_triangle(PS)
     table = recursion.build_table(Q, TRIANGLE, max_level=args.max_level,
@@ -488,7 +498,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 64
-    except (QuotientError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

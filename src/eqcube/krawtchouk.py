@@ -119,9 +119,6 @@ class TriPoly:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self) -> int:
-        return hash(frozenset((m, Fraction(c)) for m, c in self.terms.items()))
-
     def __repr__(self) -> str:
         return f"TriPoly({self.render()!r})"
 

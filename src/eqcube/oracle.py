@@ -184,6 +184,23 @@ def _empty_counts(n: int, m: int) -> dict[Triple, list]:
     return out
 
 
+def _count_anchored(P: PartitionInstance, v: int,
+                    counts: dict[Triple, list]) -> None:
+    """Add every vertex pair (x, y) anchored at v to `counts`, in the
+    slice i = color(v)."""
+    m, color = P.m, P.color
+    size = 1 << P.n
+    i = color[v] - 1
+    for x in range(size):
+        j = color[x] - 1
+        d_vx = hamming(v, x)
+        base = (i * m + j) * m
+        for y in range(size):
+            triple = _distance_triple_index(hamming(x, y),
+                                            hamming(v, y), d_vx)
+            counts[triple][base + color[y] - 1] += 1
+
+
 def brute_triangle(P: PartitionInstance, force: bool = False) -> DistributionTable:
     """Count all 8^n ordered vertex triples into a triangle table.
 
@@ -193,22 +210,12 @@ def brute_triangle(P: PartitionInstance, force: bool = False) -> DistributionTab
         raise ValueError(f"n = {P.n} exceeds the brute-force cap of 6; "
                          f"pass force=True to run anyway")
     n, m = P.n, P.m
-    size = 1 << n
     counts = _empty_counts(n, m)
-    color = P.color
-    for v in range(size):
-        i = color[v] - 1
-        for x in range(size):
-            j = color[x] - 1
-            d_vx = hamming(v, x)
-            base = (i * m + j) * m
-            for y in range(size):
-                triple = _distance_triple_index(hamming(x, y),
-                                                hamming(v, y), d_vx)
-                counts[triple][base + color[y] - 1] += 1
+    for v in range(1 << n):
+        _count_anchored(P, v, counts)
     entries = {t: TensorVector(m, vec) for t, vec in counts.items()}
-    return DistributionTable(kind=TRIANGLE, n=n, m=m, max_level=n,
-                             entries=entries, standard_initial=True)
+    return DistributionTable(kind=TRIANGLE, n=n, m=m, entries=entries,
+                             standard_initial=True)
 
 
 def brute_interweight(P: PartitionInstance, v: int,
@@ -222,23 +229,13 @@ def brute_interweight(P: PartitionInstance, v: int,
         raise ValueError(f"n = {P.n} exceeds the brute-force cap of 7; "
                          f"pass force=True to run anyway")
     n, m = P.n, P.m
-    size = 1 << n
-    if not 0 <= v < size:
+    if not 0 <= v < 1 << n:
         raise ValueError(f"vertex {v} outside the {n}-cube")
     counts = _empty_counts(n, m)
-    color = P.color
-    i = color[v] - 1
-    for x in range(size):
-        j = color[x] - 1
-        d_vx = hamming(v, x)
-        base = (i * m + j) * m
-        for y in range(size):
-            triple = _distance_triple_index(hamming(x, y),
-                                            hamming(v, y), d_vx)
-            counts[triple][base + color[y] - 1] += 1
+    _count_anchored(P, v, counts)
     entries = {t: TensorVector(m, vec) for t, vec in counts.items()}
-    return DistributionTable(kind=INTERWEIGHT, n=n, m=m, max_level=n,
-                             entries=entries, standard_initial=True)
+    return DistributionTable(kind=INTERWEIGHT, n=n, m=m, entries=entries,
+                             standard_initial=True)
 
 
 @dataclass(frozen=True)
@@ -429,6 +426,8 @@ def search_partitions(n: int, S: Sequence[Sequence[int]] | QuotientMatrix,
     `max_nodes` the number of assignments tried (exceeding it returns
     the partial result with complete=False).
     """
+    if limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     Q = S if isinstance(S, QuotientMatrix) else validate_quotient(S, n)
     if Q.n != n:
         raise ValueError(f"matrix is for n = {Q.n}, search asked for n = {n}")

@@ -22,7 +22,8 @@ and cyclically with L2 (slot 2) when climbing b, L3 (slot 3) when
 climbing c.  L2 and L3 are the slot lifts of S; L1 is the slot-1 lift
 of S for the triangle family but of S^T for the interweight family
 (anchoring at v breaks the symmetry of the first slot).  Out-of-range
-triples (negative part, or level > n) are zero.
+triples (negative part, or level > n) are zero; `derive_entry` reads
+any triple missing from the levels it climbs from as zero.
 
 The engine climbs the fraction-free form of these identities (the idea
 of Bareiss's fraction-free elimination).  It keeps the scaled vectors
@@ -57,7 +58,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from functools import lru_cache
+from typing import Iterator, Mapping, Sequence
 
 from .exact_linalg import (LiftedMatrix, TensorVector, apply_lift, diag_lift,
                            iter_index_triples, kron_lift)
@@ -109,42 +111,51 @@ def iter_triples_of_level(level: int) -> Iterator[Triple]:
             yield (r1, r2, level - r1 - r2)
 
 
-def derive_entry(lookup: Callable[[Triple], TensorVector],
+def derive_entry(levels: Mapping[Triple, TensorVector],
                  lifts: tuple[LiftedMatrix, ...],
                  n: int, triple: Triple, via: int) -> TensorVector:
     """One fraction-free step of the exchange identity, climbing part `via`.
 
-    `lookup` must return the scaled vector U^t = t1! t2! t3! D T^t for
-    any triple t of level at most level(triple) - 1 (zero when out of
-    range); the result is U^triple with the same D.  Integer inputs give
-    an integer result: the step multiplies and subtracts, never divides.
-    Requires triple[via - 1] > 0.
+    `levels` maps triples t of level at most level(triple) - 1 to the
+    scaled vectors U^t = t1! t2! t3! D T^t; a triple missing from it
+    (one with a negative part, say) reads as zero.  The result is
+    U^triple with the same D.  Integer inputs give an integer result:
+    the step multiplies and subtracts, never divides.  Requires
+    triple[via - 1] > 0.
     """
     a, b, c = triple
     if triple[via - 1] <= 0:
         raise ValueError(f"cannot climb part {via} of {triple}")
+    zero = _zero(lifts[0].m)
+    get = levels.get
     k = n - a - b - c + 2
     if via == 1:
-        base = apply_lift(lookup((a - 1, b, c)), lifts[0])
-        c1, t1 = c, lookup((a - 1, b + 1, c - 1))
-        c2, t2 = b, lookup((a - 1, b - 1, c + 1))
-        c3, t3 = k * (a - 1), lookup((a - 2, b, c))
+        base = apply_lift(get((a - 1, b, c), zero), lifts[0])
+        c1, t1 = c, get((a - 1, b + 1, c - 1), zero)
+        c2, t2 = b, get((a - 1, b - 1, c + 1), zero)
+        c3, t3 = k * (a - 1), get((a - 2, b, c), zero)
     elif via == 2:
-        base = apply_lift(lookup((a, b - 1, c)), lifts[1])
-        c1, t1 = c, lookup((a + 1, b - 1, c - 1))
-        c2, t2 = a, lookup((a - 1, b - 1, c + 1))
-        c3, t3 = k * (b - 1), lookup((a, b - 2, c))
+        base = apply_lift(get((a, b - 1, c), zero), lifts[1])
+        c1, t1 = c, get((a + 1, b - 1, c - 1), zero)
+        c2, t2 = a, get((a - 1, b - 1, c + 1), zero)
+        c3, t3 = k * (b - 1), get((a, b - 2, c), zero)
     elif via == 3:
-        base = apply_lift(lookup((a, b, c - 1)), lifts[2])
-        c1, t1 = b, lookup((a + 1, b - 1, c - 1))
-        c2, t2 = a, lookup((a - 1, b + 1, c - 1))
-        c3, t3 = k * (c - 1), lookup((a, b, c - 2))
+        base = apply_lift(get((a, b, c - 1), zero), lifts[2])
+        c1, t1 = b, get((a + 1, b - 1, c - 1), zero)
+        c2, t2 = a, get((a - 1, b + 1, c - 1), zero)
+        c3, t3 = k * (c - 1), get((a, b, c - 2), zero)
     else:
         raise ValueError(f"via must be 1, 2 or 3, got {via}")
     # base - c1 t1 - c2 t2 - c3 t3, in one pass over the entries
     return TensorVector(base.m, [
         x - c1 * y1 - c2 * y2 - c3 * y3 for x, y1, y2, y3
         in zip(base.entries, t1.entries, t2.entries, t3.entries)])
+
+
+@lru_cache(maxsize=None)
+def _zero(m: int) -> TensorVector:
+    """The zero vector for m cells, shared by every step."""
+    return TensorVector.zero(m)
 
 
 def _ratio(num: int, den: int):
@@ -189,18 +200,8 @@ class DistributionTable:
     kind: str
     n: int
     m: int
-    max_level: int
     entries: dict[Triple, TensorVector]
     standard_initial: bool = True
-
-    def entry(self, triple: Triple) -> TensorVector:
-        got = self.entries.get(triple)
-        if got is not None:
-            return got
-        r1, r2, r3 = triple
-        if min(triple) < 0 or r1 + r2 + r3 > self.n:
-            return TensorVector.zero(self.m)
-        raise KeyError(f"triple {triple} above max_level {self.max_level}")
 
     def triples(self) -> list[Triple]:
         """Stored triples in scan order: by level, then lexicographic."""
@@ -219,7 +220,6 @@ def iter_table_levels(Q: QuotientMatrix, kind: str,
     """
     n = Q.n
     lifts = lifts_for(Q, kind)
-    zero = TensorVector.zero(Q.m)
     D = common_denominator(initial)
     prev: dict[Triple, TensorVector] = {}
     # D clears every denominator of the initial vector, so int() is exact
@@ -227,18 +227,11 @@ def iter_table_levels(Q: QuotientMatrix, kind: str,
         (0, 0, 0): TensorVector(Q.m, (int(e * D) for e in initial.entries))}
     yield cur
     for level in range(1, max_level + 1):
-        older, prev = prev, cur
-
-        def lookup(t: Triple) -> TensorVector:
-            got = prev.get(t)
-            if got is None:
-                got = older.get(t, zero)
-            return got
-
-        cur = {}
-        for triple in iter_triples_of_level(level):
-            cur[triple] = derive_entry(lookup, lifts, n, triple,
-                                       canonical_via(triple))
+        known = {**prev, **cur}
+        prev, cur = cur, {
+            triple: derive_entry(known, lifts, n, triple,
+                                 canonical_via(triple))
+            for triple in iter_triples_of_level(level)}
         yield cur
 
 
@@ -268,8 +261,8 @@ def build_table(Q: QuotientMatrix, kind: str = TRIANGLE,
             s = entry_scale(triple, D)
             entries[triple] = TensorVector(
                 Q.m, (_ratio(u, s) for u in U.entries))
-    return DistributionTable(kind=kind, n=n, m=Q.m, max_level=max_level,
-                             entries=entries, standard_initial=standard)
+    return DistributionTable(kind=kind, n=n, m=Q.m, entries=entries,
+                             standard_initial=standard)
 
 
 def weight_distribution(Q: QuotientMatrix) -> tuple[tuple[tuple, ...], ...]:
@@ -282,15 +275,9 @@ def weight_distribution(Q: QuotientMatrix) -> tuple[tuple[tuple, ...], ...]:
     """
     n, m = Q.n, Q.m
     lifts = lifts_for(Q, INTERWEIGHT)
-    zero = TensorVector.zero(m)
     line = {(0, 0, 0): initial_interweight(m)}
-
-    def lookup(t: Triple) -> TensorVector:
-        # off the line the identity's coefficients vanish
-        return line.get(t, zero)
-
     for w in range(1, n + 1):
-        line[(w, 0, 0)] = derive_entry(lookup, lifts, n, (w, 0, 0), 1)
+        line[(w, 0, 0)] = derive_entry(line, lifts, n, (w, 0, 0), 1)
     return tuple(
         tuple(tuple(_ratio(U.get(i, j, j), math.factorial(w))
                     for j in range(1, m + 1))
@@ -392,18 +379,13 @@ def cross_check(table: DistributionTable, Q: QuotientMatrix,
 
     deriv: list[tuple[Triple, int]] = []
     scaled = scaled_entries(table)
-
-    def lookup(t: Triple) -> TensorVector:
-        got = scaled.get(t)
-        return got if got is not None else table.entry(t)
-
     for triple in table.triples():
         if sum(triple) == 0:
             continue
         for via in (1, 2, 3):
             if triple[via - 1] <= 0:
                 continue
-            redone = derive_entry(lookup, lifts, n, triple, via)
+            redone = derive_entry(scaled, lifts, n, triple, via)
             if redone != scaled[triple]:
                 deriv.append((triple, via))
 
@@ -412,8 +394,8 @@ def cross_check(table: DistributionTable, Q: QuotientMatrix,
         r1, r2, r3 = triple
         vec = table.entries[triple]
         if table.kind == TRIANGLE:
-            swapped = table.entry((r2, r1, r3))
-            cycled = table.entry((r2, r3, r1))
+            swapped = table.entries[(r2, r1, r3)]
+            cycled = table.entries[(r2, r3, r1)]
             for (i, j, k) in iter_index_triples(m):
                 v = vec.get(i, j, k)
                 if v != swapped.get(j, i, k):
@@ -421,7 +403,7 @@ def cross_check(table: DistributionTable, Q: QuotientMatrix,
                 if v != cycled.get(j, k, i):
                     sym.append((triple, (i, j, k), "cyclic"))
         else:
-            exchanged = table.entry((r1, r3, r2))
+            exchanged = table.entries[(r1, r3, r2)]
             for (i, j, k) in iter_index_triples(m):
                 if vec.get(i, j, k) != exchanged.get(i, k, j):
                     sym.append((triple, (i, j, k), "exchange"))

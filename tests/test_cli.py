@@ -5,6 +5,7 @@ tmp_path and stdout/stderr are captured, so these tests pin the exact
 external formats: JSON documents, CSV layout, exit codes.
 """
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -124,7 +125,26 @@ def test_table_writes_to_file(write_doc, tmp_path, capsys):
 
 def test_table_rejects_excessive_level(write_doc, capsys):
     path = write_doc("pair.json", PAIR_MATRIX)
-    assert main(["table", "--input", path, "--max-level", "9"]) == 1
+    assert main(["table", "--input", path, "--max-level", "9"]) == 64
+    assert capsys.readouterr().out == ""
+
+
+def test_table_rejects_negative_level(write_doc, capsys):
+    path = write_doc("pair.json", PAIR_MATRIX)
+    assert main(["table", "--input", path, "--max-level", "-1"]) == 64
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("level", ["9", "-1"])
+def test_screen_and_ps_table_reject_level_outside_dimension(write_doc, capsys,
+                                                            level):
+    mpath = write_doc("pair.json", PAIR_MATRIX)
+    assert main(["screen", "--input", mpath, "--max-level", level]) == 64
+    spath = write_doc("plain.json", PS_PLAIN)
+    apath = write_doc("all1.json", ALL1_MATRIX)
+    assert main(["oracle", "ps-table", "--structure", spath,
+                 "--input", apath, "--max-level", level]) == 64
+    assert capsys.readouterr().out == ""
 
 
 # -- poly --------------------------------------------------------------------
@@ -329,6 +349,14 @@ def test_oracle_search_with_pin(write_doc, capsys):
     assert doc["count"] == 3  # vertex 0 excluded from the small cell
 
 
+@pytest.mark.parametrize("limit", ["0", "-2"])
+def test_oracle_search_rejects_limit_below_one(write_doc, capsys, limit):
+    mpath = write_doc("pair.json", PAIR_MATRIX)
+    assert main(["oracle", "search", "--input", mpath,
+                 "--limit", limit]) == 64
+    assert capsys.readouterr().out == ""
+
+
 def test_oracle_search_rejects_malformed_pin(write_doc, capsys):
     mpath = write_doc("pair.json", PAIR_MATRIX)
     assert main(["oracle", "search", "--input", mpath,
@@ -376,3 +404,24 @@ def test_oracle_ps_table_rejects_float_values(write_doc, capsys):
     mpath = write_doc("all1.json", ALL1_MATRIX)
     assert main(["oracle", "ps-table", "--structure", spath,
                  "--input", mpath]) == 64
+
+
+# -- output bytes ------------------------------------------------------------
+
+S22_MATRIX = {"n": 22, "S": [[0, 22, 0], [5, 6, 11], [0, 10, 12]]}
+
+
+@pytest.mark.parametrize("flags, digest", [
+    ([], "c52e22c1de279c208eeb07dcbfb35e4e"
+         "9dd7e94bd20360a94035c8e60f91ffa7"),
+    (["--kind", "interweight", "--format", "csv"],
+     "1c48dc612d4068085862b352b5bbff7f"
+     "3aa92078e970cfc2b08bf469fdb3ef67"),
+])
+def test_table_output_bytes_are_pinned(write_doc, capsys, flags, digest):
+    # SHA-256 of stdout for the full 22-cube tables; any change to an
+    # entry, the key order or the layout changes it
+    path = write_doc("s22.json", S22_MATRIX)
+    assert main(["table", "--input", path] + flags) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == digest

@@ -248,6 +248,12 @@ def test_search_respects_limit():
     assert len(res.partitions) == 2
 
 
+@pytest.mark.parametrize("limit", [0, -1])
+def test_search_rejects_limit_below_one(limit):
+    with pytest.raises(ValueError, match="limit"):
+        search_partitions(3, [[0, 3], [1, 2]], limit=limit)
+
+
 def test_search_with_contradictory_pins_is_empty():
     res = search_partitions(3, [[0, 3], [3, 0]], limit=10, pins={0: 1, 1: 1})
     assert res.complete and res.partitions == []

@@ -149,3 +149,16 @@ def test_feasibility_larger_matrices_skip_two_cell_predicates():
     assert rep.divisibility_ok is None
     assert rep.ci_bound_ok is None
     assert rep.verdict == "candidate"
+
+
+def test_22_cube_fails_the_triple_product_condition():
+    # feasibility_conditions accepts the 22-cube matrix, but the
+    # m-cell form of the correlation-immunity bound rejects it: x is an
+    # eigenvector for -10 = n - 2w with w = 16, and 3w = 48 > 2n = 44
+    # forces sum_i |C_i| x_i^3 = 0 for a real partition
+    Q = validate_quotient(S22, 22)
+    x = (Fraction(121, 25), Fraction(-11, 5), Fraction(1))
+    Sx = tuple(sum(s * v for s, v in zip(row, x)) for row in Q.rows)
+    assert Sx == tuple(-10 * v for v in x)
+    total = sum(size * v ** 3 for size, v in zip(cell_sizes(Q), x))
+    assert total == Fraction(18270388224, 625) != 0

@@ -71,14 +71,6 @@ def test_pair_partition_triangle_values():
     assert sum(v for tr in t.entries for v in t.entries[tr].entries) == 8 ** 3
 
 
-def test_entry_out_of_range_is_zero_above_level_is_error():
-    t = build_table(Q_PAIR, TRIANGLE, max_level=1)
-    assert t.entry((-1, 0, 0)).is_zero()
-    assert t.entry((2, 1, 1)).is_zero()  # sum over n
-    with pytest.raises(KeyError):
-        t.entry((1, 1, 0))
-
-
 def test_table_triples_scan_order():
     t = build_table(Q_PAIR, TRIANGLE, max_level=2)
     assert t.triples() == [(0, 0, 0),
@@ -242,7 +234,7 @@ def _tampered_pair_table(kind, triple, index):
     entry at `index` of the vector at `triple`."""
     bad = dict(build_table(Q_PAIR, kind).entries)
     bad[triple] = bad[triple] + TensorVector.unit(2, index)
-    return DistributionTable(kind=kind, n=3, m=2, max_level=3, entries=bad)
+    return DistributionTable(kind=kind, n=3, m=2, entries=bad)
 
 
 def test_cross_check_reports_tampered_entry():
@@ -300,11 +292,6 @@ def test_one_level_past_the_dimension_vanishes(kind):
     table = build_table(Q_PAIR, kind)
     lifts = lifts_for(Q_PAIR, kind)
     scaled = scaled_entries(table)
-
-    def lookup(t):
-        got = scaled.get(t)
-        return got if got is not None else table.entry(t)
-
     for triple in iter_triples_of_level(4):
-        got = derive_entry(lookup, lifts, 3, triple, canonical_via(triple))
+        got = derive_entry(scaled, lifts, 3, triple, canonical_via(triple))
         assert got.is_zero(), triple
