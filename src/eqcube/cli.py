@@ -169,6 +169,12 @@ def _check_max_level(max_level: int | None, n: int) -> None:
         raise InputError(f"--max-level must lie in [0, {n}], got {max_level}")
 
 
+def _check_vertex(v: int, n: int, flag: str) -> None:
+    if not 0 <= v < 1 << n:
+        raise InputError(f"{flag}: vertex {v} lies outside the {n}-cube's "
+                         f"[0, {(1 << n) - 1}]")
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -269,6 +275,8 @@ def cmd_screen(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.n_max < 1:
+        raise InputError(f"--n-max must be at least 1, got {args.n_max}")
     if args.jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     report = screen.sweep_ci(args.n_max, jobs=args.jobs)
@@ -321,6 +329,7 @@ def cmd_oracle_triangle(args: argparse.Namespace) -> int:
 
 def cmd_oracle_interweight(args: argparse.Namespace) -> int:
     P = load_partition(args.partition)
+    _check_vertex(args.vertex, P.n, "--vertex")
     table = oracle.brute_interweight(P, args.vertex, force=args.force)
     with _open_out(args.out) as out:
         write_table(table, args.format, out)
@@ -340,14 +349,17 @@ def cmd_oracle_invariance(args: argparse.Namespace) -> int:
     return 0 if result.status == "holds" else 1
 
 
-def _parse_pins(raw: list[str]) -> dict[int, int]:
+def _parse_pins(raw: list[str], n: int, m: int) -> dict[int, int]:
     pins: dict[int, int] = {}
     for item in raw:
         try:
-            v, label = item.split(":")
-            pins[int(v)] = int(label)
+            v, label = map(int, item.split(":"))
         except ValueError as exc:
             raise InputError(f"bad pin {item!r}; expected VERTEX:CELL") from exc
+        _check_vertex(v, n, "--pin")
+        if not 1 <= label <= m:
+            raise InputError(f"--pin cell must lie in [1, {m}], got {label}")
+        pins[v] = label
     return pins
 
 
@@ -357,7 +369,7 @@ def cmd_oracle_search(args: argparse.Namespace) -> int:
     n, S = load_matrix(args.input)
     Q = validate_quotient(S, n)
     result = oracle.search_partitions(n, Q, limit=args.limit,
-                                      pins=_parse_pins(args.pin))
+                                      pins=_parse_pins(args.pin, n, Q.m))
     print(json.dumps({
         "complete": result.complete,
         "count": len(result.partitions),

@@ -30,10 +30,12 @@ polynomial: P^{r,0,0}(x, y, z) = K_r((n - x)/2).
 
 Polynomials are exact: monomials x^i y^j z^k n^d with Fraction
 coefficients.  `render` produces the canonical text form (graded-lex
-monomial order, common denominator pulled out).  The lift evaluators
-share `_scaled_images`: it specializes n, multiplies the coefficients by
-the lcm D of their denominators once, and applies integer combinations
-of lift powers; `eval_at_lifts` divides by D on return.
+monomial order, common denominator pulled out).  `eval_at_lifts` and
+the dense test aid `materialize_poly_at_lifts` share `_scaled_images`:
+it specializes n, multiplies the coefficients by the lcm D of their
+denominators once, and applies integer combinations of lift powers;
+both divide by D on return.  `lift_image_is_zero` applies no lift: it
+reduces P modulo the minimal polynomial of S in each variable.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .exact_linalg import TensorVector, apply_lift, iter_index_triples
-from .quotient import QuotientMatrix
+from .quotient import QuotientMatrix, min_poly
 from .recursion import TRIANGLE, _ratio, default_initial, lifts_for
 
 
@@ -443,11 +445,40 @@ def eval_at_lifts(P: TriPoly, Q: QuotientMatrix, mode: str = TRIANGLE,
 
 def lift_image_is_zero(P: TriPoly, Q: QuotientMatrix, mode: str = TRIANGLE,
                        n_value: int | None = None) -> bool:
-    """Whether P(L1, L2, L3) is the zero matrix: checks every basis row
-    without materializing, short-circuiting at the first nonzero image."""
-    basis = (TensorVector.unit(Q.m, t) for t in iter_index_triples(Q.m))
-    _, images = _scaled_images(P, Q, mode, n_value, basis)
-    return all(image.is_zero() for image in images)
+    """Whether P(L1, L2, L3) is the zero matrix, decided without the lifts.
+
+    Each lift acts as S or S^T on one tensor slot.  Both have the minimal
+    polynomial mu of S, so the lifts generate
+    Q[x]/(mu) (x) Q[y]/(mu) (x) Q[z]/(mu), a tensor product of injective
+    maps: P(L1, L2, L3) = 0 exactly when P, at n = n_value (default Q.n),
+    reduces to zero modulo mu(x), mu(y) and mu(z).  The coefficients are
+    cleared by the lcm of their denominators and each monomial is
+    replaced by the product of its residues x^e mod mu, all integers.
+    """
+    lifts_for(Q, mode)  # rejects an unknown mode
+    mu = min_poly(Q.rows)
+    d = len(mu) - 1
+    coeffs = P.specialize_n(Q.n if n_value is None else n_value)
+    if not coeffs:
+        return True
+    D = math.lcm(*(c.denominator for c in coeffs.values()))
+    # residues[e]: x^e mod mu, ascending.  x * r shifts r up one degree
+    # and, mu being monic, rewrites its x^d term as x^d - mu (mod mu).
+    residues = [[1] + [0] * (d - 1)]
+    for _ in range(max(max(e) for e in coeffs)):
+        r = residues[-1]
+        residues.append([(r[i - 1] if i else 0) - r[-1] * mu[d - i]
+                         for i in range(d)])
+    acc = [0] * d ** 3
+    for (a, b, c), coeff in coeffs.items():
+        k = int(coeff * D)
+        for i, u in enumerate(residues[a]):
+            for j, v in enumerate(residues[b]):
+                if u and v:
+                    base = (i * d + j) * d
+                    for t, w in enumerate(residues[c]):
+                        acc[base + t] += k * u * v * w
+    return not any(acc)
 
 
 def materialize_poly_at_lifts(P: TriPoly, Q: QuotientMatrix,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .exact_linalg import mat_mul
+from .exact_linalg import mat_identity, mat_mul
 
 
 class QuotientError(ValueError):
@@ -134,6 +134,37 @@ def char_poly(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
         c = q
         coeffs.append(c)
     return tuple(coeffs)
+
+
+def min_poly(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Coefficients of the minimal polynomial of A, descending, leading 1.
+
+    Krylov search: the powers I, A, A^2, ... are reduced, as flat
+    vectors, against the earlier ones; the first power that reduces to
+    zero gives the monic dependence of least degree.  It divides the
+    characteristic polynomial, so Gauss's lemma makes it integral.
+    """
+    m = len(rows)
+    A = tuple(tuple(row) for row in rows)
+    power = mat_identity(m)
+    # reduced earlier powers: (pivot, flat vector, combination of powers)
+    basis: list[tuple[int, list, list]] = []
+    for k in range(m + 1):
+        vec = [Fraction(v) for row in power for v in row]
+        comb = [Fraction(int(i == k)) for i in range(m + 1)]
+        for pivot, bvec, bcomb in basis:
+            f = vec[pivot] / bvec[pivot]
+            if f:
+                vec = [u - f * w for u, w in zip(vec, bvec)]
+                comb = [u - f * w for u, w in zip(comb, bcomb)]
+        pivot = next((i for i, v in enumerate(vec) if v), None)
+        if pivot is None:
+            if any(c.denominator != 1 for c in comb):
+                raise ArithmeticError("minimal polynomial must be integral")
+            return tuple(int(c) for c in reversed(comb[:k + 1]))
+        basis.append((pivot, vec, comb))
+        power = mat_mul(power, A)
+    raise ArithmeticError("no dependence among I, A, ..., A^m")
 
 
 def _synth_div(coeffs: Sequence[int], e: int) -> tuple[tuple[int, ...], int]:

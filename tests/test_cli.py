@@ -275,6 +275,12 @@ def test_sweep_empty_range(capsys):
     assert "0 candidates" in captured.err
 
 
+@pytest.mark.parametrize("n_max", ["-3", "0"])
+def test_sweep_rejects_n_max_below_one(capsys, n_max):
+    assert main(["sweep", "--n-max", n_max]) == 64
+    assert capsys.readouterr().out == ""
+
+
 def test_sweep_rejects_jobs_below_one(capsys):
     assert main(["sweep", "--n-max", "5", "--jobs", "0"]) == 64
     assert capsys.readouterr().out == ""
@@ -325,6 +331,13 @@ def test_oracle_interweight_anchored_at_zero(write_doc, capsys):
     assert doc["entries"]["0,0,1"] == ["0", "3", "0", "0", "0", "0", "0", "0"]
 
 
+def test_oracle_interweight_rejects_vertex_outside_cube(write_doc, capsys):
+    ppath = write_doc("pair-partition.json", PAIR_PARTITION)
+    assert main(["oracle", "interweight", "--partition", ppath,
+                 "--vertex", "99"]) == 64
+    assert capsys.readouterr().out == ""
+
+
 def test_oracle_invariance_holds(write_doc, capsys):
     ppath = write_doc("pair-partition.json", PAIR_PARTITION)
     assert main(["oracle", "invariance", "--partition", ppath]) == 0
@@ -354,6 +367,14 @@ def test_oracle_search_rejects_limit_below_one(write_doc, capsys, limit):
     mpath = write_doc("pair.json", PAIR_MATRIX)
     assert main(["oracle", "search", "--input", mpath,
                  "--limit", limit]) == 64
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("pin", ["99:1", "0:5"])
+def test_oracle_search_rejects_pin_outside_range(write_doc, capsys, pin):
+    # vertex 99 lies outside the 3-cube; the pair matrix has cells 1 and 2
+    mpath = write_doc("pair.json", PAIR_MATRIX)
+    assert main(["oracle", "search", "--input", mpath, "--pin", pin]) == 64
     assert capsys.readouterr().out == ""
 
 

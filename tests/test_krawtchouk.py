@@ -6,12 +6,13 @@ from fractions import Fraction
 import pytest
 
 from eqcube.exact_linalg import kron3, mat_identity, mat_mul, vec_mat
-from eqcube.krawtchouk import (ONE, TriPoly, X, Y, Z, classical_krawtchouk,
-                               eval_at_lifts, genfun_coeff,
-                               lift_image_is_zero, materialize_poly_at_lifts,
+from eqcube.krawtchouk import (ONE, ZERO, TriPoly, X, Y, Z,
+                               classical_krawtchouk, eval_at_lifts,
+                               genfun_coeff, lift_image_is_zero,
+                               materialize_poly_at_lifts,
                                poly_direct, poly_recursive)
 from eqcube.oracle import singleton_partition, verify_equitable
-from eqcube.quotient import validate_quotient
+from eqcube.quotient import InvalidQuotient, char_poly, validate_quotient
 from eqcube.recursion import (INTERWEIGHT, TRIANGLE, build_table,
                               default_initial)
 
@@ -211,6 +212,70 @@ def test_lift_evaluators_match_dense_reference(Q, triples, n_value, mode):
             v == 0 for row in dense for v in row)
         got = eval_at_lifts(P, Q, mode, n_value=n_value)
         assert got.entries == vec_mat(initial, dense)
+
+
+# (0,1,2),(1,1,1),(1,2,0) at n = 3 has minimal polynomial (t - 3)(t + 1)^2:
+# not diagonalizable, so no test by eigenvalue points alone is exact here
+Q_JORDAN = validate_quotient([[0, 1, 2], [1, 1, 1], [1, 2, 0]], 3)
+
+
+def _is_zero_matrix(M):
+    return all(v == 0 for row in M for v in row)
+
+
+@pytest.mark.parametrize("mode", [TRIANGLE, INTERWEIGHT])
+@pytest.mark.parametrize("var", [X, Z])
+def test_zero_test_keeps_repeated_root_of_minimal_polynomial(mode, var):
+    short = (var - TriPoly.const(3)) * (var + ONE)
+    full = short * (var + ONE)
+    for P, zero in ((short, False), (full, True)):
+        assert lift_image_is_zero(P, Q_JORDAN, mode) is zero
+        assert _is_zero_matrix(
+            materialize_poly_at_lifts(P, Q_JORDAN, mode)) is zero
+
+
+def _random_quotient(rng):
+    while True:
+        m, n = rng.choice((2, 3)), rng.randint(1, 5)
+        rows = []
+        for _ in range(m):
+            cuts = sorted(rng.randint(0, n) for _ in range(m - 1))
+            rows.append([b - a for a, b in zip([0] + cuts, cuts + [n])])
+        try:
+            return validate_quotient(rows, n)
+        except InvalidQuotient:
+            continue
+
+
+def _random_poly(rng):
+    return TriPoly({(rng.randint(0, 1), rng.randint(0, 1), rng.randint(0, 1),
+                     rng.randint(0, 1)): Fraction(rng.randint(-3, 3),
+                                                  rng.randint(1, 3))
+                    for _ in range(3)})
+
+
+def test_zero_test_matches_dense_reference_on_random_matrices():
+    rng = random.Random(20131)
+    seen = {True: 0, False: 0}
+    for _ in range(40):
+        Q = _random_quotient(rng)
+        chi_x, chi_z = (sum((c * var ** e for e, c in
+                             enumerate(reversed(char_poly(Q.rows)))), ZERO)
+                        for var in (X, Z))
+        # chi(x) A + chi(z) B: Cayley-Hamilton kills it in every mode
+        ideal = chi_x * _random_poly(rng) + chi_z * _random_poly(rng)
+        r = [rng.randint(0, 2) for _ in range(3)]
+        cases = [(poly_recursive(*r), None), (ideal, True),
+                 (ideal + ONE, False),
+                 (poly_recursive(*r[::-1]) * ideal, True)]
+        mode = rng.choice((TRIANGLE, INTERWEIGHT))
+        for P, expected in cases:
+            got = lift_image_is_zero(P, Q, mode)
+            dense = materialize_poly_at_lifts(P, Q, mode)
+            assert got == _is_zero_matrix(dense)
+            assert expected is None or got is expected
+            seen[got] += 1
+    assert seen[True] and seen[False]
 
 
 def test_lift_evaluators_reject_unknown_mode():

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from eqcube.oracle import singleton_partition, verify_equitable
 from eqcube.quotient import (InvalidQuotient, SizesUndetermined, cell_sizes,
-                             char_poly, feasibility_conditions, spectrum_check,
-                             validate_quotient)
+                             char_poly, feasibility_conditions, min_poly,
+                             spectrum_check, validate_quotient)
 
 S22 = [[0, 22, 0], [5, 6, 11], [0, 10, 12]]
 
@@ -67,6 +68,25 @@ def test_char_poly_on_two_by_two():
     # det(xI - S) for [[0,3],[1,2]] is x^2 - 2x - 3
     assert char_poly([[0, 3], [1, 2]]) == (1, -2, -3)
     assert char_poly([[0, 2], [1, 1]]) == (1, -1, -2)
+
+
+def test_min_poly_on_two_by_two():
+    # distinct eigenvalues 3 and -1: the minimal polynomial is det(xI - S)
+    assert min_poly([[0, 3], [1, 2]]) == (1, -2, -3)
+
+
+def test_min_poly_of_singleton_cube_has_degree_four():
+    # the 8 x 8 adjacency of the 3-cube has only the eigenvalues +-3, +-1
+    Q = verify_equitable(singleton_partition(3))
+    assert Q.m == 8
+    assert min_poly(Q.rows) == (1, 0, -10, 0, 9)  # (x^2 - 9)(x^2 - 1)
+
+
+def test_min_poly_of_non_diagonalizable_matrix():
+    # a valid quotient shape whose eigenvalue -1 has a 2 x 2 Jordan block:
+    # the minimal polynomial keeps the square, (x - 3)(x + 1)^2
+    Q = validate_quotient([[0, 1, 2], [1, 1, 1], [1, 2, 0]], 3)
+    assert min_poly(Q.rows) == (1, -1, -5, -3) == char_poly(Q.rows)
 
 
 def test_spectrum_check_splits_over_cube_eigenvalues():
