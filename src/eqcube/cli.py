@@ -35,7 +35,7 @@ from typing import Any, Sequence
 
 from . import krawtchouk, oracle, recursion, screen
 from .exact_linalg import iter_index_triples
-from .quotient import validate_quotient
+from .quotient import QuotientError, QuotientMatrix, validate_quotient
 from .recursion import INTERWEIGHT, TRIANGLE, DistributionTable
 
 
@@ -91,6 +91,16 @@ def load_matrix(path: str) -> tuple[int, list[list[int]]]:
                 raise InputError(f"{path}: S entry ({i + 1},{j + 1}) = {v!r} "
                                  f"is not an integer")
     return n, S
+
+
+def _load_quotient(path: str) -> QuotientMatrix:
+    """The quotient matrix in a matrix file; any other matrix is unusable
+    input (only `screen` gives it a verdict)."""
+    n, S = load_matrix(path)
+    try:
+        return validate_quotient(S, n)
+    except QuotientError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def load_partition(path: str) -> oracle.PartitionInstance:
@@ -179,9 +189,8 @@ def _check_vertex(v: int, n: int, flag: str) -> None:
 # subcommand handlers
 
 def cmd_table(args: argparse.Namespace) -> int:
-    n, S = load_matrix(args.input)
-    _check_max_level(args.max_level, n)
-    Q = validate_quotient(S, n)
+    Q = _load_quotient(args.input)
+    _check_max_level(args.max_level, Q.n)
     table = recursion.build_table(Q, args.kind, max_level=args.max_level)
     if args.cross_check:
         report = recursion.cross_check(table, Q)
@@ -366,10 +375,9 @@ def _parse_pins(raw: list[str], n: int, m: int) -> dict[int, int]:
 def cmd_oracle_search(args: argparse.Namespace) -> int:
     if args.limit < 1:
         raise InputError(f"--limit must be at least 1, got {args.limit}")
-    n, S = load_matrix(args.input)
-    Q = validate_quotient(S, n)
-    result = oracle.search_partitions(n, Q, limit=args.limit,
-                                      pins=_parse_pins(args.pin, n, Q.m))
+    Q = _load_quotient(args.input)
+    result = oracle.search_partitions(Q.n, Q, limit=args.limit,
+                                      pins=_parse_pins(args.pin, Q.n, Q.m))
     print(json.dumps({
         "complete": result.complete,
         "count": len(result.partitions),
@@ -380,8 +388,7 @@ def cmd_oracle_search(args: argparse.Namespace) -> int:
 
 def cmd_oracle_ps_verify(args: argparse.Namespace) -> int:
     PS = load_structure(args.structure)
-    n, S = load_matrix(args.input)
-    Q = validate_quotient(S, n)
+    Q = _load_quotient(args.input)
     ok, vertex = oracle.verify_perfect_structure(PS, Q)
     print(json.dumps({"ok": ok, "vertex": vertex}, indent=2))
     return 0 if ok else 1
@@ -389,9 +396,8 @@ def cmd_oracle_ps_verify(args: argparse.Namespace) -> int:
 
 def cmd_oracle_ps_table(args: argparse.Namespace) -> int:
     PS = load_structure(args.structure)
-    n, S = load_matrix(args.input)
-    _check_max_level(args.max_level, n)
-    Q = validate_quotient(S, n)
+    Q = _load_quotient(args.input)
+    _check_max_level(args.max_level, Q.n)
     initial = oracle.ps_initial_triangle(PS)
     table = recursion.build_table(Q, TRIANGLE, max_level=args.max_level,
                                   initial=initial)

@@ -14,11 +14,13 @@ constructions are provided and their agreement is part of the tests:
   coefficients in the four quarter arguments (n +- x +- y +- z)/4;
 
 * `genfun_coeff` reads the coefficient of X^{r1} Y^{r2} Z^{r3} off the
-  truncated four-factor product
+  four-factor product
 
       prod_f (1 +- X +- Y +- Z)^{(n +- x +- y +- z)/4},
 
-  expanding each factor by the generalized binomial series.
+  expanding each factor by the generalized binomial series and keeping
+  only the box of exponents componentwise <= (r1, r2, r3), the only
+  ones that feed the wanted coefficient.
 
 Routes 2 and 3 share one integer kernel, `_scaled_ff` (4^L times the
 L-term falling factorial of a quarter argument): both sum integer
@@ -340,41 +342,45 @@ def poly_direct(r1: int, r2: int, r3: int) -> TriPoly:
 # ---------------------------------------------------------------------------
 # route 3: generating-function coefficient extraction
 
-@lru_cache(maxsize=None)
-def _genfun_product(R: int) -> dict[tuple[int, int, int], TriPoly]:
-    """Truncated product of the four factors (1 + s1 X + s2 Y + s3 Z)^delta_f,
-    keeping series terms of total degree at most R.  Entry (a, b, c) is
-    _scale(a, b, c) times the coefficient of X^a Y^b Z^c: in factor f that
-    is s1^a s2^b s3^c _scaled_ff(f, a+b+c), and scaled series multiply by
-    convolution with the weights C(a1+a2, a2) C(b1+b2, b2) C(c1+c2, c2),
-    so every coefficient is an integer polynomial."""
+def genfun_coeff(r1: int, r2: int, r3: int) -> TriPoly:
+    """Route 3: coefficient of X^{r1} Y^{r2} Z^{r3} in the product of the
+    four factors (1 + s1 X + s2 Y + s3 Z)^delta_f, each expanded by the
+    generalized binomial series.
+
+    A product coefficient at e depends only on factor terms at exponents
+    componentwise <= e, so the first three factors are multiplied over
+    the box {e <= (r1, r2, r3)} alone and the fourth contributes only
+    the target coefficient.  Entry e = (e1, e2, e3) of a partial product
+    is _scale(e1, e2, e3) times its coefficient of X^e1 Y^e2 Z^e3.  In
+    factor f alone the entry at (a, b, c) is s1^a s2^b s3^c
+    _scaled_ff(f, a+b+c), and scaled series multiply by convolution with
+    the weights C(e1, a2) C(e2, b2) C(e3, c2), (a2, b2, c2) the factor's
+    exponent, so every entry is an integer polynomial.  The factor terms
+    of one total degree share their _scaled_ff, which multiplies their
+    weighted sum once.
+    """
+    if min(r1, r2, r3) < 0:
+        raise ValueError(f"negative part in ({r1}, {r2}, {r3})")
+    box = [(a, b, c) for a in range(r1 + 1) for b in range(r2 + 1)
+           for c in range(r3 + 1)]
     acc: dict[tuple[int, int, int], TriPoly] = {(0, 0, 0): ONE}
     for f in range(4):
         s1, s2, s3 = _SIGNS[f]
-        factor = {
-            (a, b, c): (s1 ** a * s2 ** b * s3 ** c) * _scaled_ff(f, a + b + c)
-            for (a, b, c) in _tuples_sum_at_most(R)
-        }
         nxt: dict[tuple[int, int, int], TriPoly] = {}
-        for (a1, b1, c1), p1 in acc.items():
-            for (a2, b2, c2), p2 in factor.items():
-                e = (a1 + a2, b1 + b2, c1 + c2)
-                if e[0] + e[1] + e[2] > R:
+        for e in (box if f < 3 else [(r1, r2, r3)]):
+            by_length: dict[int, TriPoly] = {}
+            for (a1, b1, c1), p in acc.items():
+                a2, b2, c2 = e[0] - a1, e[1] - b1, e[2] - c1
+                if min(a2, b2, c2) < 0:
                     continue
-                prod = (math.comb(e[0], a2) * math.comb(e[1], b2)
-                        * math.comb(e[2], c2)) * (p1 * p2)
-                nxt[e] = nxt[e] + prod if e in nxt else prod
+                w = (s1 ** a2 * s2 ** b2 * s3 ** c2 * math.comb(e[0], a2)
+                     * math.comb(e[1], b2) * math.comb(e[2], c2))
+                L = a2 + b2 + c2
+                by_length[L] = by_length.get(L, ZERO) + w * p
+            nxt[e] = sum((_scaled_ff(f, L) * q for L, q in by_length.items()),
+                         ZERO)
         acc = nxt
-    return acc
-
-
-def genfun_coeff(r1: int, r2: int, r3: int) -> TriPoly:
-    """Route 3: coefficient of X^{r1} Y^{r2} Z^{r3} in the generating
-    function, via truncated generalized-binomial expansion."""
-    if min(r1, r2, r3) < 0:
-        raise ValueError(f"negative part in ({r1}, {r2}, {r3})")
-    prod = _genfun_product(r1 + r2 + r3)
-    return prod.get((r1, r2, r3), ZERO) / _scale(r1, r2, r3)
+    return acc[(r1, r2, r3)] / _scale(r1, r2, r3)
 
 
 # ---------------------------------------------------------------------------

@@ -234,6 +234,24 @@ def test_non_square_and_bool_matrices_are_usage_errors(write_doc, capsys):
     assert main(["oracle", "search", "--input", boolean]) == 64
 
 
+@pytest.mark.parametrize("command", [
+    ["table"],
+    ["oracle", "search"],
+    ["oracle", "ps-verify", "--structure", "STRUCTURE"],
+    ["oracle", "ps-table", "--structure", "STRUCTURE"],
+])
+def test_non_quotient_matrix_is_usage_error(write_doc, capsys, command):
+    # well-formed JSON, but row 2 sums to 2, not n = 3; only `screen`
+    # turns such a matrix into a verdict
+    path = write_doc("rowsum.json", {"n": 3, "S": [[0, 3], [1, 1]]})
+    spath = write_doc("plain.json", PS_PLAIN)
+    argv = [spath if a == "STRUCTURE" else a for a in command]
+    assert main(argv + ["--input", path]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "row 2 sums to 2" in captured.err
+
+
 def test_bad_json_is_usage_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
@@ -446,3 +464,22 @@ def test_table_output_bytes_are_pinned(write_doc, capsys, flags, digest):
     assert main(["table", "--input", path] + flags) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == digest
+
+
+POLY_TRIPLES = [(a, b, c) for a in range(6) for b in range(6 - a)
+                for c in range(6 - a - b)]
+
+
+def test_poly_output_bytes_are_pinned(capsys):
+    # SHA-256 of stdout for `poly --method genfun` at all 56 triples of
+    # degree at most 5, plain and at n = 5
+    assert len(POLY_TRIPLES) == 56
+    out = b""
+    for extra in ([], ["--n", "5"]):
+        for r1, r2, r3 in POLY_TRIPLES:
+            assert main(["poly", "--r1", str(r1), "--r2", str(r2),
+                         "--r3", str(r3), "--method", "genfun"] + extra) == 0
+            out += capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == (
+        "c35c4868850e5d323ed0e0cd558d5985"
+        "ab28a17a05bade90381633483428de7f")

@@ -123,6 +123,18 @@ def test_axis_polynomials_specialize_to_classical():
             == poly_recursive(r, 0, 0)
 
 
+def test_every_route_specializes_to_classical_on_each_axis():
+    # P^{r,0,0} = K_r((n - x)/2), and by cyclic symmetry P^{0,r,0} and
+    # P^{0,0,r} are the same polynomial in z and in y, for r <= 8
+    half = (TriPoly({(0, 0, 0, 1): 1}) - X) / 2
+    for r in range(9):
+        K = classical_krawtchouk(r).substitute_x(half)
+        for triple, expected in (((r, 0, 0), K), ((0, r, 0), K.rotated()),
+                                 ((0, 0, r), K.rotated().rotated())):
+            for fn in (poly_recursive, poly_direct, genfun_coeff):
+                assert fn(*triple) == expected, (fn.__name__, triple)
+
+
 def test_eval_at_lifts_matches_recursion_tables():
     for kind in (TRIANGLE, INTERWEIGHT):
         table = build_table(Q_PAIR, kind)
