@@ -5,7 +5,7 @@ JSON (documents described below) or CSV; every numeric value in any
 output is an exact integer or rational rendered as a decimal string or
 "p/q", never a float.
 
-Input documents:
+Input documents (n, the cube's dimension, a positive integer in each):
   matrix     {"n": 22, "S": [[0, 22, 0], [5, 6, 11], [0, 10, 12]]}
   partition  {"n": 3, "m": 2, "cells": [[0, 7], [1, 2, 3, 4, 5, 6]]}
              (vertices are integers; bit i of a vertex is coordinate i)
@@ -20,7 +20,8 @@ CSV output has a header row r1,r2,r3,i,j,k,value.
 
 Exit codes: 0 success (for `screen`: candidate), 1 operational error or
 failed consistency check, 2 `screen` certified nonexistent, 64 unusable
-input (bad JSON, missing fields, malformed flags).
+input (bad JSON, missing fields, malformed flags, a structure and matrix
+of different shapes, an --out that cannot be written).
 """
 
 from __future__ import annotations
@@ -67,18 +68,21 @@ def _load_json(path: str) -> Any:
         raise InputError(f"bad JSON in {path}: {exc}") from exc
 
 
-def _require(doc: Any, field: str, path: str) -> Any:
-    if not isinstance(doc, dict) or field not in doc:
-        raise InputError(f"{path}: missing field {field!r}")
-    return doc[field]
+def _read_doc(path: str, *fields: str) -> list:
+    """[n, *fields] of the JSON document at path, n a positive integer."""
+    doc = _load_json(path)
+    fields = ("n",) + fields
+    for field in fields:
+        if not isinstance(doc, dict) or field not in doc:
+            raise InputError(f"{path}: missing field {field!r}")
+    n = doc["n"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise InputError(f"{path}: n must be a positive integer")
+    return [doc[field] for field in fields]
 
 
 def load_matrix(path: str) -> tuple[int, list[list[int]]]:
-    doc = _load_json(path)
-    n = _require(doc, "n", path)
-    S = _require(doc, "S", path)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InputError(f"{path}: n must be a positive integer")
+    n, S = _read_doc(path, "S")
     if (not isinstance(S, list) or not S
             or any(not isinstance(row, list) for row in S)):
         raise InputError(f"{path}: S must be a list of rows")
@@ -104,10 +108,7 @@ def _load_quotient(path: str) -> QuotientMatrix:
 
 
 def load_partition(path: str) -> oracle.PartitionInstance:
-    doc = _load_json(path)
-    n = _require(doc, "n", path)
-    m = _require(doc, "m", path)
-    cells = _require(doc, "cells", path)
+    n, m, cells = _read_doc(path, "m", "cells")
     if not isinstance(cells, list) or len(cells) != m:
         raise InputError(f"{path}: expected {m} cells")
     try:
@@ -117,10 +118,7 @@ def load_partition(path: str) -> oracle.PartitionInstance:
 
 
 def load_structure(path: str) -> oracle.PerfectStructure:
-    doc = _load_json(path)
-    n = _require(doc, "n", path)
-    m = _require(doc, "m", path)
-    values = _require(doc, "values", path)
+    n, m, values = _read_doc(path, "m", "values")
     if not isinstance(values, list):
         raise InputError(f"{path}: values must be a list")
     rows = []
@@ -132,6 +130,16 @@ def load_structure(path: str) -> oracle.PerfectStructure:
         return oracle.PerfectStructure.from_rows(n, rows)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
+
+
+def _load_structure_pair(args: argparse.Namespace
+                         ) -> tuple[oracle.PerfectStructure, QuotientMatrix]:
+    """A `ps-` command's structure and quotient matrix, of one shape."""
+    PS, Q = load_structure(args.structure), _load_quotient(args.input)
+    if (PS.n, PS.m) != (Q.n, Q.m):
+        raise InputError(f"{args.structure}: {PS.n}-cube with {PS.m} cells, "
+                         f"but {args.input}: {Q.n}-cube with {Q.m} cells")
+    return PS, Q
 
 
 def table_document(table: DistributionTable) -> dict:
@@ -170,8 +178,19 @@ def _open_out(path: str | None):
     if path is None or path == "-":
         yield sys.stdout
         return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    try:
+        fh = open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+    with fh:
         yield fh
+
+
+def _emit_table(table: DistributionTable, args: argparse.Namespace) -> int:
+    """Write a table command's result to --out in --format; exit 0."""
+    with _open_out(args.out) as out:
+        write_table(table, args.format, out)
+    return 0
 
 
 def _check_max_level(max_level: int | None, n: int) -> None:
@@ -201,9 +220,7 @@ def cmd_table(args: argparse.Namespace) -> int:
                   f"{len(report.marginal_mismatches)} marginal mismatches",
                   file=sys.stderr)
             return 1
-    with _open_out(args.out) as out:
-        write_table(table, args.format, out)
-    return 0
+    return _emit_table(table, args)
 
 
 _POLY_METHODS = {
@@ -330,19 +347,14 @@ def cmd_oracle_verify(args: argparse.Namespace) -> int:
 
 def cmd_oracle_triangle(args: argparse.Namespace) -> int:
     P = load_partition(args.partition)
-    table = oracle.brute_triangle(P, force=args.force)
-    with _open_out(args.out) as out:
-        write_table(table, args.format, out)
-    return 0
+    return _emit_table(oracle.brute_triangle(P, force=args.force), args)
 
 
 def cmd_oracle_interweight(args: argparse.Namespace) -> int:
     P = load_partition(args.partition)
     _check_vertex(args.vertex, P.n, "--vertex")
-    table = oracle.brute_interweight(P, args.vertex, force=args.force)
-    with _open_out(args.out) as out:
-        write_table(table, args.format, out)
-    return 0
+    return _emit_table(
+        oracle.brute_interweight(P, args.vertex, force=args.force), args)
 
 
 def cmd_oracle_invariance(args: argparse.Namespace) -> int:
@@ -387,23 +399,18 @@ def cmd_oracle_search(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_ps_verify(args: argparse.Namespace) -> int:
-    PS = load_structure(args.structure)
-    Q = _load_quotient(args.input)
+    PS, Q = _load_structure_pair(args)
     ok, vertex = oracle.verify_perfect_structure(PS, Q)
     print(json.dumps({"ok": ok, "vertex": vertex}, indent=2))
     return 0 if ok else 1
 
 
 def cmd_oracle_ps_table(args: argparse.Namespace) -> int:
-    PS = load_structure(args.structure)
-    Q = _load_quotient(args.input)
+    PS, Q = _load_structure_pair(args)
     _check_max_level(args.max_level, Q.n)
     initial = oracle.ps_initial_triangle(PS)
-    table = recursion.build_table(Q, TRIANGLE, max_level=args.max_level,
-                                  initial=initial)
-    with _open_out(args.out) as out:
-        write_table(table, args.format, out)
-    return 0
+    return _emit_table(recursion.build_table(
+        Q, TRIANGLE, max_level=args.max_level, initial=initial), args)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ constructions are provided and their agreement is part of the tests:
   P^{0,b,c}(x, y, z) = P^{b,c,0}(y, z, x) when the first part is zero;
 
 * `poly_direct` expands a closed triple sum of signed quadrinomial
-  coefficients in the four quarter arguments (n +- x +- y +- z)/4;
+  coefficients in the four quarter arguments (n +- x +- y +- z)/4,
+  each part split on its own over the four arguments;
 
 * `genfun_coeff` reads the coefficient of X^{r1} Y^{r2} Z^{r3} off the
   four-factor product
@@ -32,12 +33,13 @@ polynomial: P^{r,0,0}(x, y, z) = K_r((n - x)/2).
 
 Polynomials are exact: monomials x^i y^j z^k n^d with Fraction
 coefficients.  `render` produces the canonical text form (graded-lex
-monomial order, common denominator pulled out).  `eval_at_lifts` and
-the dense test aid `materialize_poly_at_lifts` share `_scaled_images`:
-it specializes n, multiplies the coefficients by the lcm D of their
-denominators once, and applies integer combinations of lift powers;
-both divide by D on return.  `lift_image_is_zero` applies no lift: it
-reduces P modulo the minimal polynomial of S in each variable.
+monomial order, common denominator pulled out).  The lift evaluators
+share `_cleared_terms`: P at a fixed n, times the lcm D of its
+denominators.  `eval_at_lifts` and the dense test aid
+`materialize_poly_at_lifts` apply integer combinations of lift powers
+to one vector at a time and divide by D once; `lift_image_is_zero`
+applies no lift: it reduces P modulo the minimal polynomial of S in
+each variable.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator
 
 from .exact_linalg import TensorVector, apply_lift, iter_index_triples
 from .quotient import QuotientMatrix, min_poly
@@ -269,13 +270,6 @@ def _P(a: int, b: int, c: int) -> TriPoly:
 _SIGNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
 
 
-def _tuples_sum_at_most(r: int) -> Iterator[tuple[int, int, int]]:
-    for i in range(r + 1):
-        for j in range(r - i + 1):
-            for k in range(r - i - j + 1):
-                yield (i, j, k)
-
-
 @lru_cache(maxsize=None)
 def _scaled_ff(f: int, length: int) -> TriPoly:
     """4^length times the length-term falling factorial of the f-th quarter
@@ -300,37 +294,36 @@ def _ff_product(sa: int, sb: int, sc: int, s0: int) -> TriPoly:
             * (_scaled_ff(3, sc) * _scaled_ff(0, s0)))
 
 
-def poly_direct(r1: int, r2: int, r3: int) -> TriPoly:
-    """Route 2: signed sum of quadrinomial products over nine indices.
+def _part_splits(r: int, t: int) -> dict[tuple[int, int, int], int]:
+    """Weights C(r, i) C(r-i, j) C(r-i-j, k) of the splits of part t that
+    give i, j, k to quarter arguments 1, 2, 3 (the rest to argument 0),
+    each signed by part t's sign in the arguments it goes to."""
+    s1, s2, s3 = _SIGNS[1][t], _SIGNS[2][t], _SIGNS[3][t]
+    return {(i, j, k): (s1 ** i * s2 ** j * s3 ** k * math.comb(r, i)
+                        * math.comb(r - i, j) * math.comb(r - i - j, k))
+            for i in range(r + 1) for j in range(r - i + 1)
+            for k in range(r - i - j + 1)}
 
-    The three index groups feed the last three quarter arguments; the
-    first one takes what is left of (r1, r2, r3).  The falling-factorial
-    part of a quadrinomial depends only on the total of its three indices,
-    so the polynomial factors are shared across splits with equal group
-    totals; each split itself contributes an integer multinomial weight,
-    and one exact division restores the common denominator at the end.
+
+def poly_direct(r1: int, r2: int, r3: int) -> TriPoly:
+    """Route 2: the direct formula, a signed sum of quadrinomial products.
+
+    Each part splits on its own over the four quarter arguments
+    (`_part_splits`).  A quadrinomial's falling-factorial part depends
+    only on the total each argument receives, so the three splits are
+    convolved by those totals into integer weights, each multiplying one
+    shared `_ff_product`; one exact division ends the sum.
     """
     if min(r1, r2, r3) < 0:
         raise ValueError(f"negative part in ({r1}, {r2}, {r3})")
-    weights: dict[tuple[int, int, int], int] = {}
-    for (i1, i2, i3) in _tuples_sum_at_most(r1 + r2 + r3):
-        if i1 > r1 or i2 > r2 or i3 > r3:
-            continue
-        for (j1, j2, j3) in _tuples_sum_at_most(r1 - i1 + r2 - i2 + r3 - i3):
-            if i1 + j1 > r1 or i2 + j2 > r2 or i3 + j3 > r3:
-                continue
-            w_ij = (math.comb(r1, i1) * math.comb(r1 - i1, j1)
-                    * math.comb(r2, i2) * math.comb(r2 - i2, j2)
-                    * math.comb(r3, i3) * math.comb(r3 - i3, j3))
-            for k1 in range(r1 - i1 - j1 + 1):
-                for k2 in range(r2 - i2 - j2 + 1):
-                    for k3 in range(r3 - i3 - j3 + 1):
-                        sign = -1 if (i2 + i3 + j1 + j3 + k1 + k2) % 2 else 1
-                        w = (w_ij * math.comb(r1 - i1 - j1, k1)
-                             * math.comb(r2 - i2 - j2, k2)
-                             * math.comb(r3 - i3 - j3, k3))
-                        key = (i1 + i2 + i3, j1 + j2 + j3, k1 + k2 + k3)
-                        weights[key] = weights.get(key, 0) + sign * w
+    weights: dict[tuple[int, int, int], int] = {(0, 0, 0): 1}
+    for t, r in enumerate((r1, r2, r3)):
+        nxt: dict[tuple[int, int, int], int] = {}
+        for (a, b, c), w in weights.items():
+            for (i, j, k), u in _part_splits(r, t).items():
+                key = (a + i, b + j, c + k)
+                nxt[key] = nxt.get(key, 0) + w * u
+        weights = nxt
     total = ZERO
     R = r1 + r2 + r3
     for (sa, sb, sc), w in sorted(weights.items()):
@@ -402,36 +395,34 @@ def classical_krawtchouk(r: int) -> TriPoly:
 # ---------------------------------------------------------------------------
 # lift evaluation
 
-def _scaled_images(P: TriPoly, Q: QuotientMatrix, mode: str,
-                   n_value: int | None, vectors: Iterable[TensorVector]
-                   ) -> tuple[int, Iterator[TensorVector]]:
-    """D and the images D v P(L1, L2, L3) of the given vectors, lazily.
-
-    D is the lcm of the denominators of P's coefficients at n = n_value
-    (default Q.n), so each image is an integer combination of the lift
-    powers of v.  The powers are shared between the monomials of one v.
-    """
-    lifts = lifts_for(Q, mode)
+def _cleared_terms(P: TriPoly, Q: QuotientMatrix,
+                   n_value: int | None) -> tuple[int, list]:
+    """D and P's coefficients at n = n_value (default Q.n) times D, as
+    sorted (exponent, integer) terms; D is the lcm of their denominators."""
     coeffs = P.specialize_n(Q.n if n_value is None else n_value)
     D = math.lcm(*(c.denominator for c in coeffs.values()))
-    terms = [(e, int(c * D)) for e, c in sorted(coeffs.items())]
+    return D, [(e, int(c * D)) for e, c in sorted(coeffs.items())]
 
-    def image(v: TensorVector) -> TensorVector:
-        powers = {(0, 0, 0): v}
 
-        def power(e: tuple[int, int, int]) -> TensorVector:
-            if e not in powers:
-                slot = 0 if e[0] else 1 if e[1] else 2
-                down = tuple(x - (s == slot) for s, x in enumerate(e))
-                powers[e] = apply_lift(power(down), lifts[slot])
-            return powers[e]
+def _image_at_lifts(P: TriPoly, Q: QuotientMatrix, mode: str,
+                    n_value: int | None, v: TensorVector) -> TensorVector:
+    """v P(L1, L2, L3): D v P(L1, L2, L3) is an integer combination of the
+    lift powers of v, shared by the monomials, divided by D once."""
+    lifts = lifts_for(Q, mode)
+    D, terms = _cleared_terms(P, Q, n_value)
+    powers = {(0, 0, 0): v}
 
-        out = TensorVector.zero(Q.m)
-        for e, c in terms:
-            out = out + power(e) * c
-        return out
+    def power(e: tuple[int, int, int]) -> TensorVector:
+        if e not in powers:
+            slot = 0 if e[0] else 1 if e[1] else 2
+            down = tuple(x - (s == slot) for s, x in enumerate(e))
+            powers[e] = apply_lift(power(down), lifts[slot])
+        return powers[e]
 
-    return D, map(image, vectors)
+    out = TensorVector.zero(Q.m)
+    for e, c in terms:
+        out = out + power(e) * c
+    return TensorVector(Q.m, (_ratio(u, D) for u in out.entries))
 
 
 def eval_at_lifts(P: TriPoly, Q: QuotientMatrix, mode: str = TRIANGLE,
@@ -444,9 +435,7 @@ def eval_at_lifts(P: TriPoly, Q: QuotientMatrix, mode: str = TRIANGLE,
     vector even though P(L1, L2, L3) itself need not vanish as a matrix.
     Entries are ints where integral, as in `build_table`.
     """
-    D, images = _scaled_images(P, Q, mode, n_value,
-                               [default_initial(Q, mode)])
-    return TensorVector(Q.m, (_ratio(u, D) for u in next(images).entries))
+    return _image_at_lifts(P, Q, mode, n_value, default_initial(Q, mode))
 
 
 def lift_image_is_zero(P: TriPoly, Q: QuotientMatrix, mode: str = TRIANGLE,
@@ -464,20 +453,18 @@ def lift_image_is_zero(P: TriPoly, Q: QuotientMatrix, mode: str = TRIANGLE,
     lifts_for(Q, mode)  # rejects an unknown mode
     mu = min_poly(Q.rows)
     d = len(mu) - 1
-    coeffs = P.specialize_n(Q.n if n_value is None else n_value)
-    if not coeffs:
+    terms = _cleared_terms(P, Q, n_value)[1]
+    if not terms:
         return True
-    D = math.lcm(*(c.denominator for c in coeffs.values()))
     # residues[e]: x^e mod mu, ascending.  x * r shifts r up one degree
     # and, mu being monic, rewrites its x^d term as x^d - mu (mod mu).
     residues = [[1] + [0] * (d - 1)]
-    for _ in range(max(max(e) for e in coeffs)):
+    for _ in range(max(max(e) for e, k in terms)):
         r = residues[-1]
         residues.append([(r[i - 1] if i else 0) - r[-1] * mu[d - i]
                          for i in range(d)])
     acc = [0] * d ** 3
-    for (a, b, c), coeff in coeffs.items():
-        k = int(coeff * D)
+    for (a, b, c), k in terms:
         for i, u in enumerate(residues[a]):
             for j, v in enumerate(residues[b]):
                 if u and v:
@@ -491,7 +478,6 @@ def materialize_poly_at_lifts(P: TriPoly, Q: QuotientMatrix,
                               mode: str = TRIANGLE,
                               n_value: int | None = None) -> tuple[tuple, ...]:
     """Dense m^3 x m^3 matrix P(L1, L2, L3).  Debug and test aid only."""
-    basis = (TensorVector.unit(Q.m, t) for t in iter_index_triples(Q.m))
-    D, images = _scaled_images(P, Q, mode, n_value, basis)
-    return tuple(tuple(_ratio(u, D) for u in image.entries)
-                 for image in images)
+    return tuple(
+        _image_at_lifts(P, Q, mode, n_value, TensorVector.unit(Q.m, t)).entries
+        for t in iter_index_triples(Q.m))

@@ -11,13 +11,15 @@ hard caps with an explicit override flag.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .exact_linalg import TensorVector, flat_index
+from .exact_linalg import TensorVector
 from .quotient import QuotientMatrix, validate_quotient
-from .recursion import INTERWEIGHT, TRIANGLE, DistributionTable, Triple
+from .recursion import (INTERWEIGHT, TRIANGLE, DistributionTable, Triple,
+                        iter_triples_of_level)
 
 
 def hamming(u: int, v: int) -> int:
@@ -139,6 +141,11 @@ def verify_equitable(P: PartitionInstance) -> QuotientMatrix:
     return validate_quotient(S, P.n)
 
 
+def _multiplicities(X: "Mapping[int, int] | Iterable[int]") -> Mapping:
+    """X as vertex -> multiplicity, counting a plain iterable's vertices."""
+    return X if isinstance(X, Mapping) else Counter(X)
+
+
 def multi_neighborhood(X: "Mapping[int, int] | Iterable[int]",
                        n: int) -> dict[int, int]:
     """Multiset of neighbors of a multiset of vertices.
@@ -146,15 +153,8 @@ def multi_neighborhood(X: "Mapping[int, int] | Iterable[int]",
     Accepts a plain iterable (multiplicities 1 each occurrence) or a
     vertex -> multiplicity mapping; returns the latter form.
     """
-    if isinstance(X, Mapping):
-        items = X.items()
-    else:
-        counts: dict[int, int] = {}
-        for v in X:
-            counts[v] = counts.get(v, 0) + 1
-        items = counts.items()
     out: dict[int, int] = {}
-    for v, mult in items:
+    for v, mult in _multiplicities(X).items():
         for u in neighbors(v, n):
             out[u] = out.get(u, 0) + mult
     return {v: c for v, c in out.items() if c}
@@ -164,24 +164,15 @@ def spectrum_of_multiset(X: "Mapping[int, int] | Iterable[int]",
                          P: PartitionInstance) -> tuple[int, ...]:
     """Cell-wise totals of a vertex multiset: component i sums the
     multiplicities over C_i."""
-    if not isinstance(X, Mapping):
-        tmp: dict[int, int] = {}
-        for v in X:
-            tmp[v] = tmp.get(v, 0) + 1
-        X = tmp
     out = [0] * P.m
-    for v, mult in X.items():
+    for v, mult in _multiplicities(X).items():
         out[P.color[v] - 1] += mult
     return tuple(out)
 
 
 def _empty_counts(n: int, m: int) -> dict[Triple, list]:
-    out: dict[Triple, list] = {}
-    for level in range(n + 1):
-        for r1 in range(level + 1):
-            for r2 in range(level - r1 + 1):
-                out[(r1, r2, level - r1 - r2)] = [0] * m ** 3
-    return out
+    return {t: [0] * m ** 3 for level in range(n + 1)
+            for t in iter_triples_of_level(level)}
 
 
 def _count_anchored(P: PartitionInstance, v: int,
@@ -289,22 +280,21 @@ def set_triangle_multiset(X: Sequence[int], n: int) -> list[Triple]:
     """Sorted triangle indices of all unordered 3-subsets of X.
 
     Each 3-subset {u, v, w} has pairwise distances with even perimeter
-    on the cube, giving index parts (semiperimeter - distance); the
-    parts are reported in ascending order per subset, and the list of
-    triples is sorted.
+    on the cube, giving index parts (semiperimeter - distance) by
+    `_distance_triple_index`; the parts are reported in ascending order
+    per subset, and the list of triples is sorted.
     """
     if len(X) < 3:
         raise ValueError("need at least three vertices")
     out: list[Triple] = []
     for u, v, w in itertools.combinations(X, 3):
-        a, b, c = hamming(u, v), hamming(u, w), hamming(v, w)
-        s = a + b + c
-        if s % 2:
+        triple = _distance_triple_index(hamming(u, v), hamming(u, w),
+                                        hamming(v, w))
+        if triple is None:
             raise ValueError(
                 f"odd distance perimeter for {{{u}, {v}, {w}}}; "
                 f"not a cube configuration")
-        half = s // 2
-        out.append(tuple(sorted((half - a, half - b, half - c))))
+        out.append(tuple(sorted(triple)))
     return sorted(out)
 
 

@@ -123,6 +123,20 @@ def test_table_writes_to_file(write_doc, tmp_path, capsys):
     assert doc["entries"]["0,0,1"][1] == "6"
 
 
+@pytest.mark.parametrize("command", [
+    ["table", "--input", "PAIR"],
+    ["sweep", "--n-max", "5"],
+])
+def test_unwritable_out_is_usage_error(write_doc, tmp_path, capsys, command):
+    target = tmp_path / "missing" / "out.json"
+    argv = [write_doc("pair.json", PAIR_MATRIX) if a == "PAIR" else a
+            for a in command]
+    assert main(argv + ["--out", str(target)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cannot write {target}" in captured.err
+
+
 def test_table_rejects_excessive_level(write_doc, capsys):
     path = write_doc("pair.json", PAIR_MATRIX)
     assert main(["table", "--input", path, "--max-level", "9"]) == 64
@@ -261,6 +275,29 @@ def test_bad_json_is_usage_error(tmp_path, capsys):
 def test_missing_field_is_usage_error(write_doc, capsys):
     path = write_doc("incomplete.json", {"n": 3})
     assert main(["table", "--input", path]) == 64
+
+
+@pytest.mark.parametrize("command, doc", [
+    (["oracle", "ps-verify", "--structure", "DOC"],
+     dict(PS_PLAIN, n="2")),
+    (["oracle", "ps-table", "--structure", "DOC"], dict(PS_PLAIN, n=2.0)),
+    (["oracle", "verify", "--partition", "DOC"],
+     dict(PAIR_PARTITION, n=True)),
+    (["oracle", "triangle", "--partition", "DOC"],
+     dict(PAIR_PARTITION, n="3")),
+])
+def test_every_document_needs_a_positive_integer_n(write_doc, capsys,
+                                                    command, doc):
+    # the matrix document's rule holds for structures and partitions too
+    path = write_doc("doc.json", doc)
+    mpath = write_doc("all1.json", ALL1_MATRIX)
+    argv = [path if a == "DOC" else a for a in command]
+    if command[1].startswith("ps-"):
+        argv += ["--input", mpath]
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n must be a positive integer" in captured.err
 
 
 def test_missing_file_is_usage_error(capsys):
@@ -414,6 +451,27 @@ def test_oracle_ps_verify(write_doc, capsys):
     assert json.loads(capsys.readouterr().out)["ok"] is False
 
 
+# the 2-cube split into {0}, {1, 2} and {3}: three cells at n = 2
+THREE_CELL_SQUARE = {"n": 2, "S": [[0, 2, 0], [1, 0, 1], [0, 2, 0]]}
+
+
+@pytest.mark.parametrize("command", ["ps-verify", "ps-table"])
+@pytest.mark.parametrize("matrix, shape", [
+    (PAIR_MATRIX, "3-cube with 2 cells"),
+    (THREE_CELL_SQUARE, "2-cube with 3 cells"),
+])
+def test_ps_structure_and_matrix_of_other_shapes_are_usage_error(
+        write_doc, capsys, command, matrix, shape):
+    spath = write_doc("plain.json", PS_PLAIN)
+    mpath = write_doc("matrix.json", matrix)
+    assert main(["oracle", command, "--structure", spath,
+                 "--input", mpath]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "2-cube with 2 cells" in captured.err
+    assert shape in captured.err
+
+
 def test_oracle_ps_table_level_zero_values(write_doc, capsys):
     spath = write_doc("mixed.json", PS_MIXED)
     mpath = write_doc("all1.json", ALL1_MATRIX)
@@ -462,6 +520,36 @@ def test_table_output_bytes_are_pinned(write_doc, capsys, flags, digest):
     # entry, the key order or the layout changes it
     path = write_doc("s22.json", S22_MATRIX)
     assert main(["table", "--input", path] + flags) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["oracle", "triangle", "--partition", "PARTITION"],
+     "8499b12d4d2969cd3dd5570d9c16ab0a"
+     "65319da636ebda0ffbf8c21b027e23ff"),
+    (["oracle", "triangle", "--partition", "PARTITION", "--format", "csv"],
+     "b351565fc4ea5caed9031ba40a0f1061"
+     "c8fda0bd82a9c3202a7f256364f098ce"),
+    (["oracle", "interweight", "--partition", "PARTITION", "--vertex", "0"],
+     "79bdba7aeaa8590bc12a7d49e367d289"
+     "3229fa9835161ee73089f4b18d0d49d1"),
+    (["oracle", "ps-table", "--structure", "STRUCTURE", "--input", "MATRIX"],
+     "25158ee93d3ffc874506fa4f718aefaf"
+     "8c80bbca13d0a8a418083787968cda2e"),
+    (["oracle", "ps-table", "--structure", "STRUCTURE", "--input", "MATRIX",
+      "--format", "csv"],
+     "ae913f52c53b6a68b926cfdfc881b8c9"
+     "ba641a9587af0212ba4d0b068b621425"),
+])
+def test_oracle_table_output_bytes_are_pinned(write_doc, capsys, argv,
+                                              digest):
+    # SHA-256 of stdout for the brute-force tables of the pair partition
+    # and the propagated table of PS_MIXED under the all-ones matrix
+    files = {"PARTITION": write_doc("pair-partition.json", PAIR_PARTITION),
+             "STRUCTURE": write_doc("mixed.json", PS_MIXED),
+             "MATRIX": write_doc("all1.json", ALL1_MATRIX)}
+    assert main([files.get(a, a) for a in argv]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == digest
 
