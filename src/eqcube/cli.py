@@ -305,8 +305,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise InputError(f"--n-max must be at least 1, got {args.n_max}")
     if args.jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
-    report = screen.sweep_ci(args.n_max, jobs=args.jobs)
     with _open_out(args.out) as out:
+        report = screen.sweep_ci(args.n_max, jobs=args.jobs)
         for cand in report.candidates:
             rec = {
                 "n": cand.n, "a": cand.a, "b": cand.b,

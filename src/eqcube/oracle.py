@@ -1,7 +1,10 @@
 """Brute-force ground truth on explicit vertex sets of small cubes.
 
 Vertices of the n-cube are integers 0 .. 2^n - 1; bit i is coordinate i
-and Hamming distance is the popcount of an XOR.  Everything here counts
+and Hamming distance is the popcount of an XOR.  A vertex triple
+(v, x, y) has index (r1, r2, r3): on each coordinate the three bits
+agree or exactly one of v, x, y stands alone, and r1, r2, r3 count the
+coordinates where v, x and y stand alone.  Everything here counts
 directly over vertex tuples, with no recursion and no lifts, so it can
 stand against the analytic machinery as an independent witness.  Costs
 are exponential (8^n vertex triples for the triangle count), hence the
@@ -30,21 +33,13 @@ def neighbors(v: int, n: int) -> list[int]:
     return [v ^ (1 << i) for i in range(n)]
 
 
-def _distance_triple_index(d_xy: int, d_vy: int, d_vx: int) -> Triple | None:
-    """Solve d(x,y) = r2 + r3, d(v,y) = r1 + r3, d(v,x) = r1 + r2.
+def _triple_index(v: int, x: int, y: int) -> Triple:
+    """(r1, r2, r3): the coordinates where v, x and y stand alone.
 
-    Returns None when the system has no nonnegative solution; on the
-    cube it always does for realized distances (even perimeter plus the
-    triangle inequality).
+    So d(x,y) = r2 + r3, d(v,y) = r1 + r3 and d(v,x) = r1 + r2.
     """
-    s = d_xy + d_vy + d_vx
-    if s % 2:
-        return None
-    half = s // 2
-    r1, r2, r3 = half - d_xy, half - d_vy, half - d_vx
-    if r1 < 0 or r2 < 0 or r3 < 0:
-        return None
-    return (r1, r2, r3)
+    return (((v ^ x) & (v ^ y)).bit_count(), ((x ^ v) & (x ^ y)).bit_count(),
+            ((y ^ v) & (y ^ x)).bit_count())
 
 
 @dataclass(frozen=True)
@@ -184,12 +179,9 @@ def _count_anchored(P: PartitionInstance, v: int,
     i = color[v] - 1
     for x in range(size):
         j = color[x] - 1
-        d_vx = hamming(v, x)
         base = (i * m + j) * m
         for y in range(size):
-            triple = _distance_triple_index(hamming(x, y),
-                                            hamming(v, y), d_vx)
-            counts[triple][base + color[y] - 1] += 1
+            counts[_triple_index(v, x, y)][base + color[y] - 1] += 1
 
 
 def brute_triangle(P: PartitionInstance, force: bool = False) -> DistributionTable:
@@ -279,23 +271,18 @@ def distance_distribution(X: Sequence[int]) -> list[int]:
 def set_triangle_multiset(X: Sequence[int], n: int) -> list[Triple]:
     """Sorted triangle indices of all unordered 3-subsets of X.
 
-    Each 3-subset {u, v, w} has pairwise distances with even perimeter
-    on the cube, giving index parts (semiperimeter - distance) by
-    `_distance_triple_index`; the parts are reported in ascending order
-    per subset, and the list of triples is sorted.
+    A 3-subset {u, v, w} of the n-cube has index parts the numbers of
+    coordinates where u, v and w stand alone (`_triple_index`); the
+    parts are reported in ascending order per subset, and the list of
+    triples is sorted.
     """
     if len(X) < 3:
         raise ValueError("need at least three vertices")
-    out: list[Triple] = []
-    for u, v, w in itertools.combinations(X, 3):
-        triple = _distance_triple_index(hamming(u, v), hamming(u, w),
-                                        hamming(v, w))
-        if triple is None:
-            raise ValueError(
-                f"odd distance perimeter for {{{u}, {v}, {w}}}; "
-                f"not a cube configuration")
-        out.append(tuple(sorted(triple)))
-    return sorted(out)
+    for v in X:
+        if not 0 <= v < 1 << n:
+            raise ValueError(f"vertex {v} outside the {n}-cube")
+    return sorted(tuple(sorted(_triple_index(u, v, w)))
+                  for u, v, w in itertools.combinations(X, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +299,9 @@ class PerfectStructure:
 
     @classmethod
     def from_rows(cls, n: int, rows: Sequence[Sequence]) -> "PerfectStructure":
+        if not 1 <= n <= 14:
+            raise ValueError(f"perfect structures are stored for n <= 14; "
+                             f"got {n}")
         size = 1 << n
         if len(rows) != size:
             raise ValueError(f"expected {size} value rows, got {len(rows)}")
@@ -374,12 +364,10 @@ def ps_brute_interweight(PS: PerfectStructure, v: int) -> dict[Triple, TensorVec
         t: [Fraction(0)] * m ** 3 for t in _empty_counts(n, m)}
     anchor = PS.values[v]
     for x in range(size):
-        d_vx = hamming(v, x)
         rx = PS.values[x]
         for y in range(size):
-            triple = _distance_triple_index(hamming(x, y), hamming(v, y), d_vx)
             ry = PS.values[y]
-            vec = counts[triple]
+            vec = counts[_triple_index(v, x, y)]
             for i in range(m):
                 if anchor[i] == 0:
                     continue

@@ -137,6 +137,17 @@ def test_unwritable_out_is_usage_error(write_doc, tmp_path, capsys, command):
     assert f"cannot write {target}" in captured.err
 
 
+def test_sweep_opens_out_before_sweeping(tmp_path, capsys, monkeypatch):
+    def sweep_ci(*args, **kwargs):
+        raise AssertionError("swept before --out was opened")
+    monkeypatch.setattr("eqcube.screen.sweep_ci", sweep_ci)
+    target = tmp_path / "missing" / "s.jsonl"
+    assert main(["sweep", "--n-max", "40", "--out", str(target)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cannot write {target}" in captured.err
+
+
 def test_table_rejects_excessive_level(write_doc, capsys):
     path = write_doc("pair.json", PAIR_MATRIX)
     assert main(["table", "--input", path, "--max-level", "9"]) == 64
@@ -470,6 +481,17 @@ def test_ps_structure_and_matrix_of_other_shapes_are_usage_error(
     assert captured.out == ""
     assert "2-cube with 2 cells" in captured.err
     assert shape in captured.err
+
+
+@pytest.mark.parametrize("command", ["ps-verify", "ps-table"])
+def test_ps_structure_n_above_bound_is_usage_error(write_doc, capsys, command):
+    spath = write_doc("wide.json", dict(PS_PLAIN, n=15))
+    mpath = write_doc("all1.json", ALL1_MATRIX)
+    assert main(["oracle", command, "--structure", spath,
+                 "--input", mpath]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n <= 14" in captured.err
 
 
 def test_oracle_ps_table_level_zero_values(write_doc, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from eqcube.exact_linalg import TensorVector, iter_index_triples
 from eqcube.oracle import (NotEquitable, PartitionInstance, PerfectStructure,
-                           brute_interweight, brute_triangle,
+                           _triple_index, brute_interweight, brute_triangle,
                            distance_distribution, hamming, multi_neighborhood,
                            neighbors, parity_partition, ps_brute_interweight,
                            ps_initial_triangle, search_partitions,
@@ -29,6 +29,18 @@ def test_hamming_and_neighbors():
     assert hamming(0b1010, 0b0110) == 2
     assert sorted(neighbors(0, 3)) == [1, 2, 4]
     assert sorted(neighbors(5, 3)) == [1, 4, 7]
+
+
+def test_triple_index_solves_the_distance_system_on_the_4_cube():
+    # all 16^3 ordered triples: d(x,y) = r2 + r3, d(v,y) = r1 + r3,
+    # d(v,x) = r1 + r2 with every part nonnegative
+    for v in range(16):
+        for x in range(16):
+            for y in range(16):
+                r1, r2, r3 = _triple_index(v, x, y)
+                assert min(r1, r2, r3) >= 0
+                assert (hamming(x, y), hamming(v, y), hamming(v, x)) == (
+                    r2 + r3, r1 + r3, r1 + r2), (v, x, y)
 
 
 def test_partition_instance_validation():
@@ -177,6 +189,12 @@ def test_set_triangle_multiset_small_cases():
         set_triangle_multiset([0, 1], 3)
 
 
+@pytest.mark.parametrize("X, vertex", [([0, 1, 99], 99), ([0, 1, -2], -2)])
+def test_set_triangle_multiset_rejects_vertex_outside_cube(X, vertex):
+    with pytest.raises(ValueError, match=f"vertex {vertex} outside the 3-cube"):
+        set_triangle_multiset(X, 3)
+
+
 # -- rational vertex structures ---------------------------------------------
 
 C_PLAIN = PerfectStructure.from_rows(2, [(2, 0), (0, 2), (2, 0), (0, 2)])
@@ -190,6 +208,12 @@ def test_verify_perfect_structure():
     bad = validate_quotient([[2, 0], [0, 2]], 2)
     ok, witness = verify_perfect_structure(C_PLAIN, bad)
     assert not ok and witness is not None
+
+
+@pytest.mark.parametrize("n", [0, 15])
+def test_perfect_structure_n_outside_bound_is_refused(n):
+    with pytest.raises(ValueError, match="n <= 14"):
+        PerfectStructure.from_rows(n, [(2, 0), (0, 2), (2, 0), (0, 2)])
 
 
 def test_ps_initial_triangle_values():
