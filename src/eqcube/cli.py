@@ -18,10 +18,12 @@ Table output document (--format json):
    "entries": {"r1,r2,r3": [m^3 values in flat order]}}
 CSV output has a header row r1,r2,r3,i,j,k,value.
 
-Exit codes: 0 success (for `screen`: candidate), 1 operational error or
-failed consistency check, 2 `screen` certified nonexistent, 64 unusable
-input (bad JSON, missing fields, malformed flags, a structure and matrix
-of different shapes, an --out that cannot be written).
+Exit codes: 0 success (for `screen`: candidate), 1 a check the command
+ran failed (cross-check, equitability, invariance, ps-verify, route
+agreement, a sweep candidate without a witness), 2 `screen` certified
+nonexistent, 64 any input the CLI or the library refuses (bad JSON,
+missing fields, malformed flags, a structure and matrix of different
+shapes, an --out that cannot be written, a brute-force cost cap).
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ from .quotient import QuotientError, QuotientMatrix, validate_quotient
 from .recursion import INTERWEIGHT, TRIANGLE, DistributionTable
 
 
-class InputError(Exception):
-    """Unusable input file or value: maps to exit code 64."""
+class InputError(ValueError):
+    """Unusable input file or value: maps to exit code 64, as does every
+    ValueError the library raises to refuse its arguments."""
 
 
 def render_value(v) -> str:
@@ -193,23 +196,11 @@ def _emit_table(table: DistributionTable, args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_max_level(max_level: int | None, n: int) -> None:
-    if max_level is not None and not 0 <= max_level <= n:
-        raise InputError(f"--max-level must lie in [0, {n}], got {max_level}")
-
-
-def _check_vertex(v: int, n: int, flag: str) -> None:
-    if not 0 <= v < 1 << n:
-        raise InputError(f"{flag}: vertex {v} lies outside the {n}-cube's "
-                         f"[0, {(1 << n) - 1}]")
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 def cmd_table(args: argparse.Namespace) -> int:
     Q = _load_quotient(args.input)
-    _check_max_level(args.max_level, Q.n)
     table = recursion.build_table(Q, args.kind, max_level=args.max_level)
     if args.cross_check:
         report = recursion.cross_check(table, Q)
@@ -232,8 +223,6 @@ _POLY_METHODS = {
 
 def cmd_poly(args: argparse.Namespace) -> int:
     r = (args.r1, args.r2, args.r3)
-    if min(r) < 0:
-        raise InputError("polynomial indices must be nonnegative")
     if args.n is not None and args.n < 0:
         raise InputError("--n must be nonnegative")
     if args.method == "all":
@@ -278,7 +267,6 @@ def _feasibility_json(rep) -> dict:
 
 def cmd_screen(args: argparse.Namespace) -> int:
     n, S = load_matrix(args.input)
-    _check_max_level(args.max_level, n)
     cert = screen.certify(S, n, max_level=args.max_level)
     doc = {
         "n": cert.n,
@@ -352,7 +340,6 @@ def cmd_oracle_triangle(args: argparse.Namespace) -> int:
 
 def cmd_oracle_interweight(args: argparse.Namespace) -> int:
     P = load_partition(args.partition)
-    _check_vertex(args.vertex, P.n, "--vertex")
     return _emit_table(
         oracle.brute_interweight(P, args.vertex, force=args.force), args)
 
@@ -370,26 +357,21 @@ def cmd_oracle_invariance(args: argparse.Namespace) -> int:
     return 0 if result.status == "holds" else 1
 
 
-def _parse_pins(raw: list[str], n: int, m: int) -> dict[int, int]:
+def _parse_pins(raw: list[str]) -> dict[int, int]:
     pins: dict[int, int] = {}
     for item in raw:
         try:
             v, label = map(int, item.split(":"))
         except ValueError as exc:
             raise InputError(f"bad pin {item!r}; expected VERTEX:CELL") from exc
-        _check_vertex(v, n, "--pin")
-        if not 1 <= label <= m:
-            raise InputError(f"--pin cell must lie in [1, {m}], got {label}")
         pins[v] = label
     return pins
 
 
 def cmd_oracle_search(args: argparse.Namespace) -> int:
-    if args.limit < 1:
-        raise InputError(f"--limit must be at least 1, got {args.limit}")
     Q = _load_quotient(args.input)
     result = oracle.search_partitions(Q.n, Q, limit=args.limit,
-                                      pins=_parse_pins(args.pin, Q.n, Q.m))
+                                      pins=_parse_pins(args.pin))
     print(json.dumps({
         "complete": result.complete,
         "count": len(result.partitions),
@@ -407,7 +389,6 @@ def cmd_oracle_ps_verify(args: argparse.Namespace) -> int:
 
 def cmd_oracle_ps_table(args: argparse.Namespace) -> int:
     PS, Q = _load_structure_pair(args)
-    _check_max_level(args.max_level, Q.n)
     initial = oracle.ps_initial_triangle(PS)
     return _emit_table(recursion.build_table(
         Q, TRIANGLE, max_level=args.max_level, initial=initial), args)
@@ -520,12 +501,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if code in (0, None) else 64
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 64
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 64
 
 
 if __name__ == "__main__":

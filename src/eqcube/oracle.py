@@ -402,8 +402,12 @@ def search_partitions(n: int, S: Sequence[Sequence[int]] | QuotientMatrix,
     counts may never exceed its row of S.  No symmetry reduction is
     attempted; `limit` bounds the number of partitions returned and
     `max_nodes` the number of assignments tried (exceeding it returns
-    the partial result with complete=False).
+    the partial result with complete=False).  The search recurses once
+    per vertex, so n is capped at 9: 2^9 frames stay inside Python's
+    default recursion limit.
     """
+    if not 1 <= n <= 9:
+        raise ValueError(f"partition search runs for 1 <= n <= 9; got {n}")
     if limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
     Q = S if isinstance(S, QuotientMatrix) else validate_quotient(S, n)

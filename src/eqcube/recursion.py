@@ -235,6 +235,16 @@ def iter_table_levels(Q: QuotientMatrix, kind: str,
         yield cur
 
 
+def _table_depth(max_level: int | None, n: int) -> int:
+    """The level a table climbs to: max_level, or n when it is None.
+    Raises ValueError for a level outside [0, n]."""
+    if max_level is None:
+        return n
+    if not 0 <= max_level <= n:
+        raise ValueError(f"max_level must lie in [0, {n}], got {max_level}")
+    return max_level
+
+
 def build_table(Q: QuotientMatrix, kind: str = TRIANGLE,
                 max_level: int | None = None,
                 initial: TensorVector | None = None) -> DistributionTable:
@@ -245,10 +255,7 @@ def build_table(Q: QuotientMatrix, kind: str = TRIANGLE,
     Fractions elsewhere.
     """
     n = Q.n
-    if max_level is None:
-        max_level = n
-    if not 0 <= max_level <= n:
-        raise ValueError(f"max_level must lie in [0, {n}], got {max_level}")
+    max_level = _table_depth(max_level, n)
     standard = initial is None
     if initial is None:
         initial = default_initial(Q, kind)

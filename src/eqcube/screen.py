@@ -25,9 +25,9 @@ from fractions import Fraction
 
 from .quotient import (FeasibilityReport, InvalidQuotient,
                        feasibility_conditions, validate_quotient)
-from .recursion import (TRIANGLE, Violation, build_table, common_denominator,
-                        default_initial, entry_scale, iter_table_levels,
-                        scan_violations)
+from .recursion import (TRIANGLE, Violation, _table_depth, build_table,
+                        common_denominator, default_initial, entry_scale,
+                        iter_table_levels, scan_violations)
 
 
 @dataclass(frozen=True)
@@ -56,19 +56,20 @@ def certify(S, n: int, max_level: int | None = None) -> Certificate:
     (level, then lexicographic triple, then lexicographic index), so the
     reported first violation is reproducible.  A matrix can fail
     feasibility and still get its table scanned; both findings end up in
-    the certificate.
+    the certificate.  A matrix that is no quotient matrix, or whose size
+    ratios contradict each other, gets only a validation error.  Raises
+    ValueError for max_level outside [0, n], whatever the matrix.
     """
+    max_level = _table_depth(max_level, n)
     rows = tuple(tuple(r) for r in S)
     try:
         Q = validate_quotient(rows, n)
+        report = feasibility_conditions(Q)
     except InvalidQuotient as exc:
         return Certificate(matrix=rows, n=n, verdict="nonexistent",
                            validation_error=str(exc), feasibility=None,
                            first_violation=None, violations_found=0,
                            levels_scanned=-1)
-    if max_level is None:
-        max_level = n
-    report = feasibility_conditions(Q)
     first: Violation | None = None
     total = 0
     levels = -1

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from eqcube.cli import main, parse_rational, render_value, InputError
+from eqcube.oracle import parity_partition
 from eqcube.quotient import validate_quotient
 from eqcube.recursion import TRIANGLE, build_table
 
@@ -237,6 +238,18 @@ def test_screen_structural_failure(write_doc, capsys):
     assert doc["levels_scanned"] == -1
 
 
+def test_screen_contradictory_size_ratios_exit_two(write_doc, capsys):
+    # well-formed, but the size ratios around the cycle 1-2-3 disagree
+    path = write_doc("cycle.json",
+                     {"n": 3, "S": [[0, 1, 2], [1, 0, 2], [1, 2, 0]]})
+    assert main(["screen", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    doc = json.loads(captured.out)
+    assert "inconsistent size ratios" in doc["validation_error"]
+    assert doc["feasibility"] is None
+
+
 # -- input failures ----------------------------------------------------------
 
 @pytest.mark.parametrize("S", [
@@ -275,6 +288,34 @@ def test_non_quotient_matrix_is_usage_error(write_doc, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "row 2 sums to 2" in captured.err
+
+
+def _partition_doc(n):
+    P = parity_partition(n)
+    return {"n": n, "m": P.m, "cells": P.cells()}
+
+
+@pytest.mark.parametrize("argv, doc, message", [
+    (["oracle", "triangle", "--partition", "DOC"], _partition_doc(7),
+     "cap of 6"),
+    (["oracle", "interweight", "--partition", "DOC", "--vertex", "0"],
+     _partition_doc(8), "cap of 7"),
+    (["table", "--input", "DOC"], {"n": 3, "S": [[3, 0], [0, 3]]},
+     "disconnected"),
+    (["table", "--input", "DOC"],
+     {"n": 3, "S": [[0, 1, 2], [1, 0, 2], [1, 2, 0]]},
+     "inconsistent size ratios"),
+    (["oracle", "search", "--input", "DOC"], {"n": 10, "S": [[10]]},
+     "n <= 9"),
+])
+def test_library_refusal_is_usage_error(write_doc, capsys, argv, doc,
+                                        message):
+    # the library refuses these arguments; the CLI only reports it
+    path = write_doc("doc.json", doc)
+    assert main([path if a == "DOC" else a for a in argv]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_bad_json_is_usage_error(tmp_path, capsys):

@@ -278,6 +278,14 @@ def test_search_rejects_limit_below_one(limit):
         search_partitions(3, [[0, 3], [1, 2]], limit=limit)
 
 
+@pytest.mark.parametrize("n", [0, 10])
+def test_search_refuses_n_outside_bound_up_front(n):
+    # one recursion frame per vertex: 2^10 frames pass Python's default
+    # limit, so n = 10 is refused before any list of 2^n entries is made
+    with pytest.raises(ValueError, match="n <= 9"):
+        search_partitions(n, [[n]])
+
+
 def test_search_with_contradictory_pins_is_empty():
     res = search_partitions(3, [[0, 3], [3, 0]], limit=10, pins={0: 1, 1: 1})
     assert res.complete and res.partitions == []

@@ -60,6 +60,23 @@ def test_certify_structural_failure_short_circuits():
     assert cert.levels_scanned == -1
 
 
+def test_certify_contradictory_size_ratios_are_a_validation_error():
+    # a quotient matrix whose size ratios around the cycle 1-2-3 disagree
+    cert = certify([[0, 1, 2], [1, 0, 2], [1, 2, 0]], 3)
+    assert cert.verdict == "nonexistent"
+    assert "inconsistent size ratios" in cert.validation_error
+    assert cert.feasibility is None
+    assert cert.levels_scanned == -1
+
+
+# one matrix fails validation, the other has no cell sizes to scan with
+@pytest.mark.parametrize("S", [[[1, 2], [1, 1]], [[3, 0], [0, 3]]])
+@pytest.mark.parametrize("max_level", [99, -1])
+def test_certify_refuses_level_outside_dimension(S, max_level):
+    with pytest.raises(ValueError, match="max_level"):
+        certify(S, 3, max_level=max_level)
+
+
 def test_certify_twenty_two_cube_example():
     cert = certify([[0, 22, 0], [5, 6, 11], [0, 10, 12]], 22, max_level=17)
     assert cert.verdict == "nonexistent"
