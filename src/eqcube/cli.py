@@ -23,7 +23,8 @@ ran failed (cross-check, equitability, invariance, ps-verify, route
 agreement, a sweep candidate without a witness), 2 `screen` certified
 nonexistent, 64 any input the CLI or the library refuses (bad JSON,
 missing fields, malformed flags, a structure and matrix of different
-shapes, an --out that cannot be written, a brute-force cost cap).
+shapes, an --out that cannot be written, a brute-force cost cap, a
+polynomial degree above 200).
 """
 
 from __future__ import annotations

@@ -9,7 +9,9 @@ A "lift" of an m x m matrix S acts on one of the three tensor slots of
 such a vector: position 1 is S (x) I (x) I, position 2 is I (x) S (x) I,
 and position 3 is I (x) I (x) S ((x) = Kronecker product).  Lifts are
 stored structurally (the matrix that acts and its slot; `.T` stores the
-transpose) and applied by index contraction in O(m^4) time; the dense
+transpose) and applied through a contraction plan each lift builds once,
+listing for every output position its (source position, coefficient)
+pairs with nonzero coefficient: at most m^4 products.  The dense
 m^3 x m^3 matrix is only ever built by `materialize`, a debugging and
 testing aid.
 
@@ -20,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import add, mul
 from typing import Iterable, Iterator, Sequence
 
 
@@ -96,8 +100,7 @@ class TensorVector:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TensorVector):
             return NotImplemented
-        return self.m == other.m and all(
-            a == b for a, b in zip(self.entries, other.entries))
+        return self.m == other.m and self.entries == other.entries
 
     def __repr__(self) -> str:
         return f"TensorVector(m={self.m}, {list(self.entries)!r})"
@@ -130,6 +133,25 @@ class LiftedMatrix:
         """The lift of the transposed base, at the same slot."""
         return LiftedMatrix(tuple(zip(*self.base)), self.position)
 
+    @cached_property
+    def _plan(self) -> tuple[tuple[tuple[int, ...], tuple], ...]:
+        """The contraction plan, built once: output position (a, i, b)
+        of the (A, m, B) view, whose middle axis is the contracted slot,
+        sums S_ti U_(a, t, b) over the nonzero S_ti.  Element r of the
+        plan holds every position's r-th (source, coefficient) pair, as
+        a tuple of sources and one of coefficients; positions with fewer
+        pairs are padded with source m^3 and coefficient 0.
+        """
+        m, S = self.m, self.base
+        B = m ** (3 - self.position)
+        pairs = [[(a * m * B + t * B + b, S[t][i]) for t in range(m) if S[t][i]]
+                 for a in range(m ** (self.position - 1))
+                 for i in range(m) for b in range(B)]
+        pad = (m ** 3, 0)
+        return tuple(
+            tuple(zip(*(row[r] if r < len(row) else pad for row in pairs)))
+            for r in range(max(1, *map(len, pairs))))
+
 
 def kron_lift(S: Sequence[Sequence], position: int) -> LiftedMatrix:
     """Lift of S at the given slot: e.g. position 2 means I (x) S (x) I."""
@@ -157,29 +179,19 @@ def apply_lift(U: TensorVector, L: LiftedMatrix) -> TensorVector:
 
     Contracting slot p replaces index t with index i there:
     position 1 gives V_ijk = sum_t U_tjk S_ti, and similarly at the other
-    slots.  O(m^4) scalar products.
+    slots.  Walks the lift's cached contraction plan one rank of pairs
+    at a time: at most m^4 products, counting the padding.
     """
-    m = L.m
-    if U.m != m:
-        raise ValueError(f"dimension mismatch: vector m={U.m}, lift m={m}")
-    S = L.base
-    # View U as shape (A, m, B): the contracted slot has stride B.
-    B = m ** (3 - L.position)
-    A = m ** (L.position - 1)
-    ent = U.entries
-    out = [0] * (m ** 3)
-    for a in range(A):
-        arow = a * m * B
-        for b in range(B):
-            off = arow + b
-            for i in range(m):
-                acc = 0
-                for t in range(m):
-                    s = S[t][i]
-                    if s:
-                        acc += ent[off + t * B] * s
-                out[off + i * B] = acc
-    return TensorVector(m, out)
+    if U.m != L.m:
+        raise ValueError(f"dimension mismatch: vector m={U.m}, lift m={L.m}")
+    # position m^3 reads as an int 0, so padded pairs add an int 0 and
+    # leave every sum's value and type as the nonzero pairs make it
+    get = (U.entries + (0,)).__getitem__
+    (sources, coefs), *rest = L._plan
+    out = map(mul, map(get, sources), coefs)
+    for sources, coefs in rest:
+        out = map(add, out, map(mul, map(get, sources), coefs))
+    return TensorVector(L.m, out)
 
 
 def commutes(A: LiftedMatrix, B: LiftedMatrix) -> bool:

@@ -233,6 +233,18 @@ def falling_factorial(p: TriPoly, length: int) -> TriPoly:
     return out
 
 
+def _check_parts(r1: int, r2: int, r3: int) -> None:
+    """Refuse a negative part, or a degree r1 + r2 + r3 above 200: the
+    cap of all three routes.  Route 1 recurses one level per degree, two
+    stack entries a level on Python 3.11, where it overflows the default
+    recursion limit near degree 500; at 200 it takes about 19 s."""
+    if min(r1, r2, r3) < 0:
+        raise ValueError(f"negative part in ({r1}, {r2}, {r3})")
+    if r1 + r2 + r3 > 200:
+        raise ValueError(f"degree r1 + r2 + r3 = {r1 + r2 + r3} exceeds "
+                         f"the cap of 200")
+
+
 # ---------------------------------------------------------------------------
 # route 1: the exchange-identity recursion
 
@@ -244,8 +256,7 @@ def poly_recursive(r1: int, r2: int, r3: int) -> TriPoly:
 
     rotating the parts cyclically when the first one is zero.
     """
-    if min(r1, r2, r3) < 0:
-        raise ValueError(f"negative part in ({r1}, {r2}, {r3})")
+    _check_parts(r1, r2, r3)
     return _P(r1, r2, r3)
 
 
@@ -314,8 +325,7 @@ def poly_direct(r1: int, r2: int, r3: int) -> TriPoly:
     convolved by those totals into integer weights, each multiplying one
     shared `_ff_product`; one exact division ends the sum.
     """
-    if min(r1, r2, r3) < 0:
-        raise ValueError(f"negative part in ({r1}, {r2}, {r3})")
+    _check_parts(r1, r2, r3)
     weights: dict[tuple[int, int, int], int] = {(0, 0, 0): 1}
     for t, r in enumerate((r1, r2, r3)):
         nxt: dict[tuple[int, int, int], int] = {}
@@ -352,8 +362,7 @@ def genfun_coeff(r1: int, r2: int, r3: int) -> TriPoly:
     of one total degree share their _scaled_ff, which multiplies their
     weighted sum once.
     """
-    if min(r1, r2, r3) < 0:
-        raise ValueError(f"negative part in ({r1}, {r2}, {r3})")
+    _check_parts(r1, r2, r3)
     box = [(a, b, c) for a in range(r1 + 1) for b in range(r2 + 1)
            for c in range(r3 + 1)]
     acc: dict[tuple[int, int, int], TriPoly] = {(0, 0, 0): ONE}

@@ -191,7 +191,7 @@ def brute_triangle(P: PartitionInstance, force: bool = False) -> DistributionTab
     """
     if P.n > 6 and not force:
         raise ValueError(f"n = {P.n} exceeds the brute-force cap of 6; "
-                         f"pass force=True to run anyway")
+                         f"pass --force (force=True in Python) to run anyway")
     n, m = P.n, P.m
     counts = _empty_counts(n, m)
     for v in range(1 << n):
@@ -210,7 +210,7 @@ def brute_interweight(P: PartitionInstance, v: int,
     """
     if P.n > 7 and not force:
         raise ValueError(f"n = {P.n} exceeds the brute-force cap of 7; "
-                         f"pass force=True to run anyway")
+                         f"pass --force (force=True in Python) to run anyway")
     n, m = P.n, P.m
     if not 0 <= v < 1 << n:
         raise ValueError(f"vertex {v} outside the {n}-cube")

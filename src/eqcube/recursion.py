@@ -62,7 +62,7 @@ from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
 from .exact_linalg import (LiftedMatrix, TensorVector, apply_lift, diag_lift,
-                           iter_index_triples, kron_lift)
+                           flat_index, iter_index_triples, kron_lift)
 from .quotient import QuotientMatrix, cell_sizes
 
 Triple = tuple[int, int, int]
@@ -94,8 +94,10 @@ def default_initial(Q: QuotientMatrix, kind: str) -> TensorVector:
     raise ValueError(f"unknown table kind {kind!r}")
 
 
+@lru_cache(maxsize=64)
 def lifts_for(Q: QuotientMatrix, kind: str) -> tuple[LiftedMatrix, ...]:
-    """The three slot lifts driving a table of the given kind."""
+    """The three slot lifts driving a table of the given kind, cached so
+    that every use of one matrix shares them and their contraction plans."""
     if kind not in (TRIANGLE, INTERWEIGHT):
         raise ValueError(f"unknown table kind {kind!r}")
     L1 = kron_lift(Q.rows, 1)
@@ -311,22 +313,22 @@ def scan_violations(table: DistributionTable,
     entry / sizes[i] for triangle tables (counts per anchor vertex) and
     on the entry itself for interweight tables.
     """
+    indices = list(iter_index_triples(table.m))
+    anchor = sizes if table.kind == TRIANGLE else (1,) * table.m
+    # per flat position: (numerator, denominator) of its anchor cell's
+    # size, or None where only negativity is tested
+    size_at = [None if anchor is None else
+               (anchor[i - 1].numerator, anchor[i - 1].denominator)
+               for i, _, _ in indices]
     out: list[Violation] = []
     for triple in table.triples():
-        vec = table.entries[triple]
-        for index, v in zip(iter_index_triples(table.m), vec.entries):
+        for index, v, size in zip(indices, table.entries[triple].entries,
+                                  size_at):
             if v < 0:
                 out.append(Violation(triple, index, Fraction(v), "negative"))
-                continue
-            if table.kind == TRIANGLE:
-                if sizes is None:
-                    continue
-                size = sizes[index[0] - 1]
-            else:
-                size = 1
             # v / size is an integer iff its reduced denominator is 1
-            if (v.numerator * size.denominator) % (v.denominator
-                                                   * size.numerator):
+            elif size is not None and (v.numerator * size[1]) % (
+                    v.denominator * size[0]):
                 out.append(Violation(triple, index, Fraction(v), "non-integer"))
     return out
 
@@ -397,23 +399,27 @@ def cross_check(table: DistributionTable, Q: QuotientMatrix,
                 deriv.append((triple, via))
 
     sym: list[tuple[Triple, tuple[int, int, int], str]] = []
+    indices = list(iter_index_triples(m))
+    if table.kind == TRIANGLE:
+        orders = (("swap", (1, 0, 2)), ("cyclic", (1, 2, 0)))
+    else:
+        orders = (("exchange", (0, 2, 1)),)
+    # an order permutes the parts of the triple and the slots of the index
+    # alike; its map takes each flat position to that of the permuted index
+    maps = [[flat_index(m, *(index[o] for o in order)) for index in indices]
+            for _, order in orders]
     for triple in table.triples():
-        r1, r2, r3 = triple
-        vec = table.entries[triple]
-        if table.kind == TRIANGLE:
-            swapped = table.entries[(r2, r1, r3)]
-            cycled = table.entries[(r2, r3, r1)]
-            for (i, j, k) in iter_index_triples(m):
-                v = vec.get(i, j, k)
-                if v != swapped.get(j, i, k):
-                    sym.append((triple, (i, j, k), "swap"))
-                if v != cycled.get(j, k, i):
-                    sym.append((triple, (i, j, k), "cyclic"))
-        else:
-            exchanged = table.entries[(r1, r3, r2)]
-            for (i, j, k) in iter_index_triples(m):
-                if vec.get(i, j, k) != exchanged.get(i, k, j):
-                    sym.append((triple, (i, j, k), "exchange"))
+        vec = table.entries[triple].entries
+        images = []
+        for (label, order), pmap in zip(orders, maps):
+            mate = table.entries[tuple(triple[o] for o in order)].entries
+            images.append((label, tuple(map(mate.__getitem__, pmap))))
+        if all(image == vec for _, image in images):
+            continue
+        for p, index in enumerate(indices):
+            for label, image in images:
+                if vec[p] != image[p]:
+                    sym.append((triple, index, label))
 
     pairing: list[Triple] = []
     if companion is not None:
@@ -442,10 +448,10 @@ def cross_check(table: DistributionTable, Q: QuotientMatrix,
                      // (math.factorial(r1) * math.factorial(r2)
                          * math.factorial(r3)
                          * math.factorial(n - r1 - r2 - r3)))
-            vec = table.entries[triple]
+            vec = table.entries[triple].entries
             for i in range(1, m + 1):
-                total = sum(vec.get(i, j, k)
-                            for j in range(1, m + 1) for k in range(1, m + 1))
+                # the (i, *, *) entries are one contiguous block
+                total = sum(vec[(i - 1) * m * m:i * m * m])
                 if total != factors[i - 1] * count:
                     marg.append((triple, i))
 

@@ -207,6 +207,16 @@ def test_poly_rejects_negative_dimension(capsys):
     assert "--n" in captured.err
 
 
+@pytest.mark.parametrize("method", ["recursion", "direct", "genfun", "all"])
+def test_poly_refuses_degree_above_the_cap(capsys, method):
+    # route 1 would recurse past the interpreter's limit at degree 600
+    assert main(["poly", "--r1", "600", "--r2", "0", "--r3", "0",
+                 "--method", method]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "r1 + r2 + r3 = 600 exceeds the cap of 200" in captured.err
+
+
 # -- screen ------------------------------------------------------------------
 
 def test_screen_candidate_exit_zero(write_doc, capsys):
@@ -293,6 +303,16 @@ def test_non_quotient_matrix_is_usage_error(write_doc, capsys, command):
 def _partition_doc(n):
     P = parity_partition(n)
     return {"n": n, "m": P.m, "cells": P.cells()}
+
+
+@pytest.mark.parametrize("argv, n", [
+    (["oracle", "triangle", "--partition", "DOC"], 7),
+    (["oracle", "interweight", "--partition", "DOC", "--vertex", "0"], 8),
+])
+def test_brute_force_cap_message_names_the_flag(write_doc, capsys, argv, n):
+    path = write_doc("doc.json", _partition_doc(n))
+    assert main([path if a == "DOC" else a for a in argv]) == 64
+    assert "pass --force" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, doc, message", [

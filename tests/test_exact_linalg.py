@@ -111,6 +111,33 @@ def test_apply_lift_agrees_with_dense_product(position, transposed):
         assert tuple(apply_lift(u, L).entries) == vec_mat(u.entries, M)
 
 
+# bases with zero rows and columns and Fraction entries, at m = 1..4;
+# the vectors mix ints, zeros and Fractions
+DENSE_BASES = [
+    [[0]],
+    [[Fraction(3, 2)]],
+    [[0, 3], [Fraction(1, 3), 0]],
+    [[0, 0], [2, Fraction(-1, 2)]],
+    [[0, 2, 1], [1, 0, 0], [Fraction(2, 7), 0, 1]],
+    [[1, 0, 0, Fraction(1, 2)], [0, 0, 0, 0], [3, 0, 2, 0], [0, 4, 0, 1]],
+]
+
+
+@pytest.mark.parametrize("S", DENSE_BASES, ids=lambda S: f"m{len(S)}")
+@pytest.mark.parametrize("position", [1, 2, 3])
+def test_apply_lift_plan_agrees_with_kron3_product(S, position):
+    m = len(S)
+    I = mat_identity(m)
+    U = TensorVector(m, (Fraction(p % 5 - 2, p % 3 + 1) if p % 2 else p % 4
+                         for p in range(m ** 3)))
+    L = kron_lift(S, position)
+    for lift, base in ((L, S), (L.T, [list(col) for col in zip(*S)])):
+        factors = [I, I, I]
+        factors[position - 1] = base
+        assert apply_lift(U, lift).entries == vec_mat(U.entries,
+                                                      kron3(*factors))
+
+
 def test_apply_lift_on_diag():
     D = diag_lift((2, 6))
     u = TensorVector(2, [1, 1, 1, 1, 1, 1, 1, 1])

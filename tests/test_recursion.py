@@ -287,6 +287,16 @@ def test_triangle_equals_interweight_times_sizes():
                     == inter.entries[triple].get(i, j, k) * sizes[i - 1])
 
 
+def test_cached_lifts_keep_the_interweight_transpose_apart():
+    triangle = lifts_for(Q22, TRIANGLE)
+    interweight = lifts_for(Q22, INTERWEIGHT)
+    assert lifts_for(Q22, TRIANGLE) is triangle
+    assert interweight[0] == triangle[0].T
+    assert interweight[0] is not triangle[0]
+    assert interweight[0] != triangle[0]
+    assert interweight[1:] == triangle[1:]
+
+
 @pytest.mark.parametrize("kind", [TRIANGLE, INTERWEIGHT])
 def test_one_level_past_the_dimension_vanishes(kind):
     table = build_table(Q_PAIR, kind)
@@ -295,3 +305,102 @@ def test_one_level_past_the_dimension_vanishes(kind):
     for triple in iter_triples_of_level(4):
         got = derive_entry(scaled, lifts, 3, triple, canonical_via(triple))
         assert got.is_zero(), triple
+
+
+# Full finding lists, order included.
+@pytest.mark.parametrize("kind, triple, index, companion, expected", [
+    (TRIANGLE, (0, 0, 3), (1, 1, 1), None, (
+        [((0, 0, 3), 3)],
+        [((0, 0, 3), (1, 1, 1), "cyclic"), ((3, 0, 0), (1, 1, 1), "cyclic")],
+        [],
+        [((0, 0, 3), 1)])),
+    (TRIANGLE, (0, 1, 2), (1, 1, 2), INTERWEIGHT, (
+        [((0, 1, 2), 2), ((0, 1, 2), 3)],
+        [((0, 1, 2), (1, 1, 2), "swap"), ((0, 1, 2), (1, 1, 2), "cyclic"),
+         ((1, 0, 2), (1, 1, 2), "swap"), ((2, 0, 1), (2, 1, 1), "cyclic")],
+        [(0, 1, 2)],
+        [((0, 1, 2), 1)])),
+    (INTERWEIGHT, (1, 0, 2), (1, 1, 2), None, (
+        [((1, 0, 2), 1), ((1, 0, 2), 3)],
+        [((1, 0, 2), (1, 1, 2), "exchange"),
+         ((1, 2, 0), (1, 2, 1), "exchange")],
+        [],
+        [((1, 0, 2), 1)])),
+], ids=["triangle-derivation", "triangle-symmetry", "interweight-exchange"])
+def test_cross_check_finding_lists_are_pinned(kind, triple, index, companion,
+                                              expected):
+    tampered = _tampered_pair_table(kind, triple, index)
+    rep = cross_check(tampered, Q_PAIR,
+                      companion and build_table(Q_PAIR, companion))
+    assert (rep.derivation_mismatches, rep.symmetry_mismatches,
+            rep.pairing_mismatches, rep.marginal_mismatches) == expected
+
+
+def test_scan_violations_negative_list_is_pinned():
+    Q = validate_quotient([[0, 5], [3, 2]], 5)
+    by_triple = {
+        (0, 2, 2): [((2, 1, 1), -120)],
+        (2, 0, 2): [((1, 2, 1), -120)],
+        (2, 2, 0): [((1, 1, 2), -120)],
+        (0, 2, 3): [((1, 1, 1), -60), ((1, 2, 2), -60), ((2, 1, 2), -120),
+                    ((2, 2, 1), -120)],
+        (0, 3, 2): [((1, 1, 1), -60), ((1, 2, 2), -60), ((2, 1, 2), -120),
+                    ((2, 2, 1), -120)],
+        (1, 1, 3): [((1, 1, 1), -240), ((1, 2, 2), -120), ((2, 1, 2), -120)],
+        (1, 2, 2): [((1, 1, 1), -360), ((1, 2, 2), -360), ((2, 1, 2), -180),
+                    ((2, 2, 1), -180)],
+        (1, 3, 1): [((1, 1, 1), -240), ((1, 2, 2), -120), ((2, 2, 1), -120)],
+        (2, 0, 3): [((1, 1, 1), -60), ((1, 2, 2), -120), ((2, 1, 2), -60),
+                    ((2, 2, 1), -120)],
+        (2, 1, 2): [((1, 1, 1), -360), ((1, 2, 2), -180), ((2, 1, 2), -360),
+                    ((2, 2, 1), -180)],
+        (2, 2, 1): [((1, 1, 1), -360), ((1, 2, 2), -180), ((2, 1, 2), -180),
+                    ((2, 2, 1), -360)],
+        (2, 3, 0): [((1, 1, 1), -60), ((1, 2, 2), -120), ((2, 1, 2), -120),
+                    ((2, 2, 1), -60)],
+        (3, 0, 2): [((1, 1, 1), -60), ((1, 2, 2), -120), ((2, 1, 2), -60),
+                    ((2, 2, 1), -120)],
+        (3, 1, 1): [((1, 1, 1), -240), ((2, 1, 2), -120), ((2, 2, 1), -120)],
+        (3, 2, 0): [((1, 1, 1), -60), ((1, 2, 2), -120), ((2, 1, 2), -120),
+                    ((2, 2, 1), -60)],
+    }
+    got = scan_violations(build_table(Q, TRIANGLE), sizes=cell_sizes(Q))
+    assert [(x.triple, x.index, x.value, x.reason) for x in got] == [
+        (t, index, v, "negative")
+        for t, found in by_triple.items() for index, v in found]
+
+
+# The Q_FIFTHS interweight findings; the triangle table's are the same
+# positions with each value times the anchor cell's size (T = W * D'),
+# 16/5 for cell 1 and 24/5 for cell 2.
+FIFTHS_FINDINGS = [
+    ((0, 0, 2), (1, 1, 1), Fraction(3, 2), "non-integer"),
+    ((0, 0, 2), (1, 1, 2), Fraction(3, 2), "non-integer"),
+    ((0, 2, 0), (1, 1, 1), Fraction(3, 2), "non-integer"),
+    ((0, 2, 0), (1, 2, 1), Fraction(3, 2), "non-integer"),
+    ((2, 0, 0), (1, 1, 1), Fraction(3, 2), "non-integer"),
+    ((2, 0, 0), (1, 2, 2), Fraction(3, 2), "non-integer"),
+    ((0, 1, 2), (1, 2, 1), Fraction(3, 2), "non-integer"),
+    ((0, 1, 2), (1, 2, 2), Fraction(3, 2), "non-integer"),
+    ((0, 1, 2), (2, 2, 1), -1, "negative"),
+    ((0, 2, 1), (1, 1, 2), Fraction(3, 2), "non-integer"),
+    ((0, 2, 1), (1, 2, 2), Fraction(3, 2), "non-integer"),
+    ((0, 2, 1), (2, 1, 2), -1, "negative"),
+    ((1, 0, 2), (2, 2, 1), -1, "negative"),
+    ((1, 2, 0), (2, 1, 2), -1, "negative"),
+    ((2, 0, 1), (1, 1, 2), Fraction(3, 2), "non-integer"),
+    ((2, 0, 1), (1, 2, 2), Fraction(-3, 2), "negative"),
+    ((2, 1, 0), (1, 2, 1), Fraction(3, 2), "non-integer"),
+    ((2, 1, 0), (1, 2, 2), Fraction(-3, 2), "negative"),
+]
+
+
+@pytest.mark.parametrize("kind", [TRIANGLE, INTERWEIGHT])
+def test_scan_violations_fifths_lists_are_pinned(kind):
+    sizes = cell_sizes(Q_FIFTHS)
+    assert sizes == (Fraction(16, 5), Fraction(24, 5))
+    factor = sizes if kind == TRIANGLE else (1, 1)
+    got = scan_violations(build_table(Q_FIFTHS, kind), sizes=sizes)
+    assert [(x.triple, x.index, x.value, x.reason) for x in got] == [
+        (t, index, v * factor[index[0] - 1], reason)
+        for t, index, v, reason in FIFTHS_FINDINGS]
