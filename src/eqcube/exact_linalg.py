@@ -15,14 +15,18 @@ pairs with nonzero coefficient: at most m^4 products.  The dense
 m^3 x m^3 matrix is only ever built by `materialize`, a debugging and
 testing aid.
 
-Entries are Python ints or `fractions.Fraction`s.  Nothing here rounds.
+This module owns the two rules of a distribution vector.  Layout:
+`flat_index` is the one map from (i, j, k) to a flat position.  Numbers:
+entries are Python ints or `fractions.Fraction`s, and `exact_quotient`
+(which `TensorVector / c` applies) gives an int where the quotient is
+integral and a Fraction otherwise.  Nothing here rounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import add, mul
 from typing import Iterable, Iterator, Sequence
 
@@ -30,6 +34,12 @@ from typing import Iterable, Iterator, Sequence
 def flat_index(m: int, i: int, j: int, k: int) -> int:
     """Position of entry (i, j, k) (1-based) in the flat layout."""
     return ((i - 1) * m + (j - 1)) * m + (k - 1)
+
+
+def exact_quotient(num, den):
+    """num / den as an int when the quotient is integral, else a Fraction."""
+    q, r = divmod(num, den)
+    return q if r == 0 else Fraction(num, den)
 
 
 def iter_index_triples(m: int) -> Iterator[tuple[int, int, int]]:
@@ -57,7 +67,9 @@ class TensorVector:
         self.entries = entries
 
     @classmethod
+    @lru_cache(maxsize=None)
     def zero(cls, m: int) -> "TensorVector":
+        """The zero vector for m cells, one shared instance per m."""
         return cls(m, (0,) * m ** 3)
 
     @classmethod
@@ -90,9 +102,8 @@ class TensorVector:
     __rmul__ = __mul__
 
     def __truediv__(self, c) -> "TensorVector":
-        if c == 0:
-            raise ZeroDivisionError("division of tensor vector by zero")
-        return TensorVector(self.m, (Fraction(e, 1) / c for e in self.entries))
+        """Entrywise `exact_quotient` by c; c = 0 raises ZeroDivisionError."""
+        return TensorVector(self.m, (exact_quotient(e, c) for e in self.entries))
 
     def __neg__(self) -> "TensorVector":
         return TensorVector(self.m, (-e for e in self.entries))

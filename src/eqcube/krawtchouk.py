@@ -50,7 +50,7 @@ from functools import lru_cache
 
 from .exact_linalg import TensorVector, apply_lift, iter_index_triples
 from .quotient import QuotientMatrix, min_poly
-from .recursion import TRIANGLE, _ratio, default_initial, lifts_for
+from .recursion import TRIANGLE, default_initial, lifts_for
 
 
 class TriPoly:
@@ -431,7 +431,7 @@ def _image_at_lifts(P: TriPoly, Q: QuotientMatrix, mode: str,
     out = TensorVector.zero(Q.m)
     for e, c in terms:
         out = out + power(e) * c
-    return TensorVector(Q.m, (_ratio(u, D) for u in out.entries))
+    return out / D
 
 
 def eval_at_lifts(P: TriPoly, Q: QuotientMatrix, mode: str = TRIANGLE,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .exact_linalg import TensorVector
+from .exact_linalg import TensorVector, flat_index
 from .quotient import QuotientMatrix, validate_quotient
 from .recursion import (INTERWEIGHT, TRIANGLE, DistributionTable, Triple,
                         iter_triples_of_level)
@@ -176,12 +176,11 @@ def _count_anchored(P: PartitionInstance, v: int,
     slice i = color(v)."""
     m, color = P.m, P.color
     size = 1 << P.n
-    i = color[v] - 1
     for x in range(size):
-        j = color[x] - 1
-        base = (i * m + j) * m
+        # entry (color(v), color(x), k) sits at base + k
+        base = flat_index(m, color[v], color[x], 1) - 1
         for y in range(size):
-            counts[_triple_index(v, x, y)][base + color[y] - 1] += 1
+            counts[_triple_index(v, x, y)][base + color[y]] += 1
 
 
 def brute_triangle(P: PartitionInstance, force: bool = False) -> DistributionTable:
@@ -205,8 +204,11 @@ def brute_interweight(P: PartitionInstance, v: int,
                       force: bool = False) -> DistributionTable:
     """Count vertex pairs (x, y) anchored at v into an interweight table.
 
-    Only the slice i = color(v) is populated; other anchors contribute
-    nothing to a single-vertex table.  Capped at n <= 7 unless force.
+    Only the slice i = color(v) is populated, so the table is labeled
+    nonstandard: no marginal or pairing identity holds for it.  The slice
+    equals the engine's row i, but a via-1 derivation reads the empty
+    rows through the slot-1 lift, so `cross_check` lists every via-1
+    route (10 on the 3-cube pair partition).  Capped at n <= 7 unless force.
     """
     if P.n > 7 and not force:
         raise ValueError(f"n = {P.n} exceeds the brute-force cap of 7; "
@@ -218,7 +220,7 @@ def brute_interweight(P: PartitionInstance, v: int,
     _count_anchored(P, v, counts)
     entries = {t: TensorVector(m, vec) for t, vec in counts.items()}
     return DistributionTable(kind=INTERWEIGHT, n=n, m=m, entries=entries,
-                             standard_initial=True)
+                             standard_initial=False)
 
 
 @dataclass(frozen=True)
@@ -235,8 +237,11 @@ def strong_invariance_check(P: PartitionInstance) -> InvarianceResult:
 
     For an equitable partition they must coincide cell-wise.  If the
     partition is not even equitable the check is inapplicable and says
-    so instead of raising.
+    so instead of raising.  It counts all 8^n vertex triples, so it
+    refuses n > 9 with ValueError, the bound of `search_partitions`.
     """
+    if P.n > 9:
+        raise ValueError(f"invariance check runs for n <= 9; got {P.n}")
     try:
         verify_equitable(P)
     except NotEquitable as exc:
@@ -251,7 +256,7 @@ def strong_invariance_check(P: PartitionInstance) -> InvarianceResult:
             reference[label] = (v, table)
             continue
         v0, table0 = reference[label]
-        for triple in sorted(table.entries, key=lambda t: (sum(t), t)):
+        for triple in table.triples():
             if table.entries[triple] != table0.entries[triple]:
                 return InvarianceResult(
                     status="fails",
@@ -333,23 +338,28 @@ def verify_perfect_structure(PS: PerfectStructure,
     return (True, None)
 
 
+def _add_outer(vec: list, a: Sequence, b: Sequence, c: Sequence) -> None:
+    """Add the outer product a (x) b (x) c to the flat vector vec,
+    skipping the (i, j) blocks where a_i b_j is zero."""
+    m = len(a)
+    for i, ai in enumerate(a, start=1):
+        if ai == 0:
+            continue
+        for j, bj in enumerate(b, start=1):
+            part = ai * bj
+            if part == 0:
+                continue
+            base = flat_index(m, i, j, 1)
+            for k, ck in enumerate(c):
+                vec[base + k] += part * ck
+
+
 def ps_initial_triangle(PS: PerfectStructure) -> TensorVector:
     """Level-0 vector sum_v value(v) (x) value(v) (x) value(v)."""
-    m = PS.m
-    vec = [Fraction(0)] * m ** 3
-    for v in range(1 << PS.n):
-        row = PS.values[v]
-        for i in range(m):
-            if row[i] == 0:
-                continue
-            for j in range(m):
-                if row[j] == 0:
-                    continue
-                part = row[i] * row[j]
-                base = (i * m + j) * m
-                for k in range(m):
-                    vec[base + k] += part * row[k]
-    return TensorVector(m, vec)
+    vec = [Fraction(0)] * PS.m ** 3
+    for row in PS.values:
+        _add_outer(vec, row, row, row)
+    return TensorVector(PS.m, vec)
 
 
 def ps_brute_interweight(PS: PerfectStructure, v: int) -> dict[Triple, TensorVector]:
@@ -364,20 +374,9 @@ def ps_brute_interweight(PS: PerfectStructure, v: int) -> dict[Triple, TensorVec
         t: [Fraction(0)] * m ** 3 for t in _empty_counts(n, m)}
     anchor = PS.values[v]
     for x in range(size):
-        rx = PS.values[x]
         for y in range(size):
-            ry = PS.values[y]
-            vec = counts[_triple_index(v, x, y)]
-            for i in range(m):
-                if anchor[i] == 0:
-                    continue
-                for j in range(m):
-                    part = anchor[i] * rx[j]
-                    if part == 0:
-                        continue
-                    base = (i * m + j) * m
-                    for k in range(m):
-                        vec[base + k] += part * ry[k]
+            _add_outer(counts[_triple_index(v, x, y)], anchor,
+                       PS.values[x], PS.values[y])
     return {t: TensorVector(m, vec) for t, vec in counts.items()}
 
 

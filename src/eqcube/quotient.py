@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .exact_linalg import mat_identity, mat_mul
+from .exact_linalg import exact_quotient, mat_identity, mat_mul
 
 
 class QuotientError(ValueError):
@@ -74,14 +74,15 @@ def validate_quotient(S: Sequence[Sequence[int]], n: int) -> QuotientMatrix:
     return QuotientMatrix(n=n, rows=rows)
 
 
-def cell_sizes(Q: QuotientMatrix) -> tuple[Fraction, ...]:
+def cell_sizes(Q: QuotientMatrix) -> tuple:
     """Cell sizes forced by |C_i| S_ij = |C_j| S_ji and sum = 2^n.
 
     Sizes are propagated along a spanning tree of the support graph and
     every non-tree support edge is checked for consistency.  Raises
     SizesUndetermined if the support graph is disconnected and
-    InvalidQuotient if some cycle gives contradictory ratios.  The
-    result can be non-integral; callers decide what that means.
+    InvalidQuotient if some cycle gives contradictory ratios.  Each size
+    follows the number rule of `exact_linalg.exact_quotient`: an int
+    where integral, else a Fraction, which callers decide the meaning of.
     """
     m = Q.m
     S = Q.rows
@@ -108,8 +109,7 @@ def cell_sizes(Q: QuotientMatrix) -> tuple[Fraction, ...]:
             f"support graph is disconnected; cells {missing} unreachable "
             f"from cell 1")
     total = sum(ratio)
-    scale = Fraction(2 ** Q.n) / total
-    return tuple(r * scale for r in ratio)
+    return tuple(exact_quotient(2 ** Q.n * r, total) for r in ratio)
 
 
 def char_poly(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -223,7 +223,7 @@ class FeasibilityReport:
 
     n: int
     row_sum_ok: bool
-    sizes: tuple[Fraction, ...] | None
+    sizes: tuple | None
     sizes_connected: bool
     sizes_integral: bool | None
     divisibility_ok: bool | None
@@ -246,7 +246,7 @@ def feasibility_conditions(Q: QuotientMatrix) -> FeasibilityReport:
     requires c - a <= n/3, checked exactly as 3(c - a) <= n.
     """
     failures: list[str] = []
-    sizes: tuple[Fraction, ...] | None
+    sizes: tuple | None
     try:
         sizes = cell_sizes(Q)
         connected = True

@@ -40,8 +40,8 @@ with k = n-a-b-c+2,
 with coefficients (c, a, k(b-1)) and (b, a, k(c-1)) when climbing b
 and c, so every U is an integer vector and no step divides.  Exact
 rationals appear only at the edge: `build_table` divides each U by its
-scale once, returning an int where the quotient is exact and a
-Fraction otherwise.
+scale once, under `exact_linalg`'s number rule (an int where the
+quotient is exact and a Fraction otherwise).
 
 Any triple with two or three positive parts is reachable by several
 routes; `cross_check` verifies that all of them agree and checks the
@@ -62,7 +62,8 @@ from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
 from .exact_linalg import (LiftedMatrix, TensorVector, apply_lift, diag_lift,
-                           flat_index, iter_index_triples, kron_lift)
+                           exact_quotient, flat_index, iter_index_triples,
+                           kron_lift)
 from .quotient import QuotientMatrix, cell_sizes
 
 Triple = tuple[int, int, int]
@@ -75,8 +76,8 @@ def initial_triangle(sizes: Sequence) -> TensorVector:
     """Level-0 triangle vector: entry (i, i, i) = |C_i|, rest zero."""
     m = len(sizes)
     vec = [0] * m ** 3
-    for i in range(m):
-        vec[(i * m + i) * m + i] = sizes[i]
+    for i, size in enumerate(sizes, start=1):
+        vec[flat_index(m, i, i, i)] = size
     return TensorVector(m, vec)
 
 
@@ -128,7 +129,7 @@ def derive_entry(levels: Mapping[Triple, TensorVector],
     a, b, c = triple
     if triple[via - 1] <= 0:
         raise ValueError(f"cannot climb part {via} of {triple}")
-    zero = _zero(lifts[0].m)
+    zero = TensorVector.zero(lifts[0].m)
     get = levels.get
     k = n - a - b - c + 2
     if via == 1:
@@ -152,23 +153,6 @@ def derive_entry(levels: Mapping[Triple, TensorVector],
     return TensorVector(base.m, [
         x - c1 * y1 - c2 * y2 - c3 * y3 for x, y1, y2, y3
         in zip(base.entries, t1.entries, t2.entries, t3.entries)])
-
-
-@lru_cache(maxsize=None)
-def _zero(m: int) -> TensorVector:
-    """The zero vector for m cells, shared by every step."""
-    return TensorVector.zero(m)
-
-
-def _ratio(num: int, den: int):
-    """num / den as an int when the division is exact, else a Fraction."""
-    q, r = divmod(num, den)
-    return q if r == 0 else Fraction(num, den)
-
-
-def _exact_sizes(Q: QuotientMatrix) -> tuple:
-    """Cell sizes, as ints where integral, so integer vectors stay ints."""
-    return tuple(_ratio(s.numerator, s.denominator) for s in cell_sizes(Q))
 
 
 def common_denominator(vec: TensorVector) -> int:
@@ -206,7 +190,8 @@ class DistributionTable:
     standard_initial: bool = True
 
     def triples(self) -> list[Triple]:
-        """Stored triples in scan order: by level, then lexicographic."""
+        """Stored triples in the one scan order every walk of a table
+        uses: by level, then lexicographic."""
         return sorted(self.entries, key=lambda t: (sum(t), t))
 
 
@@ -237,7 +222,7 @@ def iter_table_levels(Q: QuotientMatrix, kind: str,
         yield cur
 
 
-def _table_depth(max_level: int | None, n: int) -> int:
+def table_depth(max_level: int | None, n: int) -> int:
     """The level a table climbs to: max_level, or n when it is None.
     Raises ValueError for a level outside [0, n]."""
     if max_level is None:
@@ -253,11 +238,11 @@ def build_table(Q: QuotientMatrix, kind: str = TRIANGLE,
     """Construct the full distribution table up to max_level (default n).
 
     Entries are exact: each scaled vector from `iter_table_levels` is
-    divided by its scale, giving ints where the quotient is integral and
-    Fractions elsewhere.
+    divided by its scale with `/`, giving ints where the quotient is
+    integral and Fractions elsewhere.
     """
     n = Q.n
-    max_level = _table_depth(max_level, n)
+    max_level = table_depth(max_level, n)
     standard = initial is None
     if initial is None:
         initial = default_initial(Q, kind)
@@ -267,9 +252,7 @@ def build_table(Q: QuotientMatrix, kind: str = TRIANGLE,
     entries: dict[Triple, TensorVector] = {}
     for level_entries in iter_table_levels(Q, kind, initial, max_level):
         for triple, U in level_entries.items():
-            s = entry_scale(triple, D)
-            entries[triple] = TensorVector(
-                Q.m, (_ratio(u, s) for u in U.entries))
+            entries[triple] = U / entry_scale(triple, D)
     return DistributionTable(kind=kind, n=n, m=Q.m, entries=entries,
                              standard_initial=standard)
 
@@ -279,7 +262,7 @@ def weight_distribution(Q: QuotientMatrix) -> tuple[tuple[tuple, ...], ...]:
 
     W^w_ij is the interweight entry W^{w,0,0}_{ijj}, and the (w, 0, 0)
     line climbs on its own: `derive_entry` gives U^w = w! W^{w,0,0} from
-    the level-0 interweight vector, and each entry is divided by w! once
+    the level-0 interweight vector, and each vector is divided by w! once
     at the end (an int where integral, as in `build_table`).
     """
     n, m = Q.n, Q.m
@@ -288,10 +271,9 @@ def weight_distribution(Q: QuotientMatrix) -> tuple[tuple[tuple, ...], ...]:
     for w in range(1, n + 1):
         line[(w, 0, 0)] = derive_entry(line, lifts, n, (w, 0, 0), 1)
     return tuple(
-        tuple(tuple(_ratio(U.get(i, j, j), math.factorial(w))
-                    for j in range(1, m + 1))
+        tuple(tuple(W.get(i, j, j) for j in range(1, m + 1))
               for i in range(1, m + 1))
-        for (w, _, _), U in line.items())
+        for W in (U / math.factorial(w) for (w, _, _), U in line.items()))
 
 
 @dataclass(frozen=True)
@@ -341,7 +323,8 @@ def scaled_entries(table: DistributionTable) -> dict[Triple, TensorVector]:
     for triple, vec in table.entries.items():
         s = entry_scale(triple, D)
         out[triple] = TensorVector(table.m, (
-            _ratio(e.numerator * s, e.denominator) for e in vec.entries))
+            exact_quotient(e.numerator * s, e.denominator)
+            for e in vec.entries))
     return out
 
 
@@ -429,17 +412,17 @@ def cross_check(table: DistributionTable, Q: QuotientMatrix,
         inter = companion if table.kind == TRIANGLE else table
         if tri.standard_initial and inter.standard_initial:
             checks.append("pairing")
-            D = diag_lift(_exact_sizes(Q))
-            for triple in sorted(set(tri.entries) & set(inter.entries),
-                                 key=lambda t: (sum(t), t)):
-                if tri.entries[triple] != apply_lift(inter.entries[triple], D):
+            D = diag_lift(cell_sizes(Q))
+            for triple in tri.triples():
+                W = inter.entries.get(triple)
+                if W is not None and tri.entries[triple] != apply_lift(W, D):
                     pairing.append(triple)
 
     marg: list[tuple[Triple, int]] = []
     if table.standard_initial:
         checks.append("marginals")
         if table.kind == TRIANGLE:
-            factors = _exact_sizes(Q)
+            factors = cell_sizes(Q)
         else:
             factors = (1,) * m
         for triple in table.triples():
@@ -451,7 +434,8 @@ def cross_check(table: DistributionTable, Q: QuotientMatrix,
             vec = table.entries[triple].entries
             for i in range(1, m + 1):
                 # the (i, *, *) entries are one contiguous block
-                total = sum(vec[(i - 1) * m * m:i * m * m])
+                total = sum(vec[flat_index(m, i, 1, 1):
+                                flat_index(m, i, m, m) + 1])
                 if total != factors[i - 1] * count:
                     marg.append((triple, i))
 

@@ -25,9 +25,9 @@ from fractions import Fraction
 
 from .quotient import (FeasibilityReport, InvalidQuotient,
                        feasibility_conditions, validate_quotient)
-from .recursion import (TRIANGLE, Violation, _table_depth, build_table,
-                        common_denominator, default_initial, entry_scale,
-                        iter_table_levels, scan_violations)
+from .recursion import (TRIANGLE, Violation, build_table, common_denominator,
+                        default_initial, entry_scale, iter_table_levels,
+                        scan_violations, table_depth)
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ def certify(S, n: int, max_level: int | None = None) -> Certificate:
     ratios contradict each other, gets only a validation error.  Raises
     ValueError for max_level outside [0, n], whatever the matrix.
     """
-    max_level = _table_depth(max_level, n)
+    max_level = table_depth(max_level, n)
     rows = tuple(tuple(r) for r in S)
     try:
         Q = validate_quotient(rows, n)

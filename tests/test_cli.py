@@ -654,3 +654,12 @@ def test_poly_output_bytes_are_pinned(capsys):
     assert hashlib.sha256(out).hexdigest() == (
         "c35c4868850e5d323ed0e0cd558d5985"
         "ab28a17a05bade90381633483428de7f")
+
+
+def test_oracle_invariance_refuses_ten_cube(write_doc, capsys):
+    P = parity_partition(10)
+    ppath = write_doc("parity10.json", {"n": 10, "m": 2, "cells": P.cells()})
+    assert main(["oracle", "invariance", "--partition", ppath]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n <= 9; got 10" in captured.err

@@ -11,13 +11,15 @@ route choice with the engine, so `build_table` and `hunt_witness`, which
 climb scaled integer vectors, must agree with it exactly.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from eqcube.exact_linalg import TensorVector, apply_lift
+from eqcube.krawtchouk import eval_at_lifts, poly_recursive
 from eqcube.oracle import PerfectStructure, ps_initial_triangle
-from eqcube.quotient import cell_sizes, validate_quotient
+from eqcube.quotient import QuotientError, cell_sizes, validate_quotient
 from eqcube.recursion import (INTERWEIGHT, TRIANGLE, build_table,
                               canonical_via, common_denominator,
                               initial_interweight, initial_triangle,
@@ -147,3 +149,41 @@ def test_hunt_witness_matches_fraction_reference():
         got = hunt_witness(params)
         assert expected is not None, params
         assert (got.witness, got.witness_value) == expected, params
+
+
+def random_candidates(rng, m, count):
+    """`count` distinct validated m-cell matrices with n <= 6 whose rows
+    are random compositions of n, alternately with integral and
+    non-integral cell sizes."""
+    out = []
+    while len(out) < count:
+        n = rng.randint(2, 6)
+        rows = []
+        for _ in range(m):
+            cuts = sorted(rng.randint(0, n) for _ in range(m - 1))
+            rows.append([b - a for a, b in zip([0] + cuts, cuts + [n])])
+        try:
+            Q = validate_quotient(rows, n)
+            integral = all(Fraction(s).denominator == 1 for s in cell_sizes(Q))
+        except QuotientError:
+            continue
+        if integral == (len(out) % 2 == 0) and Q not in out:
+            out.append(Q)
+    return out
+
+
+def test_seeded_candidates_agree_on_value_and_type():
+    # build_table, the Fraction reference climb and the lift image of the
+    # reference polynomial give the same number at every entry, as an int
+    # exactly where it is integral
+    rng = random.Random(20131)
+    candidates = random_candidates(rng, 2, 4) + random_candidates(rng, 3, 4)
+    for Q in candidates:
+        for kind in (TRIANGLE, INTERWEIGHT):
+            table = build_table(Q, kind)
+            assert_same_entries(
+                table, reference_table(Q, kind, _standard_initial(Q, kind)))
+            for t, vec in table.entries.items():
+                image = eval_at_lifts(poly_recursive(*t), Q, kind).entries
+                assert image == vec.entries, (Q, kind, t)
+                assert list(map(type, image)) == list(map(type, vec.entries))

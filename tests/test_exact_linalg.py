@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from eqcube.exact_linalg import (LiftedMatrix, TensorVector, apply_lift,
-                                 commutes, diag_lift, flat_index,
-                                 iter_index_triples, kron3, kron_lift,
+                                 commutes, diag_lift, exact_quotient,
+                                 flat_index, iter_index_triples, kron3,
+                                 kron_lift,
                                  mat_identity, mat_mul, materialize, vec_mat)
 
 S_PAIR = [[0, 3], [1, 2]]
@@ -176,3 +177,32 @@ def test_diag_conjugation_transposes_reversible_lift():
     L1T = materialize(kron_lift(S_PAIR, 1).T)
     assert mat_mul(D, L1) == mat_mul(L1T, D)
     assert mat_mul(D, L1) != mat_mul(L1, D)
+
+
+def test_division_gives_ints_where_integral():
+    whole = TensorVector(1, [6]) / 3
+    assert whole.entries == (2,) and type(whole.entries[0]) is int
+    v = TensorVector(2, [6, 7, Fraction(9, 2), Fraction(3), -4, 0,
+                         Fraction(-6), 5])
+    want = [2, Fraction(7, 3), Fraction(3, 2), 1, Fraction(-4, 3), 0, -2,
+            Fraction(5, 3)]
+    got = (v / 3).entries
+    assert list(got) == want
+    assert [type(e) for e in got] == [type(e) for e in want]
+    halves = (v / Fraction(3, 2)).entries
+    assert halves[0] == 4 and type(halves[0]) is int
+    assert halves[1] == Fraction(14, 3)
+    with pytest.raises(ZeroDivisionError):
+        v / 0
+
+
+def test_exact_quotient_number_rule():
+    assert exact_quotient(12, 4) == 3 and type(exact_quotient(12, 4)) is int
+    assert exact_quotient(-12, 8) == Fraction(-3, 2)
+    assert type(exact_quotient(Fraction(8, 2), 2)) is int
+    assert exact_quotient(Fraction(1, 3), 2) == Fraction(1, 6)
+
+
+def test_zero_vector_is_shared():
+    assert TensorVector.zero(3) is TensorVector.zero(3)
+    assert TensorVector.zero(3).entries == (0,) * 27

@@ -15,7 +15,7 @@ from eqcube.oracle import (NotEquitable, PartitionInstance, PerfectStructure,
                            spectrum_of_multiset, strong_invariance_check,
                            verify_equitable, verify_perfect_structure)
 from eqcube.quotient import validate_quotient
-from eqcube.recursion import TRIANGLE, build_table
+from eqcube.recursion import INTERWEIGHT, TRIANGLE, build_table, cross_check
 
 PAIR = PartitionInstance.from_cells(3, [[0, 7], [1, 2, 3, 4, 5, 6]])
 
@@ -294,3 +294,31 @@ def test_search_with_contradictory_pins_is_empty():
 def test_search_node_cap_flags_incomplete():
     res = search_partitions(3, [[0, 3], [1, 2]], limit=10, max_nodes=3)
     assert not res.complete
+
+
+def test_brute_interweight_is_a_nonstandard_slice_of_the_engine_row():
+    Q = verify_equitable(PAIR)
+    slice0 = brute_interweight(PAIR, 0)
+    assert slice0.standard_initial is False
+    # the counts are the engine's row i = color(0) = 1 and zero elsewhere
+    engine = build_table(Q, INTERWEIGHT)
+    for t, vec in slice0.entries.items():
+        for index, got in zip(iter_index_triples(2), vec.entries):
+            assert got == (engine.entries[t].get(*index)
+                           if index[0] == 1 else 0), (t, index)
+    report = cross_check(slice0, Q, brute_triangle(PAIR))
+    # no pairing or marginal audit: they need the all-cells level 0
+    assert report.checks_run == ("derivations", "symmetry")
+    assert report.pairing_mismatches == report.marginal_mismatches == []
+    assert report.symmetry_mismatches == []
+    # the slot-1 lift reads the empty rows of the other cell, so every
+    # via-1 route disagrees, and only those
+    assert len(report.derivation_mismatches) == 10
+    assert {via for _, via in report.derivation_mismatches} == {1}
+
+
+def test_strong_invariance_refuses_n_above_bound_up_front():
+    # 8^n triples: n = 10 would take months, so it is refused before any
+    # anchor is counted
+    with pytest.raises(ValueError, match="n <= 9"):
+        strong_invariance_check(parity_partition(10))

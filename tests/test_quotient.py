@@ -182,3 +182,14 @@ def test_22_cube_fails_the_triple_product_condition():
     assert Sx == tuple(-10 * v for v in x)
     total = sum(size * v ** 3 for size, v in zip(cell_sizes(Q), x))
     assert total == Fraction(18270388224, 625) != 0
+
+
+def test_cell_sizes_are_ints_where_integral():
+    sizes = cell_sizes(validate_quotient([[0, 3], [1, 2]], 3))
+    assert sizes == (2, 6)
+    assert all(type(s) is int for s in sizes)
+    assert all(type(s) is int
+               for s in cell_sizes(validate_quotient(S22, 22)))
+    fifths = cell_sizes(validate_quotient([[0, 3], [2, 1]], 3))
+    assert fifths == (Fraction(16, 5), Fraction(24, 5))
+    assert all(type(s) is Fraction for s in fifths)

@@ -10,7 +10,8 @@ from eqcube.oracle import singleton_partition, verify_equitable
 from eqcube.quotient import cell_sizes, validate_quotient
 from eqcube.recursion import (INTERWEIGHT, TRIANGLE, DistributionTable,
                               build_table, canonical_via, common_denominator,
-                              cross_check, derive_entry, entry_scale,
+                              cross_check, default_initial, derive_entry,
+                              entry_scale,
                               initial_interweight, initial_triangle,
                               iter_table_levels, iter_triples_of_level,
                               lifts_for, scaled_entries, scan_violations,
@@ -404,3 +405,13 @@ def test_scan_violations_fifths_lists_are_pinned(kind):
     assert [(x.triple, x.index, x.value, x.reason) for x in got] == [
         (t, index, v * factor[index[0] - 1], reason)
         for t, index, v, reason in FIFTHS_FINDINGS]
+
+
+def test_default_triangle_initial_holds_ints():
+    # integral cell sizes give an integer level-0 vector, so every lift
+    # applied to it (in eval_at_lifts, say) multiplies ints
+    initial = default_initial(Q22, TRIANGLE)
+    assert all(type(e) is int for e in initial.entries)
+    assert initial.get(3, 3, 3) == 1982464
+    fifths = default_initial(Q_FIFTHS, TRIANGLE)
+    assert fifths.get(1, 1, 1) == Fraction(16, 5)
