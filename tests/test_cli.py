@@ -15,6 +15,7 @@ from eqcube.cli import main, parse_rational, render_value, InputError
 from eqcube.oracle import parity_partition
 from eqcube.quotient import validate_quotient
 from eqcube.recursion import TRIANGLE, build_table
+from eqcube.screen import SweepCandidate
 
 PAIR_MATRIX = {"n": 3, "S": [[0, 3], [1, 2]]}
 PAIR_PARTITION = {"n": 3, "m": 2, "cells": [[0, 7], [1, 2, 3, 4, 5, 6]]}
@@ -654,6 +655,94 @@ def test_poly_output_bytes_are_pinned(capsys):
     assert hashlib.sha256(out).hexdigest() == (
         "c35c4868850e5d323ed0e0cd558d5985"
         "ab28a17a05bade90381633483428de7f")
+
+
+
+# the JSON reports: screen (candidate; fractional sizes, so a non-integer
+# violation; a row-sum failure; contradictory size ratios), the oracle's
+# verify, invariance, search and ps-verify, each with its exit code
+REPORT_DOCS = {
+    "PAIR": PAIR_MATRIX,
+    "FRACTIONAL": {"n": 4, "S": [[1, 3], [2, 2]]},
+    "ROWSUM": {"n": 3, "S": [[0, 3], [1, 1]]},
+    "CYCLE": {"n": 3, "S": [[0, 1, 2], [1, 0, 2], [1, 2, 0]]},
+    "PARTITION": PAIR_PARTITION,
+    "UNEVEN": {"n": 2, "m": 2, "cells": [[0], [1, 2, 3]]},
+    "PLAIN": PS_PLAIN,
+    "ALL1": ALL1_MATRIX,
+    "DIAGONAL": {"n": 2, "S": [[2, 0], [0, 2]]},
+}
+
+
+@pytest.mark.parametrize("argv, code, digest", [
+    (["screen", "--input", "PAIR"], 0,
+     "b50cf27e13fe15b4b07e1c8fd4d0015e"
+     "c55d31b47011f67457c0a89d789febc5"),
+    (["screen", "--input", "FRACTIONAL"], 2,
+     "eabe42064aca22c5f85a930975390859"
+     "d521bc27de69f6fe58010757fb19b924"),
+    (["screen", "--input", "ROWSUM"], 2,
+     "56b12ffef21a25ac2345f99ced06e11a"
+     "edce02a4ac1f6b01e730159a764d2b0a"),
+    (["screen", "--input", "CYCLE"], 2,
+     "88fcafa3172ac19b465e1124b2007736"
+     "54572a48f774f32f920c3f8fee0654ad"),
+    (["oracle", "verify", "--partition", "PARTITION"], 0,
+     "5df0df523a35abe751d79bb85a4d4bc4"
+     "e8c350f6c7c6a6de569475bfe6d9884f"),
+    (["oracle", "verify", "--partition", "UNEVEN"], 1,
+     "ea7857fbebf6d45dd99fdc0a7ab88bc3"
+     "e69de4fa1a705416543fb41d4da75666"),
+    (["oracle", "invariance", "--partition", "PARTITION"], 0,
+     "482cc73fa579a5689f1df101f5948ec4"
+     "8b08f9ec82f92d50b7ab2a1012c6470a"),
+    (["oracle", "invariance", "--partition", "UNEVEN"], 1,
+     "4bb65386ffd5f6b085fa4faf93706b43"
+     "a3fcaaca9f0a08a0b99f5fa2c7753941"),
+    (["oracle", "search", "--input", "PAIR", "--limit", "3"], 0,
+     "6672cdfa698c1b8094f6dd755e12ab3d"
+     "0cfae26bc97931697c25e4c332ac1eb4"),
+    (["oracle", "ps-verify", "--structure", "PLAIN", "--input", "ALL1"], 0,
+     "267c045da808d82c66bbc1786eea5444"
+     "9a956de5387e5372c498560433b07a2b"),
+    (["oracle", "ps-verify", "--structure", "PLAIN", "--input", "DIAGONAL"],
+     1,
+     "55cdc10b81abd381776355229f948940"
+     "b3e15b54175c9a5c75e5efba137358da"),
+])
+def test_report_bytes_are_pinned(write_doc, capsys, argv, code, digest):
+    files = {name: write_doc(f"{name}.json", doc)
+             for name, doc in REPORT_DOCS.items()}
+    assert main([files.get(a, a) for a in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == digest
+
+
+def test_sweep_report_bytes_are_pinned(capsys):
+    # the seven records of n <= 14 on stdout, the summary on stderr
+    assert main(["sweep", "--n-max", "14"]) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == (
+        "852c653279c5999b1d58eb03ad316b01"
+        "37582b456d4c0578eb7bc9871f126583")
+    assert captured.err == \
+        "sweep n_max=14: 7 candidates, 7 with witness, 0 without\n"
+
+
+def test_sweep_record_without_witness(capsys, monkeypatch):
+    def hunt_witness(params):
+        n, a, b, c, d = params
+        return SweepCandidate(n=n, a=a, b=b, c=c, d=d,
+                              witness=None, witness_value=None)
+    monkeypatch.setattr("eqcube.screen.hunt_witness", hunt_witness)
+    assert main(["sweep", "--n-max", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (
+        '{"n": 5, "a": 0, "b": 5, "c": 3, "d": 2, '
+        '"witness": "NO WITNESS FOUND", "witness_value": null}\n')
+    assert captured.err == \
+        "sweep n_max=5: 1 candidates, 0 with witness, 1 without\n"
 
 
 def test_oracle_invariance_refuses_ten_cube(write_doc, capsys):
