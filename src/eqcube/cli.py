@@ -18,6 +18,12 @@ Table output document (--format json):
    "entries": {"r1,r2,r3": [m^3 values in flat order]}}
 CSV output has a header row r1,r2,r3,i,j,k,value.
 
+Output: `main` opens it once, before the command runs: the --out file
+where the command has one and it is not "-", else stdout.  So an
+unwritable --out is refused before any work, and a run refused or failed
+after the open may leave an empty --out file.  The screen, sweep and
+oracle invariance reports are their dataclasses as `asdict` lists them.
+
 Exit codes: 0 success (for `screen`: candidate), 1 a check the command
 ran failed (cross-check, equitability, invariance, ps-verify, route
 agreement, a sweep candidate without a witness), 2 `screen` certified
@@ -34,6 +40,7 @@ import contextlib
 import csv
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -190,17 +197,10 @@ def _open_out(path: str | None):
         yield fh
 
 
-def _emit_table(table: DistributionTable, args: argparse.Namespace) -> int:
-    """Write a table command's result to --out in --format; exit 0."""
-    with _open_out(args.out) as out:
-        write_table(table, args.format, out)
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: argparse.Namespace, out) -> int:
     Q = _load_quotient(args.input)
     table = recursion.build_table(Q, args.kind, max_level=args.max_level)
     if args.cross_check:
@@ -212,7 +212,8 @@ def cmd_table(args: argparse.Namespace) -> int:
                   f"{len(report.marginal_mismatches)} marginal mismatches",
                   file=sys.stderr)
             return 1
-    return _emit_table(table, args)
+    write_table(table, args.format, out)
+    return 0
 
 
 _POLY_METHODS = {
@@ -222,10 +223,10 @@ _POLY_METHODS = {
 }
 
 
-def cmd_poly(args: argparse.Namespace) -> int:
+def cmd_poly(args: argparse.Namespace, out) -> int:
     r = (args.r1, args.r2, args.r3)
-    if args.n is not None and args.n < 0:
-        raise InputError("--n must be nonnegative")
+    if args.n is not None:
+        krawtchouk.check_dimension(args.n)  # before any route runs
     if args.method == "all":
         polys = {name: fn(*r) for name, fn in _POLY_METHODS.items()}
         first = polys["recursion"]
@@ -241,71 +242,32 @@ def cmd_poly(args: argparse.Namespace) -> int:
         specialized = poly.specialize_n(args.n)
         poly = krawtchouk.TriPoly(
             {(dx, dy, dz, 0): c for (dx, dy, dz), c in specialized.items()})
-    print(poly.render())
+    print(poly.render(), file=out)
     return 0
 
 
-def _feasibility_json(rep) -> dict:
-    return {
-        "row_sum_ok": rep.row_sum_ok,
-        "sizes": (None if rep.sizes is None
-                  else [render_value(s) for s in rep.sizes]),
-        "sizes_connected": rep.sizes_connected,
-        "sizes_integral": rep.sizes_integral,
-        "divisibility_ok": rep.divisibility_ok,
-        "ci_bound_ok": rep.ci_bound_ok,
-        "spectrum": {
-            "char_coeffs": list(rep.spectrum.char_coeffs),
-            "splits": rep.spectrum.splits,
-            "eigenvalues": list(rep.spectrum.eigenvalues),
-            "residual": (None if rep.spectrum.residual is None
-                         else list(rep.spectrum.residual)),
-        },
-        "failures": list(rep.failures),
-        "verdict": rep.verdict,
-    }
-
-
-def cmd_screen(args: argparse.Namespace) -> int:
+def cmd_screen(args: argparse.Namespace, out) -> int:
     n, S = load_matrix(args.input)
     cert = screen.certify(S, n, max_level=args.max_level)
-    doc = {
-        "n": cert.n,
-        "matrix": [list(row) for row in cert.matrix],
-        "verdict": cert.verdict,
-        "validation_error": cert.validation_error,
-        "feasibility": (None if cert.feasibility is None
-                        else _feasibility_json(cert.feasibility)),
-        "first_violation": (None if cert.first_violation is None else {
-            "triple": list(cert.first_violation.triple),
-            "index": list(cert.first_violation.index),
-            "value": render_value(cert.first_violation.value),
-            "reason": cert.first_violation.reason,
-        }),
-        "violations_found": cert.violations_found,
-        "levels_scanned": cert.levels_scanned,
-    }
-    print(json.dumps(doc, indent=2))
+    doc = asdict(cert)
+    if cert.feasibility is not None:
+        feasibility = doc["feasibility"]
+        del feasibility["n"]
+        if cert.feasibility.sizes is not None:
+            feasibility["sizes"] = [render_value(s)
+                                    for s in cert.feasibility.sizes]
+        feasibility["verdict"] = cert.feasibility.verdict
+    print(json.dumps(doc, indent=2, default=render_value), file=out)
     return 0 if cert.verdict == "candidate" else 2
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.n_max < 1:
-        raise InputError(f"--n-max must be at least 1, got {args.n_max}")
-    if args.jobs < 1:
-        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
-    with _open_out(args.out) as out:
-        report = screen.sweep_ci(args.n_max, jobs=args.jobs)
-        for cand in report.candidates:
-            rec = {
-                "n": cand.n, "a": cand.a, "b": cand.b,
-                "c": cand.c, "d": cand.d,
-                "witness": (list(cand.witness) if cand.witness is not None
-                            else "NO WITNESS FOUND"),
-                "witness_value": (None if cand.witness_value is None
-                                  else render_value(cand.witness_value)),
-            }
-            out.write(json.dumps(rec) + "\n")
+def cmd_sweep(args: argparse.Namespace, out) -> int:
+    report = screen.sweep_ci(args.n_max, jobs=args.jobs)
+    for cand in report.candidates:
+        rec = asdict(cand)
+        if cand.witness is None:
+            rec["witness"] = "NO WITNESS FOUND"
+        out.write(json.dumps(rec, default=render_value) + "\n")
     summary = (f"sweep n_max={report.n_max}: {report.total} candidates, "
                f"{report.with_witness} with witness, "
                f"{report.without_witness} without")
@@ -314,7 +276,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0 if report.without_witness == 0 else 1
 
 
-def cmd_oracle_verify(args: argparse.Namespace) -> int:
+def cmd_oracle_verify(args: argparse.Namespace, out) -> int:
     P = load_partition(args.partition)
     try:
         Q = oracle.verify_equitable(P)
@@ -322,39 +284,32 @@ def cmd_oracle_verify(args: argparse.Namespace) -> int:
         print(json.dumps({
             "equitable": False,
             "vertex": exc.vertex,
-            "got": list(exc.row_got),
-            "expected": list(exc.row_expected),
-        }, indent=2))
+            "got": exc.row_got,
+            "expected": exc.row_expected,
+        }, indent=2), file=out)
         return 1
-    print(json.dumps({
-        "equitable": True,
-        "n": Q.n,
-        "S": [list(row) for row in Q.rows],
-    }, indent=2))
+    print(json.dumps({"equitable": True, "n": Q.n, "S": Q.rows}, indent=2),
+          file=out)
     return 0
 
 
-def cmd_oracle_triangle(args: argparse.Namespace) -> int:
+def cmd_oracle_triangle(args: argparse.Namespace, out) -> int:
     P = load_partition(args.partition)
-    return _emit_table(oracle.brute_triangle(P, force=args.force), args)
+    write_table(oracle.brute_triangle(P, force=args.force), args.format, out)
+    return 0
 
 
-def cmd_oracle_interweight(args: argparse.Namespace) -> int:
+def cmd_oracle_interweight(args: argparse.Namespace, out) -> int:
     P = load_partition(args.partition)
-    return _emit_table(
-        oracle.brute_interweight(P, args.vertex, force=args.force), args)
+    write_table(oracle.brute_interweight(P, args.vertex, force=args.force),
+                args.format, out)
+    return 0
 
 
-def cmd_oracle_invariance(args: argparse.Namespace) -> int:
+def cmd_oracle_invariance(args: argparse.Namespace, out) -> int:
     P = load_partition(args.partition)
     result = oracle.strong_invariance_check(P)
-    print(json.dumps({
-        "status": result.status,
-        "witness": (None if result.witness is None
-                    else [list(w) if isinstance(w, tuple) else w
-                          for w in result.witness]),
-        "detail": result.detail,
-    }, indent=2))
+    print(json.dumps(asdict(result), indent=2), file=out)
     return 0 if result.status == "holds" else 1
 
 
@@ -369,7 +324,7 @@ def _parse_pins(raw: list[str]) -> dict[int, int]:
     return pins
 
 
-def cmd_oracle_search(args: argparse.Namespace) -> int:
+def cmd_oracle_search(args: argparse.Namespace, out) -> int:
     Q = _load_quotient(args.input)
     result = oracle.search_partitions(Q.n, Q, limit=args.limit,
                                       pins=_parse_pins(args.pin))
@@ -377,26 +332,34 @@ def cmd_oracle_search(args: argparse.Namespace) -> int:
         "complete": result.complete,
         "count": len(result.partitions),
         "partitions": [p.cells() for p in result.partitions],
-    }, indent=2))
+    }, indent=2), file=out)
     return 0
 
 
-def cmd_oracle_ps_verify(args: argparse.Namespace) -> int:
+def cmd_oracle_ps_verify(args: argparse.Namespace, out) -> int:
     PS, Q = _load_structure_pair(args)
     ok, vertex = oracle.verify_perfect_structure(PS, Q)
-    print(json.dumps({"ok": ok, "vertex": vertex}, indent=2))
+    print(json.dumps({"ok": ok, "vertex": vertex}, indent=2), file=out)
     return 0 if ok else 1
 
 
-def cmd_oracle_ps_table(args: argparse.Namespace) -> int:
+def cmd_oracle_ps_table(args: argparse.Namespace, out) -> int:
     PS, Q = _load_structure_pair(args)
     initial = oracle.ps_initial_triangle(PS)
-    return _emit_table(recursion.build_table(
-        Q, TRIANGLE, max_level=args.max_level, initial=initial), args)
+    write_table(recursion.build_table(Q, TRIANGLE, max_level=args.max_level,
+                                      initial=initial), args.format, out)
+    return 0
 
 
 # ---------------------------------------------------------------------------
 # parser assembly
+
+def _option(*flags: str, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one option that several commands share."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*flags, **kwargs)
+    return parent
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -406,14 +369,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "hypercubes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("table", help="build a distribution table by recursion")
-    p.add_argument("--input", required=True, help="matrix JSON file")
+    matrix = _option("--input", required=True, help="matrix JSON file")
+    partition = _option("--partition", required=True)
+    structure = _option("--structure", required=True,
+                        help="structure JSON file")
+    level = _option("--max-level", type=int, default=None)
+    out = _option("--out", default=None, help="output file (default stdout)")
+    table_out = [_option("--format", choices=("json", "csv"), default="json"),
+                 out]
+
+    p = sub.add_parser("table", parents=[matrix, level, *table_out],
+                       help="build a distribution table by recursion")
     p.add_argument("--kind", choices=(TRIANGLE, INTERWEIGHT), default=TRIANGLE)
-    p.add_argument("--max-level", type=int, default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--cross-check", action="store_true",
                    help="audit the table and fail on any inconsistency")
-    p.add_argument("--out", default=None, help="output file (default stdout)")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("poly", help="print a generalized Krawtchouk polynomial")
@@ -426,68 +395,56 @@ def build_parser() -> argparse.ArgumentParser:
                    default="all")
     p.set_defaults(func=cmd_poly)
 
-    p = sub.add_parser("screen", help="certify a candidate matrix")
-    p.add_argument("--input", required=True, help="matrix JSON file")
-    p.add_argument("--max-level", type=int, default=None)
+    p = sub.add_parser("screen", parents=[matrix, level],
+                       help="certify a candidate matrix")
     p.set_defaults(func=cmd_screen)
 
-    p = sub.add_parser("sweep", help="two-cell witness sweep")
+    p = sub.add_parser("sweep", parents=[out],
+                       help="two-cell witness sweep, one JSON line per "
+                            "candidate")
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", default=None,
-                   help="JSON-lines output file (default stdout)")
     p.set_defaults(func=cmd_sweep)
 
     po = sub.add_parser("oracle", help="brute-force checks on explicit objects")
     osub = po.add_subparsers(dest="oracle_command", required=True)
 
-    p = osub.add_parser("verify", help="is a partition equitable?")
-    p.add_argument("--partition", required=True)
+    p = osub.add_parser("verify", parents=[partition],
+                        help="is a partition equitable?")
     p.set_defaults(func=cmd_oracle_verify)
 
-    p = osub.add_parser("triangle", help="triangle table by brute force")
-    p.add_argument("--partition", required=True)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p = osub.add_parser("triangle", parents=[partition, *table_out],
+                        help="triangle table by brute force")
     p.add_argument("--force", action="store_true",
                    help="override the n <= 6 cost cap")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_oracle_triangle)
 
-    p = osub.add_parser("interweight", help="anchored table by brute force")
-    p.add_argument("--partition", required=True)
+    p = osub.add_parser("interweight", parents=[partition, *table_out],
+                        help="anchored table by brute force")
     p.add_argument("--vertex", type=int, required=True)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--force", action="store_true",
                    help="override the n <= 7 cost cap")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_oracle_interweight)
 
-    p = osub.add_parser("invariance",
+    p = osub.add_parser("invariance", parents=[partition],
                         help="are anchored tables constant on cells?")
-    p.add_argument("--partition", required=True)
     p.set_defaults(func=cmd_oracle_invariance)
 
-    p = osub.add_parser("search",
+    p = osub.add_parser("search", parents=[matrix],
                         help="find partitions realizing a matrix")
-    p.add_argument("--input", required=True, help="matrix JSON file")
     p.add_argument("--limit", type=int, default=1)
     p.add_argument("--pin", action="append", default=[],
                    metavar="VERTEX:CELL",
                    help="force an assignment (repeatable)")
     p.set_defaults(func=cmd_oracle_search)
 
-    p = osub.add_parser("ps-verify", help="check a rational vertex structure")
-    p.add_argument("--structure", required=True, help="structure JSON file")
-    p.add_argument("--input", required=True, help="matrix JSON file")
+    p = osub.add_parser("ps-verify", parents=[structure, matrix],
+                        help="check a rational vertex structure")
     p.set_defaults(func=cmd_oracle_ps_verify)
 
-    p = osub.add_parser("ps-table",
+    p = osub.add_parser("ps-table", parents=[structure, matrix, level,
+                                             *table_out],
                         help="propagate a structure's triangle table")
-    p.add_argument("--structure", required=True, help="structure JSON file")
-    p.add_argument("--input", required=True, help="matrix JSON file")
-    p.add_argument("--max-level", type=int, default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_oracle_ps_table)
 
     return parser
@@ -498,10 +455,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        return 0 if code in (0, None) else 64
+        return 0 if exc.code in (0, None) else 64
     try:
-        return args.func(args)
+        with _open_out(getattr(args, "out", None)) as out:
+            return args.func(args, out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 64

@@ -66,11 +66,11 @@ class TensorVector:
         self.m = m
         self.entries = entries
 
-    @classmethod
+    @staticmethod
     @lru_cache(maxsize=None)
-    def zero(cls, m: int) -> "TensorVector":
+    def zero(m: int) -> "TensorVector":
         """The zero vector for m cells, one shared instance per m."""
-        return cls(m, (0,) * m ** 3)
+        return TensorVector(m, (0,) * m ** 3)
 
     @classmethod
     def unit(cls, m: int, triple: tuple[int, int, int]) -> "TensorVector":

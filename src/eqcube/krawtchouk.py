@@ -144,7 +144,8 @@ class TriPoly:
         return out
 
     def specialize_n(self, n_value: int) -> dict[tuple[int, int, int], Fraction]:
-        """Collapse the n variable at a fixed dimension."""
+        """Collapse the n variable at a nonnegative dimension."""
+        check_dimension(n_value)
         out: dict[tuple[int, int, int], Fraction] = {}
         for (dx, dy, dz, dn), c in self.terms.items():
             key = (dx, dy, dz)
@@ -231,6 +232,13 @@ def falling_factorial(p: TriPoly, length: int) -> TriPoly:
     for t in range(length):
         out = out * (p - TriPoly.const(t))
     return out
+
+
+def check_dimension(n_value: int) -> None:
+    """Refuse a negative dimension; callable before any route runs."""
+    if n_value < 0:
+        raise ValueError(f"negative dimension n = {n_value} "
+                         f"(--n on the command line)")
 
 
 def _check_parts(r1: int, r2: int, r3: int) -> None:

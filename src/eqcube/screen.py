@@ -39,8 +39,8 @@ class Certificate:
     fails structural validation everything else is None.
     """
 
-    matrix: tuple[tuple[int, ...], ...]
     n: int
+    matrix: tuple[tuple[int, ...], ...]
     verdict: str
     validation_error: str | None
     feasibility: FeasibilityReport | None
@@ -66,7 +66,7 @@ def certify(S, n: int, max_level: int | None = None) -> Certificate:
         Q = validate_quotient(rows, n)
         report = feasibility_conditions(Q)
     except InvalidQuotient as exc:
-        return Certificate(matrix=rows, n=n, verdict="nonexistent",
+        return Certificate(n=n, matrix=rows, verdict="nonexistent",
                            validation_error=str(exc), feasibility=None,
                            first_violation=None, violations_found=0,
                            levels_scanned=-1)
@@ -82,7 +82,7 @@ def certify(S, n: int, max_level: int | None = None) -> Certificate:
     verdict = ("nonexistent"
                if first is not None or report.verdict == "rejected"
                else "candidate")
-    return Certificate(matrix=rows, n=n, verdict=verdict,
+    return Certificate(n=n, matrix=rows, verdict=verdict,
                        validation_error=None, feasibility=report,
                        first_violation=first, violations_found=total,
                        levels_scanned=levels)
@@ -166,8 +166,11 @@ def sweep_ci(n_max: int, jobs: int = 1) -> SweepReport:
     Candidates are independent; with jobs > 1 they are farmed out to a
     process pool of `worker_count(jobs, #candidates)` workers and
     collected in enumeration order, so the report is identical for any
-    job count.
+    job count.  Rejects n_max < 1 before any work, and jobs < 1 through
+    `worker_count`.
     """
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     params = enumerate_ci_candidates(n_max)
     workers = worker_count(jobs, len(params))
     if workers > 1:

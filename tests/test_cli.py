@@ -150,6 +150,33 @@ def test_sweep_opens_out_before_sweeping(tmp_path, capsys, monkeypatch):
     assert f"cannot write {target}" in captured.err
 
 
+
+@pytest.mark.parametrize("command, work", [
+    (["table", "--input", "MATRIX"], "eqcube.recursion.build_table"),
+    (["oracle", "triangle", "--partition", "PARTITION"],
+     "eqcube.oracle.brute_triangle"),
+    (["oracle", "interweight", "--partition", "PARTITION", "--vertex", "0"],
+     "eqcube.oracle.brute_interweight"),
+    (["oracle", "ps-table", "--structure", "STRUCTURE", "--input", "ALL1"],
+     "eqcube.recursion.build_table"),
+])
+def test_table_commands_open_out_before_work(write_doc, tmp_path, capsys,
+                                             monkeypatch, command, work):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built the table before --out was opened")
+    monkeypatch.setattr(work, refuse)
+    files = {"MATRIX": write_doc("pair.json", PAIR_MATRIX),
+             "PARTITION": write_doc("pair-partition.json", PAIR_PARTITION),
+             "STRUCTURE": write_doc("plain.json", PS_PLAIN),
+             "ALL1": write_doc("all1.json", ALL1_MATRIX)}
+    target = tmp_path / "missing" / "table.json"
+    argv = [files.get(a, a) for a in command]
+    assert main(argv + ["--out", str(target)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cannot write {target}" in captured.err
+
+
 def test_table_rejects_excessive_level(write_doc, capsys):
     path = write_doc("pair.json", PAIR_MATRIX)
     assert main(["table", "--input", path, "--max-level", "9"]) == 64
@@ -206,6 +233,19 @@ def test_poly_rejects_negative_dimension(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--n" in captured.err
+
+
+
+def test_poly_refuses_negative_dimension_before_any_route(capsys,
+                                                          monkeypatch):
+    def route(*r):
+        raise AssertionError("built a polynomial before refusing --n")
+    monkeypatch.setattr("eqcube.cli._POLY_METHODS",
+                        dict.fromkeys(("recursion", "direct", "genfun"),
+                                      route))
+    assert main(["poly", "--r1", "40", "--r2", "0", "--r3", "0",
+                 "--n", "-1"]) == 64
+    assert "negative dimension" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("method", ["recursion", "direct", "genfun", "all"])
@@ -383,6 +423,31 @@ def test_unknown_subcommand_is_usage_error(capsys):
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
+
+
+
+SHARED_OPTIONS = ("--input", "--partition", "--structure", "--max-level",
+                  "--format", "--out")
+
+
+@pytest.mark.parametrize("command, options", [
+    (["table"], {"--input", "--max-level", "--format", "--out"}),
+    (["poly"], set()),
+    (["screen"], {"--input", "--max-level"}),
+    (["sweep"], {"--out"}),
+    (["oracle", "verify"], {"--partition"}),
+    (["oracle", "triangle"], {"--partition", "--format", "--out"}),
+    (["oracle", "interweight"], {"--partition", "--format", "--out"}),
+    (["oracle", "invariance"], {"--partition"}),
+    (["oracle", "search"], {"--input"}),
+    (["oracle", "ps-verify"], {"--structure", "--input"}),
+    (["oracle", "ps-table"],
+     {"--structure", "--input", "--max-level", "--format", "--out"}),
+])
+def test_subcommand_help_names_its_shared_options(capsys, command, options):
+    assert main(command + ["--help"]) == 0
+    out = capsys.readouterr().out
+    assert {o for o in SHARED_OPTIONS if o in out} == options
 
 
 # -- sweep -------------------------------------------------------------------

@@ -73,6 +73,7 @@ def test_tensor_vector_arithmetic():
     assert (w - v) / 3 == u
     assert (-u + u).is_zero()
     assert TensorVector.zero(2).is_zero()
+    assert TensorVector.zero(2) is TensorVector.zero(2)
     with pytest.raises(ValueError):
         u + TensorVector.zero(3)
 

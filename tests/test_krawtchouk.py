@@ -110,6 +110,12 @@ def test_specialize_n():
     assert at4 == {(0, 0, 2): Fraction(1, 2), (0, 0, 0): Fraction(-2)}
 
 
+
+def test_specialize_n_refuses_a_negative_dimension():
+    with pytest.raises(ValueError, match="negative dimension n = -3"):
+        poly_recursive(0, 0, 2).specialize_n(-3)
+
+
 def test_classical_krawtchouk_small_cases():
     assert classical_krawtchouk(0).render() == "1"
     assert classical_krawtchouk(1).render() == "-2*x + n"

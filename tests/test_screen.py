@@ -161,6 +161,17 @@ def test_worker_count_is_clamped_to_cpus_and_tasks(monkeypatch):
             sweep_ci(2, jobs=bad)
 
 
+
+@pytest.mark.parametrize("n_max", [0, -3])
+def test_sweep_refuses_n_max_below_one_before_enumerating(monkeypatch, n_max):
+    def enumerate_ci_candidates(n_max):
+        raise AssertionError("enumerated before refusing n_max")
+    monkeypatch.setattr("eqcube.screen.enumerate_ci_candidates",
+                        enumerate_ci_candidates)
+    with pytest.raises(ValueError, match="n_max must be at least 1"):
+        sweep_ci(n_max)
+
+
 def test_sweep_empty_range():
     report = sweep_ci(2)
     assert report.total == 0
