@@ -673,6 +673,22 @@ def test_table_output_bytes_are_pinned(write_doc, capsys, flags, digest):
     assert hashlib.sha256(out).hexdigest() == digest
 
 
+@pytest.mark.parametrize("kind, digest", [
+    ("triangle", "4e01615f36a728dcb1dfe373964142d3"
+                 "7b7dc187adeb0e139e95f69fed5b84af"),
+    ("interweight", "40dd5135b957b5e0f9bfbb0365f6356c"
+                    "0e4d6331d3987a1b25e6069ea2fad5d1"),
+])
+def test_fractional_table_output_bytes_are_pinned(write_doc, capsys, kind,
+                                                  digest):
+    # cell sizes 32/5 and 48/5: the entries are Fractions and ints mixed,
+    # so the digest pins the number rule of the division back from U
+    path = write_doc("fifths4.json", {"n": 4, "S": [[1, 3], [2, 2]]})
+    assert main(["table", "--input", path, "--kind", kind]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
 @pytest.mark.parametrize("argv, digest", [
     (["oracle", "triangle", "--partition", "PARTITION"],
      "8499b12d4d2969cd3dd5570d9c16ab0a"

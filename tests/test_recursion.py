@@ -337,6 +337,38 @@ def test_cross_check_finding_lists_are_pinned(kind, triple, index, companion,
             rep.pairing_mismatches, rep.marginal_mismatches) == expected
 
 
+# +1 at (1, 1, 1) of every triple of one orbit keeps every symmetry, so
+# the audit must find the broken routes at the orbit's other triples too,
+# not only at its representative.
+@pytest.mark.parametrize("kind, orbit, derivations, marginals", [
+    (TRIANGLE, [(1, 1, 0), (1, 0, 1), (0, 1, 1)],
+     [((0, 1, 1), 2), ((0, 1, 1), 3), ((1, 0, 1), 1), ((1, 0, 1), 3),
+      ((1, 1, 0), 1), ((1, 1, 0), 2), ((0, 1, 2), 2), ((0, 1, 2), 3),
+      ((0, 2, 1), 2), ((0, 2, 1), 3), ((1, 0, 2), 1), ((1, 0, 2), 3),
+      ((1, 1, 1), 1), ((1, 1, 1), 2), ((1, 1, 1), 3), ((1, 2, 0), 1),
+      ((1, 2, 0), 2), ((2, 0, 1), 1), ((2, 0, 1), 3), ((2, 1, 0), 1),
+      ((2, 1, 0), 2)],
+     [((0, 1, 1), 1), ((1, 0, 1), 1), ((1, 1, 0), 1)]),
+    (INTERWEIGHT, [(0, 1, 0), (0, 0, 1)],
+     [((0, 0, 1), 3), ((0, 1, 0), 2), ((0, 0, 2), 3), ((0, 1, 1), 2),
+      ((0, 1, 1), 3), ((0, 2, 0), 2), ((1, 0, 1), 1), ((1, 0, 1), 3),
+      ((1, 1, 0), 1), ((1, 1, 0), 2), ((0, 0, 3), 3), ((0, 1, 2), 3),
+      ((0, 2, 1), 2), ((0, 3, 0), 2), ((2, 0, 1), 1), ((2, 1, 0), 1)],
+     [((0, 0, 1), 1), ((0, 1, 0), 1)]),
+], ids=["triangle", "interweight"])
+def test_cross_check_symmetric_tamper_lists_are_pinned(kind, orbit,
+                                                       derivations,
+                                                       marginals):
+    bad = dict(build_table(Q_PAIR, kind).entries)
+    for triple in orbit:
+        bad[triple] = bad[triple] + TensorVector.unit(2, (1, 1, 1))
+    rep = cross_check(DistributionTable(kind=kind, n=3, m=2, entries=bad),
+                      Q_PAIR)
+    assert (rep.derivation_mismatches, rep.symmetry_mismatches,
+            rep.pairing_mismatches, rep.marginal_mismatches) == (
+        derivations, [], [], marginals)
+
+
 def test_scan_violations_negative_list_is_pinned():
     Q = validate_quotient([[0, 5], [3, 2]], 5)
     by_triple = {
