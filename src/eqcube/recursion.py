@@ -40,13 +40,31 @@ with k = n-a-b-c+2,
 with coefficients (c, a, k(b-1)) and (b, a, k(c-1)) when climbing b
 and c, so every U is an integer vector and no step divides.  Exact
 rationals appear only at the edge: `build_table` divides each U by its
-scale once, under `exact_linalg`'s number rule (an int where the
-quotient is exact and a Fraction otherwise).
+scale once per orbit, under `exact_linalg`'s number rule (an int
+where the quotient is exact and a Fraction otherwise).
+
+The engine derives one triple per symmetry orbit.  The three-variable
+Krawtchouk polynomial behind the identities satisfies
+P^{s(r)}(x_s) = P^r(x) for every permutation s of its three variables,
+so when the level-0 vector has a symmetry the whole table has it:
+X^{s(r)}_{s(ijk)} = X^r_{ijk}.  Triangle tables have all six slot
+permutations; interweight tables only the exchange of the two legs
+(r2 <-> r3, j <-> k), since L1 differs from L2 and L3.  So only the
+representatives r1 >= r2 >= r3 (triangle) or r2 >= r3 (interweight)
+are climbed, and every other triple of a level is a permutation of the
+entries of its representative's vector: O(m^3) moves in place of an
+O(m^4) lift.  This is exact, not a second route: the scaled step is
+equivariant, because climbing part p of t and part s(p) of s(t) use the
+same coefficients on permuted neighbors.  A level-0 vector without the
+symmetries of its kind is refused with ValueError; every standard one
+(the size and unit diagonals, `oracle.ps_initial_triangle`, a sum of
+tensor cubes) has them.
 
 Any triple with two or three positive parts is reachable by several
 routes; `cross_check` verifies that all of them agree and checks the
 index symmetries, the T = W * D' relation and exact multinomial
-marginals on top.
+marginals on top.  By the same equivariance, on a table with its
+symmetries the routes of the representatives speak for all triples.
 
 For a partition that actually exists every T entry is a count
 divisible by the anchor cell size, so a negative or non-integral entry
@@ -195,18 +213,85 @@ class DistributionTable:
         return sorted(self.entries, key=lambda t: (sum(t), t))
 
 
+# The symmetries of each kind, as (label, order) pairs: the order o
+# takes a triple t to (t[o[0]], t[o[1]], t[o[2]]) and an index to the
+# index permuted alike.  Triangle tables have the swap and the cyclic
+# shift, which generate all six slot permutations; interweight tables,
+# anchored in the first slot, only the exchange of the two legs.
+_SYMMETRIES = {
+    TRIANGLE: (("swap", (1, 0, 2)), ("cyclic", (1, 2, 0))),
+    INTERWEIGHT: (("exchange", (0, 2, 1)),),
+}
+
+_IDENTITY = (0, 1, 2)
+
+
+@lru_cache(maxsize=None)
+def _slot_map(m: int, order: tuple[int, int, int]) -> tuple[int, ...]:
+    """For each flat position, the flat position of its index permuted
+    by `order`: index (i1, i2, i3) goes to (i_o[0], i_o[1], i_o[2])."""
+    return tuple(flat_index(m, *(index[o] for o in order))
+                 for index in iter_index_triples(m))
+
+
+def _permuted(vec: TensorVector, order: tuple[int, int, int]) -> TensorVector:
+    """The vector of triple t, given the vector of (t[o[0]], t[o[1]],
+    t[o[2]]) in a table with the symmetry o: X^t_idx = X^{t o}_{idx o}."""
+    return TensorVector(vec.m, map(vec.entries.__getitem__,
+                                   _slot_map(vec.m, order)))
+
+
+def _orbit_order(kind: str, triple: Triple) -> tuple[int, int, int]:
+    """The order o taking a triple t to the representative of its orbit,
+    (t[o[0]], t[o[1]], t[o[2]]) with the parts descending (triangle) or
+    the legs descending (interweight).  Ties keep the slot order, so
+    this is _IDENTITY exactly at a representative."""
+    a, b, c = triple
+    if kind == INTERWEIGHT:
+        return _IDENTITY if b >= c else (0, 2, 1)
+    if a >= b:
+        return _IDENTITY if b >= c else (0, 2, 1) if a >= c else (2, 0, 1)
+    return (1, 0, 2) if a >= c else (1, 2, 0) if b >= c else (2, 1, 0)
+
+
+def _level_orbits(kind: str, level: int
+                  ) -> list[tuple[Triple, Triple, tuple[int, int, int]]]:
+    """(triple, representative, order) for each triple of a level, in
+    `iter_triples_of_level` order."""
+    out = []
+    for triple in iter_triples_of_level(level):
+        o = _orbit_order(kind, triple)
+        out.append((triple, (triple[o[0]], triple[o[1]], triple[o[2]]), o))
+    return out
+
+
+def _fill_level(orbits, reps: Mapping[Triple, TensorVector]
+                ) -> dict[Triple, TensorVector]:
+    """Every triple of a level from its representatives' vectors."""
+    return {triple: reps[rep] if order == _IDENTITY
+            else _permuted(reps[rep], order)
+            for triple, rep, order in orbits}
+
+
 def iter_table_levels(Q: QuotientMatrix, kind: str,
                       initial: TensorVector,
                       max_level: int) -> Iterator[dict[Triple, TensorVector]]:
     """Yield the scaled table one level at a time, keeping two levels of
     state.
 
-    Each level maps its triples to integer vectors
-    U^t = t1! t2! t3! D T^t, with D = common_denominator(initial); level
-    0 is D * initial.
+    Each level maps its triples, in `iter_triples_of_level` order, to
+    integer vectors U^t = t1! t2! t3! D T^t, with
+    D = common_denominator(initial); level 0 is D * initial.  Only the
+    representative of each symmetry orbit is derived; the other triples
+    are its permutations.  Raises ValueError, before level 0, when the
+    initial vector lacks the symmetries of the kind.
     """
     n = Q.n
     lifts = lifts_for(Q, kind)
+    for label, order in _SYMMETRIES[kind]:
+        if _permuted(initial, order) != initial:
+            raise ValueError(f"initial vector lacks the {label} symmetry "
+                             f"of a {kind} table")
     D = common_denominator(initial)
     prev: dict[Triple, TensorVector] = {}
     # D clears every denominator of the initial vector, so int() is exact
@@ -215,10 +300,11 @@ def iter_table_levels(Q: QuotientMatrix, kind: str,
     yield cur
     for level in range(1, max_level + 1):
         known = {**prev, **cur}
-        prev, cur = cur, {
-            triple: derive_entry(known, lifts, n, triple,
-                                 canonical_via(triple))
-            for triple in iter_triples_of_level(level)}
+        orbits = _level_orbits(kind, level)
+        reps = {triple: derive_entry(known, lifts, n, triple,
+                                     canonical_via(triple))
+                for triple, _, order in orbits if order == _IDENTITY}
+        prev, cur = cur, _fill_level(orbits, reps)
         yield cur
 
 
@@ -237,9 +323,12 @@ def build_table(Q: QuotientMatrix, kind: str = TRIANGLE,
                 initial: TensorVector | None = None) -> DistributionTable:
     """Construct the full distribution table up to max_level (default n).
 
-    Entries are exact: each scaled vector from `iter_table_levels` is
-    divided by its scale with `/`, giving ints where the quotient is
-    integral and Fractions elsewhere.
+    Entries are exact: the scaled vector of each orbit representative
+    from `iter_table_levels` is divided by its scale with `/`, giving
+    ints where the quotient is integral and Fractions elsewhere, and the
+    rest of the orbit is permuted from it (every triple of an orbit has
+    the same scale).  Raises ValueError for an initial vector without
+    the symmetries of the kind, as `iter_table_levels` does.
     """
     n = Q.n
     max_level = table_depth(max_level, n)
@@ -250,9 +339,12 @@ def build_table(Q: QuotientMatrix, kind: str = TRIANGLE,
         raise ValueError(f"initial vector has m={initial.m}, matrix m={Q.m}")
     D = common_denominator(initial)
     entries: dict[Triple, TensorVector] = {}
-    for level_entries in iter_table_levels(Q, kind, initial, max_level):
-        for triple, U in level_entries.items():
-            entries[triple] = U / entry_scale(triple, D)
+    levels = iter_table_levels(Q, kind, initial, max_level)
+    for level, level_entries in enumerate(levels):
+        orbits = _level_orbits(kind, level)
+        entries.update(_fill_level(orbits, {
+            triple: level_entries[triple] / entry_scale(triple, D)
+            for triple, _, order in orbits if order == _IDENTITY}))
     return DistributionTable(kind=kind, n=n, m=Q.m, entries=entries,
                              standard_initial=standard)
 
@@ -349,7 +441,12 @@ def cross_check(table: DistributionTable, Q: QuotientMatrix,
     """Audit a table against every identity it must satisfy.
 
     (a) every alternative climbing route reproduces the stored vector
-        (compared in the engine's scaled form U, see `scaled_entries`);
+        (compared in the engine's scaled form U, see `scaled_entries`).
+        The routes of the orbit representatives are re-derived first;
+        when they all agree and (b) finds nothing, the routes of every
+        other triple are permutations of theirs and agree too.  Only
+        otherwise are all routes of all triples re-derived, so the list
+        names every mismatching route either way;
     (b) index symmetries.  Triangle tables count unordered structure, so
         both the swap and the cyclic relabeling hold:
         X^{r1,r2,r3}_{ijk} = X^{r2,r1,r3}_{jik} = X^{r2,r3,r1}_{jki}.
@@ -368,41 +465,38 @@ def cross_check(table: DistributionTable, Q: QuotientMatrix,
     lifts = lifts_for(Q, table.kind)
     n, m = table.n, table.m
     checks = ["derivations", "symmetry"]
-
-    deriv: list[tuple[Triple, int]] = []
-    scaled = scaled_entries(table)
-    for triple in table.triples():
-        if sum(triple) == 0:
-            continue
-        for via in (1, 2, 3):
-            if triple[via - 1] <= 0:
-                continue
-            redone = derive_entry(scaled, lifts, n, triple, via)
-            if redone != scaled[triple]:
-                deriv.append((triple, via))
+    triples = table.triples()
 
     sym: list[tuple[Triple, tuple[int, int, int], str]] = []
     indices = list(iter_index_triples(m))
-    if table.kind == TRIANGLE:
-        orders = (("swap", (1, 0, 2)), ("cyclic", (1, 2, 0)))
-    else:
-        orders = (("exchange", (0, 2, 1)),)
-    # an order permutes the parts of the triple and the slots of the index
-    # alike; its map takes each flat position to that of the permuted index
-    maps = [[flat_index(m, *(index[o] for o in order)) for index in indices]
-            for _, order in orders]
-    for triple in table.triples():
+    orders = _SYMMETRIES[table.kind]
+    for triple in triples:
         vec = table.entries[triple].entries
-        images = []
-        for (label, order), pmap in zip(orders, maps):
-            mate = table.entries[tuple(triple[o] for o in order)].entries
-            images.append((label, tuple(map(mate.__getitem__, pmap))))
+        images = [(label, _permuted(
+            table.entries[tuple(triple[o] for o in order)], order).entries)
+                  for label, order in orders]
         if all(image == vec for _, image in images):
             continue
         for p, index in enumerate(indices):
             for label, image in images:
                 if vec[p] != image[p]:
                     sym.append((triple, index, label))
+
+    scaled = scaled_entries(table)
+
+    def route_mismatches(audited: list[Triple]) -> list[tuple[Triple, int]]:
+        return [(triple, via) for triple in audited if sum(triple)
+                for via in (1, 2, 3) if triple[via - 1] > 0
+                and derive_entry(scaled, lifts, n, triple, via)
+                != scaled[triple]]
+
+    # on a symmetric table the routes of a triple are its representative's
+    # routes permuted, so the representatives speak for their orbits
+    deriv = route_mismatches([
+        triple for triple in triples
+        if _orbit_order(table.kind, triple) == _IDENTITY])
+    if sym or deriv:
+        deriv = route_mismatches(triples)
 
     pairing: list[Triple] = []
     if companion is not None:

@@ -6,9 +6,10 @@ climbing unscaled T vectors over Fractions:
   a T^{a,b,c} = T^{a-1,b,c} L1 - (b+1) T^{a-1,b+1,c-1}
                 - (c+1) T^{a-1,b-1,c+1} - (n-a-b-c+2) T^{a-2,b,c}
 
-and cyclically for parts 2 and 3.  It shares only the lifts and the
-route choice with the engine, so `build_table` and `hunt_witness`, which
-climb scaled integer vectors, must agree with it exactly.
+and cyclically for parts 2 and 3, at every triple.  It shares only the
+lifts and the route choice with the engine, so `build_table` and
+`hunt_witness`, which climb scaled integer vectors at one triple per
+symmetry orbit and permute the rest, must agree with it exactly.
 """
 
 import random
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from eqcube.exact_linalg import TensorVector, apply_lift
+from eqcube.exact_linalg import TensorVector, apply_lift, iter_index_triples
 from eqcube.krawtchouk import eval_at_lifts, poly_recursive
 from eqcube.oracle import PerfectStructure, ps_initial_triangle
 from eqcube.quotient import QuotientError, cell_sizes, validate_quotient
@@ -187,3 +188,33 @@ def test_seeded_candidates_agree_on_value_and_type():
                 image = eval_at_lifts(poly_recursive(*t), Q, kind).entries
                 assert image == vec.entries, (Q, kind, t)
                 assert list(map(type, image)) == list(map(type, vec.entries))
+
+
+def random_symmetric_initial(rng, m, kind):
+    """A seeded rational level-0 vector with the symmetries of the kind:
+    a sum of u (x) v (x) v over random rational rows, with u = v (tensor
+    cubes, symmetric in all three slots) for a triangle table and u free
+    (symmetric in the two legs only) for an interweight table."""
+    def row():
+        return [Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+                for _ in range(m)]
+    entries = [0] * m ** 3
+    for _ in range(rng.randint(1, 3)):
+        v = row()
+        u = v if kind == TRIANGLE else row()
+        for p, (i, j, k) in enumerate(iter_index_triples(m)):
+            entries[p] += u[i - 1] * v[j - 1] * v[k - 1]
+    return TensorVector(m, entries)
+
+
+def test_seeded_symmetric_initials_match_fraction_reference():
+    # the engine derives one triple per symmetry orbit and permutes the
+    # rest; the reference derives every triple, so any slip in an orbit's
+    # permutation shows as a differing entry
+    rng = random.Random(20132)
+    candidates = random_candidates(rng, 2, 3) + random_candidates(rng, 3, 3)
+    for Q in candidates:
+        for kind in (TRIANGLE, INTERWEIGHT):
+            initial = random_symmetric_initial(rng, Q.m, kind)
+            table = build_table(Q, kind, initial=initial)
+            assert_same_entries(table, reference_table(Q, kind, initial))

@@ -7,6 +7,7 @@ import pytest
 
 from eqcube.exact_linalg import TensorVector, iter_index_triples
 from eqcube.oracle import singleton_partition, verify_equitable
+from eqcube import recursion
 from eqcube.quotient import cell_sizes, validate_quotient
 from eqcube.recursion import (INTERWEIGHT, TRIANGLE, DistributionTable,
                               build_table, canonical_via, common_denominator,
@@ -228,6 +229,35 @@ def test_cross_check_skips_marginals_for_external_initial():
     rep = cross_check(t, Q_PAIR)
     assert rep.checks_run == ("derivations", "symmetry")
     assert rep.ok
+
+
+# (1, 1, 2) alone has no symmetry; (1, 2, 2) alone has the leg exchange
+# but not the swap of slots 1 and 2
+ASYMMETRIC = TensorVector.unit(2, (1, 1, 2))
+LEGS_ONLY = TensorVector.unit(2, (1, 2, 2))
+
+
+@pytest.mark.parametrize("kind, initial", [
+    (TRIANGLE, ASYMMETRIC), (INTERWEIGHT, ASYMMETRIC), (TRIANGLE, LEGS_ONLY),
+], ids=["triangle", "interweight", "triangle-legs-only"])
+def test_initial_vector_without_the_kinds_symmetry_is_refused(
+        monkeypatch, kind, initial):
+    derived = []
+    monkeypatch.setattr(recursion, "derive_entry",
+                        lambda *args: derived.append(args))
+    levels = iter_table_levels(Q_PAIR, kind, initial, 3)
+    with pytest.raises(ValueError, match="symmetry"):
+        next(levels)
+    with pytest.raises(ValueError, match="symmetry"):
+        build_table(Q_PAIR, kind, initial=initial)
+    assert derived == []
+
+
+def test_leg_exchange_suffices_for_an_interweight_table():
+    table = build_table(Q_PAIR, INTERWEIGHT, initial=LEGS_ONLY)
+    assert table.entries[(0, 0, 0)] == LEGS_ONLY
+    assert len(table.entries) == 20
+    assert cross_check(table, Q_PAIR).ok
 
 
 def _tampered_pair_table(kind, triple, index):
