@@ -43,28 +43,29 @@ rationals appear only at the edge: `build_table` divides each U by its
 scale once per orbit, under `exact_linalg`'s number rule (an int
 where the quotient is exact and a Fraction otherwise).
 
-The engine derives one triple per symmetry orbit.  The three-variable
-Krawtchouk polynomial behind the identities satisfies
+Both families inherit the symmetries of their level-0 vector.  The
+three-variable Krawtchouk polynomial behind the identities satisfies
 P^{s(r)}(x_s) = P^r(x) for every permutation s of its three variables,
 so when the level-0 vector has a symmetry the whole table has it:
 X^{s(r)}_{s(ijk)} = X^r_{ijk}.  Triangle tables have all six slot
 permutations; interweight tables only the exchange of the two legs
-(r2 <-> r3, j <-> k), since L1 differs from L2 and L3.  So only the
-representatives r1 >= r2 >= r3 (triangle) or r2 >= r3 (interweight)
-are climbed, and every other triple of a level is a permutation of the
-entries of its representative's vector: O(m^3) moves in place of an
-O(m^4) lift.  This is exact, not a second route: the scaled step is
-equivariant, because climbing part p of t and part s(p) of s(t) use the
-same coefficients on permuted neighbors.  A level-0 vector without the
-symmetries of its kind is refused with ValueError; every standard one
-(the size and unit diagonals, `oracle.ps_initial_triangle`, a sum of
-tensor cubes) has them.
+(r2 <-> r3, j <-> k), since L1 differs from L2 and L3.  The scaled
+step is equivariant: climbing part p of t and part s(p) of s(t) use
+the same coefficients on permuted neighbors.  Every triple of an orbit
+has the same scale, so `build_table` divides only the representative
+r1 >= r2 >= r3 (triangle) or r2 >= r3 (interweight) of each orbit and
+permutes the quotient to the rest, O(m^3) moves in place of m^3
+big-integer divisions.  It refuses with ValueError a level-0 vector
+without the symmetries of its kind; every standard one (the size and
+unit diagonals, `oracle.ps_initial_triangle`, a sum of tensor cubes)
+has them.  The climb itself derives every triple.
 
 Any triple with two or three positive parts is reachable by several
 routes; `cross_check` verifies that all of them agree and checks the
 index symmetries, the T = W * D' relation and exact multinomial
-marginals on top.  By the same equivariance, on a table with its
-symmetries the routes of the representatives speak for all triples.
+marginals on top.  By the equivariance of the step, on a table with
+its symmetries the routes of the representatives speak for all
+triples.
 
 For a partition that actually exists every T entry is a count
 divisible by the anchor cell size, so a negative or non-integral entry
@@ -77,7 +78,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exact_linalg import (LiftedMatrix, TensorVector, apply_lift, diag_lift,
                            exact_quotient, flat_index, iter_index_triples,
@@ -254,23 +255,24 @@ def _orbit_order(kind: str, triple: Triple) -> tuple[int, int, int]:
     return (1, 0, 2) if a >= c else (1, 2, 0) if b >= c else (2, 1, 0)
 
 
-def _level_orbits(kind: str, level: int
-                  ) -> list[tuple[Triple, Triple, tuple[int, int, int]]]:
-    """(triple, representative, order) for each triple of a level, in
-    `iter_triples_of_level` order."""
-    out = []
-    for triple in iter_triples_of_level(level):
+def _orbits(kind: str, triples: Iterable[Triple]
+            ) -> tuple[list[Triple],
+                       list[tuple[Triple, Triple, tuple[int, int, int]]]]:
+    """The orbit representatives among `triples`, and (triple,
+    representative, order) for each of them, both in the order given."""
+    plan = []
+    for triple in triples:
         o = _orbit_order(kind, triple)
-        out.append((triple, (triple[o[0]], triple[o[1]], triple[o[2]]), o))
-    return out
+        plan.append((triple, (triple[o[0]], triple[o[1]], triple[o[2]]), o))
+    return [triple for triple, _, o in plan if o == _IDENTITY], plan
 
 
-def _fill_level(orbits, reps: Mapping[Triple, TensorVector]
-                ) -> dict[Triple, TensorVector]:
-    """Every triple of a level from its representatives' vectors."""
+def _fill(plan, reps: Mapping[Triple, TensorVector]
+          ) -> dict[Triple, TensorVector]:
+    """Every triple of an orbit plan from its representatives' vectors."""
     return {triple: reps[rep] if order == _IDENTITY
             else _permuted(reps[rep], order)
-            for triple, rep, order in orbits}
+            for triple, rep, order in plan}
 
 
 def iter_table_levels(Q: QuotientMatrix, kind: str,
@@ -279,19 +281,12 @@ def iter_table_levels(Q: QuotientMatrix, kind: str,
     """Yield the scaled table one level at a time, keeping two levels of
     state.
 
-    Each level maps its triples, in `iter_triples_of_level` order, to
-    integer vectors U^t = t1! t2! t3! D T^t, with
-    D = common_denominator(initial); level 0 is D * initial.  Only the
-    representative of each symmetry orbit is derived; the other triples
-    are its permutations.  Raises ValueError, before level 0, when the
-    initial vector lacks the symmetries of the kind.
+    Each level maps its triples to integer vectors
+    U^t = t1! t2! t3! D T^t, with D = common_denominator(initial); level
+    0 is D * initial.
     """
     n = Q.n
     lifts = lifts_for(Q, kind)
-    for label, order in _SYMMETRIES[kind]:
-        if _permuted(initial, order) != initial:
-            raise ValueError(f"initial vector lacks the {label} symmetry "
-                             f"of a {kind} table")
     D = common_denominator(initial)
     prev: dict[Triple, TensorVector] = {}
     # D clears every denominator of the initial vector, so int() is exact
@@ -300,11 +295,10 @@ def iter_table_levels(Q: QuotientMatrix, kind: str,
     yield cur
     for level in range(1, max_level + 1):
         known = {**prev, **cur}
-        orbits = _level_orbits(kind, level)
-        reps = {triple: derive_entry(known, lifts, n, triple,
-                                     canonical_via(triple))
-                for triple, _, order in orbits if order == _IDENTITY}
-        prev, cur = cur, _fill_level(orbits, reps)
+        prev, cur = cur, {
+            triple: derive_entry(known, lifts, n, triple,
+                                 canonical_via(triple))
+            for triple in iter_triples_of_level(level)}
         yield cur
 
 
@@ -323,12 +317,12 @@ def build_table(Q: QuotientMatrix, kind: str = TRIANGLE,
                 initial: TensorVector | None = None) -> DistributionTable:
     """Construct the full distribution table up to max_level (default n).
 
-    Entries are exact: the scaled vector of each orbit representative
-    from `iter_table_levels` is divided by its scale with `/`, giving
+    Entries are exact: the scaled vector from `iter_table_levels` of
+    each orbit representative is divided by its scale with `/`, giving
     ints where the quotient is integral and Fractions elsewhere, and the
-    rest of the orbit is permuted from it (every triple of an orbit has
-    the same scale).  Raises ValueError for an initial vector without
-    the symmetries of the kind, as `iter_table_levels` does.
+    quotient is permuted to the rest of the orbit.  Raises ValueError,
+    before any level is derived, for an initial vector without the
+    symmetries of the kind.
     """
     n = Q.n
     max_level = table_depth(max_level, n)
@@ -337,14 +331,20 @@ def build_table(Q: QuotientMatrix, kind: str = TRIANGLE,
         initial = default_initial(Q, kind)
     elif initial.m != Q.m:
         raise ValueError(f"initial vector has m={initial.m}, matrix m={Q.m}")
+    if kind not in _SYMMETRIES:
+        raise ValueError(f"unknown table kind {kind!r}")
+    for label, order in _SYMMETRIES[kind]:
+        if _permuted(initial, order) != initial:
+            raise ValueError(f"initial vector lacks the {label} symmetry "
+                             f"of a {kind} table")
     D = common_denominator(initial)
     entries: dict[Triple, TensorVector] = {}
-    levels = iter_table_levels(Q, kind, initial, max_level)
-    for level, level_entries in enumerate(levels):
-        orbits = _level_orbits(kind, level)
-        entries.update(_fill_level(orbits, {
+    for level, level_entries in enumerate(
+            iter_table_levels(Q, kind, initial, max_level)):
+        reps, plan = _orbits(kind, iter_triples_of_level(level))
+        entries.update(_fill(plan, {
             triple: level_entries[triple] / entry_scale(triple, D)
-            for triple, _, order in orbits if order == _IDENTITY}))
+            for triple in reps}))
     return DistributionTable(kind=kind, n=n, m=Q.m, entries=entries,
                              standard_initial=standard)
 
@@ -411,13 +411,14 @@ def scaled_entries(table: DistributionTable) -> dict[Triple, TensorVector]:
     """The table's vectors in the engine's scaled form U = r1! r2! r3! D T,
     with D the common denominator of its level-0 vector."""
     D = common_denominator(table.entries[(0, 0, 0)])
-    out = {}
-    for triple, vec in table.entries.items():
-        s = entry_scale(triple, D)
-        out[triple] = TensorVector(table.m, (
-            exact_quotient(e.numerator * s, e.denominator)
-            for e in vec.entries))
-    return out
+    return {triple: _scaled(vec, entry_scale(triple, D))
+            for triple, vec in table.entries.items()}
+
+
+def _scaled(vec: TensorVector, s: int) -> TensorVector:
+    """s * vec, for a scale s that clears every denominator of vec."""
+    return TensorVector(vec.m, (exact_quotient(e.numerator * s, e.denominator)
+                                for e in vec.entries))
 
 
 @dataclass
@@ -442,11 +443,13 @@ def cross_check(table: DistributionTable, Q: QuotientMatrix,
 
     (a) every alternative climbing route reproduces the stored vector
         (compared in the engine's scaled form U, see `scaled_entries`).
-        The routes of the orbit representatives are re-derived first;
-        when they all agree and (b) finds nothing, the routes of every
-        other triple are permutations of theirs and agree too.  Only
-        otherwise are all routes of all triples re-derived, so the list
-        names every mismatching route either way;
+        The routes of the orbit representatives are re-derived first.
+        When (b) finds nothing, the scaled vectors of every other triple
+        are permutations of theirs (only the representatives are
+        scaled), and since the step is equivariant so are its routes,
+        which then agree too.  Only when (b) or a representative fails
+        are all routes of all triples re-derived, so the list names
+        every mismatching route either way;
     (b) index symmetries.  Triangle tables count unordered structure, so
         both the swap and the cyclic relabeling hold:
         X^{r1,r2,r3}_{ijk} = X^{r2,r1,r3}_{jik} = X^{r2,r3,r1}_{jki}.
@@ -482,7 +485,16 @@ def cross_check(table: DistributionTable, Q: QuotientMatrix,
                 if vec[p] != image[p]:
                     sym.append((triple, index, label))
 
-    scaled = scaled_entries(table)
+    reps, plan = _orbits(table.kind, triples)
+    if sym:
+        scaled = scaled_entries(table)
+    else:
+        # every triple of an orbit has its representative's scale, so a
+        # table with its symmetries scales by permuting the representatives
+        D = common_denominator(table.entries[(0, 0, 0)])
+        scaled = _fill(plan, {triple: _scaled(table.entries[triple],
+                                              entry_scale(triple, D))
+                              for triple in reps})
 
     def route_mismatches(audited: list[Triple]) -> list[tuple[Triple, int]]:
         return [(triple, via) for triple in audited if sum(triple)
@@ -492,9 +504,7 @@ def cross_check(table: DistributionTable, Q: QuotientMatrix,
 
     # on a symmetric table the routes of a triple are its representative's
     # routes permuted, so the representatives speak for their orbits
-    deriv = route_mismatches([
-        triple for triple in triples
-        if _orbit_order(table.kind, triple) == _IDENTITY])
+    deriv = route_mismatches(reps)
     if sym or deriv:
         deriv = route_mismatches(triples)
 

@@ -8,8 +8,9 @@ climbing unscaled T vectors over Fractions:
 
 and cyclically for parts 2 and 3, at every triple.  It shares only the
 lifts and the route choice with the engine, so `build_table` and
-`hunt_witness`, which climb scaled integer vectors at one triple per
-symmetry orbit and permute the rest, must agree with it exactly.
+`hunt_witness`, which climb scaled integer vectors (and `build_table`
+divides one triple per symmetry orbit and permutes the quotient), must
+agree with it exactly.
 """
 
 import random
@@ -208,9 +209,9 @@ def random_symmetric_initial(rng, m, kind):
 
 
 def test_seeded_symmetric_initials_match_fraction_reference():
-    # the engine derives one triple per symmetry orbit and permutes the
-    # rest; the reference derives every triple, so any slip in an orbit's
-    # permutation shows as a differing entry
+    # build_table divides one triple per symmetry orbit and permutes the
+    # quotient; the reference climbs every triple, so any slip in an
+    # orbit's permutation shows as a differing entry
     rng = random.Random(20132)
     candidates = random_candidates(rng, 2, 3) + random_candidates(rng, 3, 3)
     for Q in candidates:
