@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from eqcube.cli import main, parse_rational, render_value, InputError
-from eqcube.oracle import parity_partition
+from eqcube.oracle import parity_partition, singleton_partition
 from eqcube.quotient import validate_quotient
 from eqcube.recursion import TRIANGLE, build_table
 from eqcube.screen import SweepCandidate
@@ -715,6 +715,40 @@ def test_oracle_table_output_bytes_are_pinned(write_doc, capsys, argv,
              "STRUCTURE": write_doc("mixed.json", PS_MIXED),
              "MATRIX": write_doc("all1.json", ALL1_MATRIX)}
     assert main([files.get(a, a) for a in argv]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
+@pytest.mark.parametrize("partition, flags, digest", [
+    (parity_partition(5), ["triangle"],
+     "e9f0633b51df2e0a6840f338cb9c9e69"
+     "09c2d03b919c131f06dc6376b70e1410"),
+    (parity_partition(5), ["triangle", "--format", "csv"],
+     "c9a049430f82798ce58c421b9d7c10df"
+     "d414bb4311af0e954761ab058ce8a010"),
+    (parity_partition(5), ["interweight", "--vertex", "5"],
+     "fda92e85252b8f10673a4b05c2fdf22c"
+     "ea65d517c2b4c9ce68de338c4a61edad"),
+    (singleton_partition(3), ["triangle"],
+     "c713ffd119f175e5198c05f6195b9d37"
+     "6d2f9d93c708e2c9c3a7d671783d2fa9"),
+    (singleton_partition(3), ["triangle", "--format", "csv"],
+     "18d60d141204e463c96ad847c8fb5bdf"
+     "47bece22aafc222238e53a038521d77a"),
+    (singleton_partition(3), ["interweight", "--vertex", "5"],
+     "2663766664f75c376e84d7a04364747f"
+     "8f9a7b2646add5f822ef756df1655612"),
+], ids=["parity5-json", "parity5-csv", "parity5-anchor5",
+        "single3-json", "single3-csv", "single3-anchor5"])
+def test_larger_oracle_table_output_bytes_are_pinned(write_doc, capsys,
+                                                     partition, flags,
+                                                     digest):
+    # SHA-256 of stdout for the brute-force tables of the parity 5-cube
+    # (32768 triples) and the singleton 3-cube (m = 8, 512 entries per
+    # triple), so a counting kernel must reproduce them byte for byte
+    path = write_doc("partition.json", {"n": partition.n, "m": partition.m,
+                                        "cells": partition.cells()})
+    assert main(["oracle", flags[0], "--partition", path] + flags[1:]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == digest
 
