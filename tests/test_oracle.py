@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from eqcube.exact_linalg import TensorVector, iter_index_triples
+from eqcube.exact_linalg import (TensorVector, flat_index,
+                                 iter_index_triples)
 from eqcube.oracle import (NotEquitable, PartitionInstance, PerfectStructure,
                            _triple_index, brute_interweight, brute_triangle,
                            distance_distribution, hamming, multi_neighborhood,
@@ -41,6 +42,16 @@ def test_triple_index_solves_the_distance_system_on_the_4_cube():
                 assert min(r1, r2, r3) >= 0
                 assert (hamming(x, y), hamming(v, y), hamming(v, x)) == (
                     r2 + r3, r1 + r3, r1 + r2), (v, x, y)
+
+
+def test_triple_index_reads_only_differences_on_the_4_cube():
+    # the counting kernel's premise: translating a triple by its first
+    # vertex keeps the index, for all 16^3 ordered triples
+    for v in range(16):
+        for x in range(16):
+            for y in range(16):
+                assert _triple_index(v, x, y) == _triple_index(
+                    0, v ^ x, v ^ y), (v, x, y)
 
 
 def test_partition_instance_validation():
@@ -139,6 +150,57 @@ def test_brute_interweight_anchored_slices():
     assert brute_interweight(PAIR, 7).entries == t0.entries
     t1 = brute_interweight(PAIR, 1)
     assert t1.entries[(0, 0, 0)].get(2, 2, 2) == 1
+
+
+def _naive_counts(P, anchors):
+    """Per-triple flat counts of every pair (x, y) at the given anchors,
+    one `_triple_index` call per ordered triple."""
+    size = 1 << P.n
+    counts = {}
+    for v in anchors:
+        for x in range(size):
+            for y in range(size):
+                vec = counts.setdefault(_triple_index(v, x, y),
+                                        [0] * P.m ** 3)
+                vec[flat_index(P.m, P.color[v], P.color[x],
+                               P.color[y])] += 1
+    return counts
+
+
+def _uneven_partition(rng, n, m):
+    """Every vertex a seeded random cell, each of the m cells used, redrawn
+    until the colouring is not equitable (m >= 2 and 2^n > m)."""
+    while True:
+        color = [rng.randint(1, m) for _ in range(1 << n)]
+        if len(set(color)) < m:
+            continue
+        P = PartitionInstance(n=n, m=m, color=tuple(color))
+        try:
+            verify_equitable(P)
+        except NotEquitable:
+            return P
+
+
+def _assert_counts(table, counts):
+    zero = [0] * table.m ** 3
+    assert set(counts) <= set(table.entries)
+    for t, vec in table.entries.items():
+        assert list(vec.entries) == counts.get(t, zero), t
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_brute_tables_match_a_naive_count_on_random_colourings(m):
+    # seeded colourings that are not equitable (the one-cell colouring
+    # for m = 1), so no symmetry of an equitable partition can hide a
+    # miscount: brute_triangle, and the anchored table at every vertex,
+    # against a plain loop over every ordered triple
+    rng = random.Random(20261019 + m)
+    for n in range(m.bit_length(), 5):
+        P = (PartitionInstance(n=n, m=1, color=(1,) * (1 << n)) if m == 1
+             else _uneven_partition(rng, n, m))
+        _assert_counts(brute_triangle(P), _naive_counts(P, range(1 << n)))
+        for v in range(1 << n):
+            _assert_counts(brute_interweight(P, v), _naive_counts(P, [v]))
 
 
 def test_strong_invariance_holds_on_equitable_fixtures():
