@@ -8,7 +8,9 @@ coordinates where v, x and y stand alone.  Everything here counts
 directly over vertex tuples, with no recursion and no lifts, so it can
 stand against the analytic machinery as an independent witness.  Costs
 are exponential (8^n vertex triples for the triangle count), hence the
-hard caps with an explicit override flag.
+hard caps with an explicit override flag.  The table counts still visit
+all 8^n triples, looking each index up by XOR difference
+(`_offset_table`).
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .exact_linalg import TensorVector, flat_index
@@ -165,22 +169,58 @@ def spectrum_of_multiset(X: "Mapping[int, int] | Iterable[int]",
     return tuple(out)
 
 
+def _table_triples(n: int) -> list[Triple]:
+    """The triples of levels 0..n in table order."""
+    return [t for level in range(n + 1) for t in iter_triples_of_level(level)]
+
+
 def _empty_counts(n: int, m: int) -> dict[Triple, list]:
-    return {t: [0] * m ** 3 for level in range(n + 1)
-            for t in iter_triples_of_level(level)}
+    return {t: [0] * m ** 3 for t in _table_triples(n)}
+
+
+@lru_cache(maxsize=None)
+def _offset_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """offsets[a][b]: the position in `_table_triples(n)` of
+    `_triple_index(0, a, b)`.
+
+    `_triple_index(v, x, y)` reads only XORs of its vertices, so it
+    equals `_triple_index(0, v ^ x, v ^ y)` and this one table serves
+    every anchor.  Cached per n; it holds 4^n small ints, 262144 at the
+    invariance bound n = 9.
+    """
+    position = {t: p for p, t in enumerate(_table_triples(n))}
+    size = 1 << n
+    return tuple(tuple(position[_triple_index(0, a, b)] for b in range(size))
+                 for a in range(size))
 
 
 def _count_anchored(P: PartitionInstance, v: int,
                     counts: dict[Triple, list]) -> None:
     """Add every vertex pair (x, y) anchored at v to `counts`, in the
-    slice i = color(v)."""
+    slice i = color(v).
+
+    `counts` is laid out as `_empty_counts` makes it.  The pair
+    (v ^ a, v ^ b) gets the key slot * T + offsets[a][b], where T is the
+    number of triples and slot the flat position of its cell triple
+    (color(v), color(v ^ a), color(v ^ b)); one Counter tallies all 4^n
+    keys, so every pair is still counted one by one.
+    """
     m, color = P.m, P.color
     size = 1 << P.n
-    for x in range(size):
-        # entry (color(v), color(x), k) sits at base + k
-        base = flat_index(m, color[v], color[x], 1) - 1
-        for y in range(size):
-            counts[_triple_index(v, x, y)][base + color[y]] += 1
+    offsets = _offset_table(P.n)
+    vecs = list(counts.values())
+    T = len(vecs)
+    ycolor = [color[v ^ b] for b in range(size)]
+    # keys[j][b]: slot * T for the cell triple (color(v), j, color(v ^ b))
+    keys = {}
+    for j in set(ycolor):
+        base = flat_index(m, color[v], j, 1) - 1
+        keys[j] = [(base + k) * T for k in ycolor]
+    tally = Counter(itertools.chain.from_iterable(
+        map(add, offsets[a], keys[color[v ^ a]]) for a in range(size)))
+    for key, c in tally.items():
+        slot, p = divmod(key, T)
+        vecs[p][slot] += c
 
 
 def brute_triangle(P: PartitionInstance, force: bool = False) -> DistributionTable:
@@ -371,7 +411,7 @@ def ps_brute_interweight(PS: PerfectStructure, v: int) -> dict[Triple, TensorVec
     if not 0 <= v < size:
         raise ValueError(f"vertex {v} outside the {n}-cube")
     counts: dict[Triple, list] = {
-        t: [Fraction(0)] * m ** 3 for t in _empty_counts(n, m)}
+        t: [Fraction(0)] * m ** 3 for t in _table_triples(n)}
     anchor = PS.values[v]
     for x in range(size):
         for y in range(size):
