@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .exact_linalg import exact_quotient, mat_identity, mat_mul
@@ -74,6 +75,7 @@ def validate_quotient(S: Sequence[Sequence[int]], n: int) -> QuotientMatrix:
     return QuotientMatrix(n=n, rows=rows)
 
 
+@lru_cache(maxsize=64)
 def cell_sizes(Q: QuotientMatrix) -> tuple:
     """Cell sizes forced by |C_i| S_ij = |C_j| S_ji and sum = 2^n.
 
@@ -83,6 +85,9 @@ def cell_sizes(Q: QuotientMatrix) -> tuple:
     InvalidQuotient if some cycle gives contradictory ratios.  Each size
     follows the number rule of `exact_linalg.exact_quotient`: an int
     where integral, else a Fraction, which callers decide the meaning of.
+    Cached per matrix, as `recursion.lifts_for` is: every table built from
+    one matrix shares the tuple.  A refusal is not cached; it is raised
+    again on every call.
     """
     m = Q.m
     S = Q.rows
