@@ -16,6 +16,7 @@ all 8^n triples, looking each index up by XOR difference
 from __future__ import annotations
 
 import itertools
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -179,18 +180,20 @@ def _empty_counts(n: int, m: int) -> dict[Triple, list]:
 
 
 @lru_cache(maxsize=None)
-def _offset_table(n: int) -> tuple[tuple[int, ...], ...]:
+def _offset_table(n: int) -> tuple[array, ...]:
     """offsets[a][b]: the position in `_table_triples(n)` of
     `_triple_index(0, a, b)`.
 
     `_triple_index(v, x, y)` reads only XORs of its vertices, so it
     equals `_triple_index(0, v ^ x, v ^ y)` and this one table serves
-    every anchor.  Cached per n; it holds 4^n small ints, 262144 at the
-    invariance bound n = 9.
+    every anchor.  Cached per n; it holds 4^n two-byte ints: 262144
+    (512 KiB) at the invariance bound n = 9, 512 MiB at n = 14, which
+    only a forced `brute_interweight` reaches.
     """
     position = {t: p for p, t in enumerate(_table_triples(n))}
     size = 1 << n
-    return tuple(tuple(position[_triple_index(0, a, b)] for b in range(size))
+    return tuple(array("H", (position[_triple_index(0, a, b)]
+                             for b in range(size)))
                  for a in range(size))
 
 
