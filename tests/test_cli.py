@@ -301,6 +301,19 @@ def test_screen_contradictory_size_ratios_exit_two(write_doc, capsys):
     assert doc["feasibility"] is None
 
 
+def test_screen_pins_the_inconsistent_ratio_message(write_doc, capsys):
+    # the cycle 1-3-2 forces cell 2 to 9/2 of cell 1 against the 1/2 its
+    # tree edge gave
+    path = write_doc("cycle.json",
+                     {"n": 4, "S": [[0, 1, 3], [2, 0, 2], [1, 3, 0]]})
+    assert main(["screen", "--input", path]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["validation_error"] == ("inconsistent size ratios around "
+                                       "cells 3 and 2: 1/2 vs 9/2")
+    assert doc["feasibility"] is None
+    assert doc["levels_scanned"] == -1
+
+
 # -- input failures ----------------------------------------------------------
 
 @pytest.mark.parametrize("S", [

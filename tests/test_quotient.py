@@ -1,9 +1,12 @@
 """Quotient matrix validation, cell sizes, spectra, feasibility."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from eqcube.exact_linalg import exact_quotient
 from eqcube.oracle import singleton_partition, verify_equitable
 from eqcube.quotient import (InvalidQuotient, SizesUndetermined, cell_sizes,
                              char_poly, feasibility_conditions, min_poly,
@@ -193,3 +196,116 @@ def test_cell_sizes_are_ints_where_integral():
     fifths = cell_sizes(validate_quotient([[0, 3], [2, 1]], 3))
     assert fifths == (Fraction(16, 5), Fraction(24, 5))
     assert all(type(s) is Fraction for s in fifths)
+
+
+def _reference_cell_sizes(Q):
+    """The Fraction propagation `cell_sizes` used before it decided in
+    integers: the same traversal, ratios to cell 1 as Fractions."""
+    m, S = Q.m, Q.rows
+    ratio = [None] * m
+    ratio[0] = Fraction(1)
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in range(m):
+            if i == j or S[i][j] == 0:
+                continue
+            forced = ratio[i] * Fraction(S[i][j], S[j][i])
+            if ratio[j] is None:
+                ratio[j] = forced
+                stack.append(j)
+            elif ratio[j] != forced:
+                raise InvalidQuotient(
+                    f"inconsistent size ratios around cells "
+                    f"{i + 1} and {j + 1}: {ratio[j]} vs {forced}")
+    if any(r is None for r in ratio):
+        missing = [i + 1 for i, r in enumerate(ratio) if r is None]
+        raise SizesUndetermined(
+            f"support graph is disconnected; cells {missing} unreachable "
+            f"from cell 1")
+    total = sum(ratio)
+    return tuple(exact_quotient(2 ** Q.n * r, total) for r in ratio)
+
+
+def _random_quotient(rng, m, n, consistent):
+    """Rows summing to n over a random symmetric support.  With
+    `consistent`, S_ij = k c_j and S_ji = k c_i for weights c, so every
+    cycle agrees (sizes proportional to c); otherwise the off-diagonal
+    entries are free and most cycles contradict each other."""
+    c = [rng.randint(1, 3) for _ in range(m)]
+    rows = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            if rng.random() < 0.6:
+                if consistent:
+                    k = rng.randint(1, 2)
+                    rows[i][j], rows[j][i] = k * c[j], k * c[i]
+                else:
+                    rows[i][j], rows[j][i] = rng.randint(1, 4), rng.randint(1, 4)
+    if any(sum(row) > n for row in rows):
+        return None
+    for i in range(m):
+        rows[i][i] = n - sum(rows[i])
+    return validate_quotient(rows, n)
+
+
+def test_cell_sizes_match_a_fraction_reference():
+    # seeded matrices with m = 1..5 and n <= 12: tree, cyclic and
+    # disconnected supports, cycles that agree and cycles that do not;
+    # sizes must match in value and type, refusals in class and message
+    rng = random.Random(20131)
+    seen = Counter()
+    for _ in range(3000):
+        m, n = rng.randint(1, 5), rng.randint(1, 12)
+        Q = _random_quotient(rng, m, n, consistent=rng.random() < 0.5)
+        if Q is None:
+            continue
+        edges = sum(1 for i in range(m) for j in range(i + 1, m)
+                    if Q.rows[i][j])
+        try:
+            want = _reference_cell_sizes(Q)
+        except (InvalidQuotient, SizesUndetermined) as exc:
+            with pytest.raises(type(exc)) as got:
+                cell_sizes(Q)
+            assert type(got.value) is type(exc)
+            assert str(got.value) == str(exc)
+            seen[type(exc).__name__] += 1
+            continue
+        got = cell_sizes(Q)
+        assert got == want
+        assert [type(s) for s in got] == [type(s) for s in want]
+        seen["cyclic" if edges >= m else "tree"] += 1
+        seen["fractional" if any(type(s) is Fraction for s in got)
+             else "integral"] += 1
+    assert min(seen[k] for k in ("InvalidQuotient", "SizesUndetermined",
+                                 "cyclic", "tree", "fractional",
+                                 "integral")) >= 20, seen
+
+
+def test_cell_sizes_accept_a_consistent_cycle():
+    # full support on three cells: the cycle 1-2-3 agrees and fixes
+    # equal sizes
+    sizes = cell_sizes(validate_quotient([[0, 2, 2], [2, 0, 2], [2, 2, 0]], 4))
+    assert sizes == (Fraction(16, 3),) * 3
+    assert all(type(s) is Fraction for s in sizes)
+    assert cell_sizes(validate_quotient([[0, 3, 3], [3, 0, 3], [3, 3, 0]],
+                                        6)) == (Fraction(64, 3),) * 3
+    # sizes in ratio 1 : 2 : 1 around the same full support
+    sizes = cell_sizes(validate_quotient([[1, 2, 1], [1, 2, 1], [1, 2, 1]], 4))
+    assert sizes == (4, 8, 4)
+    assert all(type(s) is int for s in sizes)
+
+
+INCONSISTENT3 = [[0, 1, 3], [2, 0, 2], [1, 3, 0]]
+
+
+def test_inconsistent_cycle_message_is_pinned():
+    Q = validate_quotient(INCONSISTENT3, 4)
+    with pytest.raises(InvalidQuotient) as exc:
+        cell_sizes(Q)
+    assert str(exc.value) == ("inconsistent size ratios around cells 3 "
+                              "and 2: 1/2 vs 9/2")
+    with pytest.raises(InvalidQuotient) as exc:
+        feasibility_conditions(Q)
+    assert str(exc.value) == ("inconsistent size ratios around cells 3 "
+                              "and 2: 1/2 vs 9/2")
