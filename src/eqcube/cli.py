@@ -216,10 +216,12 @@ def cmd_table(args: argparse.Namespace, out) -> int:
     return 0
 
 
+# --method all runs the routes in this order: routes 2 and 3 refuse
+# above a lower degree than route 1, so they refuse before it runs
 _POLY_METHODS = {
-    "recursion": krawtchouk.poly_recursive,
     "direct": krawtchouk.poly_direct,
     "genfun": krawtchouk.genfun_coeff,
+    "recursion": krawtchouk.poly_recursive,
 }
 
 

@@ -241,16 +241,21 @@ def check_dimension(n_value: int) -> None:
                          f"(--n on the command line)")
 
 
-def _check_parts(r1: int, r2: int, r3: int) -> None:
-    """Refuse a negative part, or a degree r1 + r2 + r3 above 200: the
-    cap of all three routes.  Route 1 recurses one level per degree, two
-    stack entries a level on Python 3.11, where it overflows the default
-    recursion limit near degree 500; at 200 it takes about 19 s."""
+def _check_parts(r1: int, r2: int, r3: int, bound: int = 200) -> None:
+    """Refuse a negative part, or a degree r1 + r2 + r3 above 200 or
+    above `bound`.  200 caps all three routes: route 1 recurses one level
+    per degree, two stack entries a level on Python 3.11, where it
+    overflows the default recursion limit near degree 500; at 200 it
+    takes about 19 s.  Routes 2 and 3 pass bound=12 for their cost."""
     if min(r1, r2, r3) < 0:
         raise ValueError(f"negative part in ({r1}, {r2}, {r3})")
     if r1 + r2 + r3 > 200:
         raise ValueError(f"degree r1 + r2 + r3 = {r1 + r2 + r3} exceeds "
                          f"the cap of 200")
+    if r1 + r2 + r3 > bound:
+        raise ValueError(f"degree r1 + r2 + r3 = {r1 + r2 + r3} exceeds "
+                         f"the bound of {bound} of routes 2 and 3 "
+                         f"(direct and genfun)")
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +337,11 @@ def poly_direct(r1: int, r2: int, r3: int) -> TriPoly:
     only on the total each argument receives, so the three splits are
     convolved by those totals into integer weights, each multiplying one
     shared `_ff_product`; one exact division ends the sum.
+
+    Refuses, with ValueError, a degree r1 + r2 + r3 above 12 before any
+    work: (12, 0, 0) and (4, 4, 4) take 8-9 s, degree 20 runs past 60 s.
     """
-    _check_parts(r1, r2, r3)
+    _check_parts(r1, r2, r3, bound=12)
     weights: dict[tuple[int, int, int], int] = {(0, 0, 0): 1}
     for t, r in enumerate((r1, r2, r3)):
         nxt: dict[tuple[int, int, int], int] = {}
@@ -369,8 +377,12 @@ def genfun_coeff(r1: int, r2: int, r3: int) -> TriPoly:
     exponent, so every entry is an integer polynomial.  The factor terms
     of one total degree share their _scaled_ff, which multiplies their
     weighted sum once.
+
+    Refuses, with ValueError, a degree r1 + r2 + r3 above 12 before any
+    work: (4, 4, 4) takes about 4 s, (5, 5, 4) 13 s, and degree 20 runs
+    past 60 s.
     """
-    _check_parts(r1, r2, r3)
+    _check_parts(r1, r2, r3, bound=12)
     box = [(a, b, c) for a in range(r1 + 1) for b in range(r2 + 1)
            for c in range(r3 + 1)]
     acc: dict[tuple[int, int, int], TriPoly] = {(0, 0, 0): ONE}

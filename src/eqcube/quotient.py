@@ -75,46 +75,62 @@ def validate_quotient(S: Sequence[Sequence[int]], n: int) -> QuotientMatrix:
     return QuotientMatrix(n=n, rows=rows)
 
 
+def _ratio_text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for a reduced ratio with den > 0."""
+    return f"{num}" if den == 1 else f"{num}/{den}"
+
+
 @lru_cache(maxsize=64)
 def cell_sizes(Q: QuotientMatrix) -> tuple:
     """Cell sizes forced by |C_i| S_ij = |C_j| S_ji and sum = 2^n.
 
-    Sizes are propagated along a spanning tree of the support graph and
-    every non-tree support edge is checked for consistency.  Raises
-    SizesUndetermined if the support graph is disconnected and
-    InvalidQuotient if some cycle gives contradictory ratios.  Each size
-    follows the number rule of `exact_linalg.exact_quotient`: an int
-    where integral, else a Fraction, which callers decide the meaning of.
-    Cached per matrix, as `recursion.lifts_for` is: every table built from
-    one matrix shares the tuple.  A refusal is not cached; it is raised
-    again on every call.
+    Each cell's size ratio to cell 1 is propagated along a spanning tree
+    of the support graph as a reduced pair of integers (num, den), and
+    every non-tree support edge is checked by cross-multiplying; the
+    only Fractions built are fractional sizes, and a refusal prints each
+    ratio as str(Fraction) would.  Raises SizesUndetermined if the
+    support graph is disconnected and InvalidQuotient if some cycle
+    gives contradictory ratios.  Each size follows the number rule of
+    `exact_linalg.exact_quotient`: an int where integral, else a
+    Fraction, which callers decide the meaning of.  Cached per matrix,
+    as `recursion.lifts_for` is: every table built from one matrix
+    shares the tuple.  A refusal is not cached; it is raised again on
+    every call.
     """
     m = Q.m
     S = Q.rows
-    ratio: list[Fraction | None] = [None] * m
-    ratio[0] = Fraction(1)
+    # ratio of cell i to cell 1 is num[i] / den[i]; num 0 marks a cell
+    # not reached yet (every reached ratio is positive)
+    num = [1] + [0] * (m - 1)
+    den = [1] * m
     stack = [0]
     while stack:
         i = stack.pop()
-        for j in range(m):
-            if i == j or S[i][j] == 0:
+        p, q = num[i], den[i]
+        for j, s_ij in enumerate(S[i]):
+            if i == j or s_ij == 0:
                 continue
-            # S_ji > 0 by support symmetry
-            forced = ratio[i] * Fraction(S[i][j], S[j][i])
-            if ratio[j] is None:
-                ratio[j] = forced
+            # forced ratio a / b; S_ji > 0 by support symmetry
+            a, b = p * s_ij, q * S[j][i]
+            if num[j] == 0:
+                g = math.gcd(a, b)
+                num[j], den[j] = a // g, b // g
                 stack.append(j)
-            elif ratio[j] != forced:
+            elif num[j] * b != den[j] * a:
+                g = math.gcd(a, b)
                 raise InvalidQuotient(
                     f"inconsistent size ratios around cells "
-                    f"{i + 1} and {j + 1}: {ratio[j]} vs {forced}")
-    if any(r is None for r in ratio):
-        missing = [i + 1 for i, r in enumerate(ratio) if r is None]
+                    f"{i + 1} and {j + 1}: {_ratio_text(num[j], den[j])} "
+                    f"vs {_ratio_text(a // g, b // g)}")
+    if 0 in num:
+        missing = [i + 1 for i, r in enumerate(num) if r == 0]
         raise SizesUndetermined(
             f"support graph is disconnected; cells {missing} unreachable "
             f"from cell 1")
-    total = sum(ratio)
-    return tuple(exact_quotient(2 ** Q.n * r, total) for r in ratio)
+    lcm = math.lcm(*den)
+    weights = [r * (lcm // d) for r, d in zip(num, den)]
+    total = sum(weights)
+    return tuple(exact_quotient(2 ** Q.n * w, total) for w in weights)
 
 
 def char_poly(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -249,6 +265,12 @@ def feasibility_conditions(Q: QuotientMatrix) -> FeasibilityReport:
     2^n b/(b+c) must be integers), and when b != c (oriented so b > c,
     swapping the two cells if needed) a correlation-immunity bound
     requires c - a <= n/3, checked exactly as 3(c - a) <= n.
+
+    A disconnected support is listed as a failure, but support size
+    ratios that contradict each other are not: `cell_sizes` raises
+    InvalidQuotient for them and so does this function, since such a
+    matrix is no quotient matrix (`screen.certify` turns it into a
+    validation error).
     """
     failures: list[str] = []
     sizes: tuple | None

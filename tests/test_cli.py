@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from eqcube import cli
 from eqcube.cli import main, parse_rational, render_value, InputError
 from eqcube.oracle import parity_partition, singleton_partition
 from eqcube.quotient import validate_quotient
@@ -256,6 +257,26 @@ def test_poly_refuses_degree_above_the_cap(capsys, method):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "r1 + r2 + r3 = 600 exceeds the cap of 200" in captured.err
+
+
+@pytest.mark.parametrize("method", ["direct", "genfun", "all"])
+def test_poly_refuses_sum_routes_past_degree_twelve(capsys, monkeypatch,
+                                                     method):
+    # route 1 alone would answer at degree 20; `all` must refuse before it
+    def route(*r):
+        raise AssertionError("ran route 1 before refusing")
+    monkeypatch.setitem(cli._POLY_METHODS, "recursion", route)
+    assert main(["poly", "--r1", "20", "--r2", "0", "--r3", "0",
+                 "--method", method]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "r1 + r2 + r3 = 20 exceeds the bound of 12" in captured.err
+
+
+def test_poly_recursion_runs_past_degree_twelve(capsys):
+    assert main(["poly", "--r1", "20", "--r2", "0", "--r3", "0",
+                 "--method", "recursion"]) == 0
+    assert capsys.readouterr().out.startswith("(x^20")
 
 
 # -- screen ------------------------------------------------------------------

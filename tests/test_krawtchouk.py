@@ -77,6 +77,28 @@ def test_negative_indices_rejected():
             fn(0, -1, 2)
 
 
+@pytest.mark.parametrize("fn", [poly_direct, genfun_coeff])
+def test_sum_routes_refuse_past_degree_twelve_before_any_work(monkeypatch,
+                                                              fn):
+    # the shared integer kernel raises if a route gets as far as using it
+    def kernel(f, length):
+        raise AssertionError("route ran")
+    monkeypatch.setattr("eqcube.krawtchouk._scaled_ff", kernel)
+    for triple in [(13, 0, 0), (5, 5, 4), (0, 0, 20), (7, 7, 6)]:
+        with pytest.raises(ValueError, match="exceeds the bound of 12"):
+            fn(*triple)
+    # degree 12 is accepted: the route starts work
+    for triple in [(12, 0, 0), (4, 4, 4)]:
+        with pytest.raises(AssertionError, match="route ran"):
+            fn(*triple)
+
+
+def test_recursion_keeps_the_cap_of_200():
+    assert poly_recursive(20, 0, 0).render().startswith("(x^20")
+    with pytest.raises(ValueError, match="cap of 200"):
+        poly_recursive(201, 0, 0)
+
+
 def test_cyclic_symmetry():
     # P^{a,b,c}(x,y,z) equals P^{b,c,a}(y,z,x)
     for (a, b, c) in _triples_with_sum_at_most(4):
