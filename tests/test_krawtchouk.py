@@ -93,12 +93,6 @@ def test_sum_routes_refuse_past_degree_twelve_before_any_work(monkeypatch,
             fn(*triple)
 
 
-def test_recursion_keeps_the_cap_of_200():
-    assert poly_recursive(20, 0, 0).render().startswith("(x^20")
-    with pytest.raises(ValueError, match="cap of 200"):
-        poly_recursive(201, 0, 0)
-
-
 def test_cyclic_symmetry():
     # P^{a,b,c}(x,y,z) equals P^{b,c,a}(y,z,x)
     for (a, b, c) in _triples_with_sum_at_most(4):
