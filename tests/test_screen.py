@@ -1,7 +1,11 @@
 """Certification outcomes and the two-cell sweep on frozen candidates."""
 
+import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -176,3 +180,50 @@ def test_sweep_empty_range():
     report = sweep_ci(2)
     assert report.total == 0
     assert report.candidates == ()
+
+
+# -- cold start --------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+PRINT_MODULES = "print(json.dumps(sorted(sys.modules)))"
+
+# imports the package and the CLI, screens a matrix and sweeps serially,
+# then prints the loaded modules; a two-worker sweep after that must
+# import the pool from cold and match the serial report
+COLD_SCRIPT = f"""
+import json, os, sys
+sys.path.insert(0, sys.argv[1])
+import eqcube
+import eqcube.cli
+from eqcube.screen import sweep_ci
+status = eqcube.cli.main(["screen", "--input", sys.argv[2]])
+assert status == 0, status
+sweep_ci(5)
+{PRINT_MODULES}
+if (os.cpu_count() or 1) > 1:
+    assert sweep_ci(11, jobs=2) == sweep_ci(11)
+    assert "concurrent.futures.process" in sys.modules
+"""
+
+
+def loaded_pool_modules(tmp_path, *args):
+    """Pool modules loaded by `python -I *args`, which must end by
+    printing its sys.modules as a JSON list."""
+    done = subprocess.run([sys.executable, "-I", *args], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    modules = json.loads(done.stdout.splitlines()[-1])
+    return {m for m in modules
+            if m.split(".")[0] in ("concurrent", "multiprocessing")}
+
+
+def test_cold_import_loads_no_process_pool(tmp_path):
+    matrix = tmp_path / "pair.json"
+    matrix.write_text(json.dumps({"n": 3, "S": [[0, 3], [1, 2]]}),
+                      encoding="utf-8")
+    # a site .pth may load pool modules into every interpreter
+    baseline = loaded_pool_modules(tmp_path, "-c",
+                                   f"import json, sys; {PRINT_MODULES}")
+    cold = loaded_pool_modules(tmp_path, "-c", COLD_SCRIPT,
+                               str(SRC), str(matrix))
+    assert sorted(cold - baseline) == []
