@@ -12,14 +12,15 @@ immunity bound (oriented b > c >= 1, exactly 3(c - a) > n), and hunts
 the r1 = 0 plane of each triangle table for a negative entry at index
 (1, 1, 1), stopping at the first hit per candidate.  The point of the
 sweep is that every such candidate is expected to produce a witness;
-records without one are flagged loudly.
+records without one are flagged loudly.  The process pool, and with it
+`multiprocessing`, is imported on first use, only when a sweep starts
+more than one worker.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -166,14 +167,17 @@ def sweep_ci(n_max: int, jobs: int = 1) -> SweepReport:
     Candidates are independent; with jobs > 1 they are farmed out to a
     process pool of `worker_count(jobs, #candidates)` workers and
     collected in enumeration order, so the report is identical for any
-    job count.  Rejects n_max < 1 before any work, and jobs < 1 through
-    `worker_count`.
+    job count.  The pool (and with it `multiprocessing`) is imported
+    here on first use, only when more than one worker starts.  Rejects
+    n_max < 1 before any work, and jobs < 1 through `worker_count`.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     params = enumerate_ci_candidates(n_max)
     workers = worker_count(jobs, len(params))
     if workers > 1:
+        # imported here: the pool's import would cost every process start
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(hunt_witness, params, chunksize=1))
     else:
