@@ -335,6 +335,13 @@ def test_one_level_past_the_dimension_vanishes(kind):
         assert got.is_zero(), triple
 
 
+@pytest.mark.parametrize("via", [0, 4, -1])
+def test_derive_entry_refuses_a_route_outside_1_2_3(via):
+    scaled = scaled_entries(build_table(Q_PAIR, TRIANGLE, max_level=1))
+    with pytest.raises(ValueError, match=f"via must be 1, 2 or 3, got {via}"):
+        derive_entry(scaled, lifts_for(Q_PAIR, TRIANGLE), 3, (1, 0, 1), via)
+
+
 # Full finding lists, order included.
 @pytest.mark.parametrize("kind, triple, index, companion, expected", [
     (TRIANGLE, (0, 0, 3), (1, 1, 1), None, (
