@@ -9,11 +9,17 @@ A "lift" of an m x m matrix S acts on one of the three tensor slots of
 such a vector: position 1 is S (x) I (x) I, position 2 is I (x) S (x) I,
 and position 3 is I (x) I (x) S ((x) = Kronecker product).  Lifts are
 stored structurally (the matrix that acts and its slot; `.T` stores the
-transpose) and applied through a contraction plan each lift builds once,
-listing for every output position its (source position, coefficient)
-pairs with nonzero coefficient: at most m^4 products.  The dense
-m^3 x m^3 matrix is only ever built by `materialize`, a debugging and
-testing aid.
+transpose).  `apply_lift` applies one through a contraction plan each
+lift builds once, listing for every output position its (source
+position, coefficient) pairs with nonzero coefficient: at most m^4
+products.  `lift_step` is the table recursion's whole exchange step,
+U * L - c_1 T_1 - c_2 T_2 - c_3 T_3.  A lift of at most three cells
+compiles it once into a straight-line function, every product unrolled
+and the zero entries of its matrix skipped, shared by all lifts of the
+same size, slot and support; compiling costs m^4-sized source, more than
+the few steps of a small table of wider lifts earn back, so those walk
+the plan.  The dense m^3 x m^3 matrix is only ever built by
+`materialize`, a debugging and testing aid.
 
 This module owns the two rules of a distribution vector.  Layout:
 `flat_index` is the one map from (i, j, k) to a flat position.  Numbers:
@@ -26,9 +32,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from operator import add, mul
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property, lru_cache, partial
+from itertools import repeat
+from operator import add, mul, sub
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 def flat_index(m: int, i: int, j: int, k: int) -> int:
@@ -163,6 +170,21 @@ class LiftedMatrix:
             tuple(zip(*(row[r] if r < len(row) else pad for row in pairs)))
             for r in range(max(1, *map(len, pairs))))
 
+    @cached_property
+    def _sparse(self) -> tuple[tuple[tuple[int, int], ...], tuple]:
+        """The (t, i) of every nonzero S_ti, row by row, and those entries
+        in the same order: the support a compiled step is built for and
+        the coefficients it is called with."""
+        nonzero = [((t, i), s) for t, row in enumerate(self.base)
+                   for i, s in enumerate(row) if s]
+        return tuple(ti for ti, _ in nonzero), tuple(s for _, s in nonzero)
+
+    @cached_property
+    def _steps(self) -> dict[int, Callable]:
+        """This lift's compiled steps, its coefficients bound, by number
+        of terms; `lift_step` fills it on first use."""
+        return {}
+
 
 def kron_lift(S: Sequence[Sequence], position: int) -> LiftedMatrix:
     """Lift of S at the given slot: e.g. position 2 means I (x) S (x) I."""
@@ -203,6 +225,93 @@ def apply_lift(U: TensorVector, L: LiftedMatrix) -> TensorVector:
     for sources, coefs in rest:
         out = map(add, out, map(mul, map(get, sources), coefs))
     return TensorVector(L.m, out)
+
+
+# The one rule choosing how `lift_step` runs: a lift of at most this many
+# cells compiles its step.  On a shared 2-vCPU VM (Python 3.11) one
+# function with three terms takes about 0.5 and 1.3 ms to compile at
+# m = 2 and 3 and saves about 4 and 13 us a step, so it pays back within
+# about 100 steps.  Its source holds about m^4 products: at m = 4 and 8 it
+# takes about 3 and 40 ms, more than the 9-19 steps of a small m = 4 or
+# m = 8 table earn back, so wider lifts walk the plan.  The choice rests
+# on m alone, so a step costs the same work whatever ran before it.
+_COMPILE_MAX_M = 3
+
+
+@lru_cache(maxsize=256)  # bounds memory; a screen or sweep uses about a dozen
+def _compiled_step(m: int, position: int,
+                   support: tuple[tuple[int, int], ...],
+                   terms: int) -> Callable:
+    """The straight-line step of an m-cell lift at `position` whose base
+    is nonzero exactly on `support`, subtracting `terms` vectors.
+
+    step(s, u, terms) takes the nonzero base entries in support order,
+    the entries of U and the (c, T) pairs, and returns the entries of
+    U * L - c_1 T_1 - c_2 T_2 - ...: output (a, i, b) of the (A, m, B)
+    view sums u_(a, t, b) * S_ti over the support, in order of t, then
+    subtracts each c * t_(a, i, b) in turn.  The source names positions
+    and arguments only, never an entry, so one function serves every
+    lift of the same size, slot and support.
+    """
+    size, B = m ** 3, m ** (3 - position)
+    coef = {ti: f"s{r}" for r, ti in enumerate(support)}
+    exprs = []
+    for p in range(size):
+        i = p // B % m  # output p is (a, i, b); its sources (a, t, b)
+        products = " + ".join(f"u{p + (t - i) * B}*{coef[t, i]}"
+                              for t in range(m) if (t, i) in coef)
+        exprs.append((products or "0") + "".join(f" - c{q}*t{q}_{p}"
+                                                 for q in range(terms)))
+
+    def unpack(names: Iterable[str], value: str) -> str:
+        return "    (" + "".join(f"{name}, " for name in names) + f") = {value}"
+
+    lines = ["def step(s, u, terms):",
+             unpack(coef.values(), "s"),
+             unpack((f"u{p}" for p in range(size)), "u"),
+             unpack((f"(c{q}, T{q})" for q in range(terms)), "terms")]
+    lines += [unpack((f"t{q}_{p}" for p in range(size)), f"T{q}.entries")
+              for q in range(terms)]
+    lines.append("    return (" + ", ".join(exprs) + ",)")
+    namespace: dict = {}
+    exec(compile("\n".join(lines), f"<lift step m={m} slot {position}>",
+                 "exec"), namespace)
+    return namespace["step"]
+
+
+def lift_step(U: TensorVector, L: LiftedMatrix,
+              terms: Sequence[tuple[object, TensorVector]] = ()
+              ) -> TensorVector:
+    """U * L - c_1 T_1 - c_2 T_2 - ... for the (c, T) pairs in `terms`.
+
+    One exchange step of the table recursion, in one pass.  Every entry
+    is that of `apply_lift(U, L)` minus each c * T in turn, in value and
+    in type.  A lift of at most `_COMPILE_MAX_M` cells runs a compiled
+    straight-line function with every product unrolled and the zero
+    entries of its base skipped, built on its first step with that many
+    terms and shared by all lifts of the same size, slot and support.  A
+    wider lift applies its contraction plan through `apply_lift`.
+    Raises ValueError when a vector and the lift differ in m.
+    """
+    m = L.m
+    if U.m != m:
+        raise ValueError(f"dimension mismatch: vector m={U.m}, lift m={m}")
+    if m > _COMPILE_MAX_M:
+        if any(T.m != m for _, T in terms):
+            raise ValueError(f"dimension mismatch: a term differs from "
+                             f"the lift's m={m}")
+        out = apply_lift(U, L).entries
+        for c, T in terms:
+            out = map(sub, out, map(mul, repeat(c), T.entries))
+        return TensorVector(m, out)
+    step = L._steps.get(len(terms))
+    if step is None:
+        support, coefs = L._sparse
+        step = L._steps[len(terms)] = partial(
+            _compiled_step(m, L.position, support, len(terms)), coefs)
+    # the step unpacks every vector into exactly m^3 names, which raises
+    # ValueError for a term of another m
+    return TensorVector(m, step(U.entries, terms))
 
 
 def commutes(A: LiftedMatrix, B: LiftedMatrix) -> bool:

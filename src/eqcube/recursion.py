@@ -82,7 +82,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exact_linalg import (LiftedMatrix, TensorVector, apply_lift, diag_lift,
                            exact_quotient, flat_index, iter_index_triples,
-                           kron_lift)
+                           kron_lift, lift_step)
 from .quotient import QuotientMatrix, cell_sizes
 
 Triple = tuple[int, int, int]
@@ -142,9 +142,13 @@ def derive_entry(levels: Mapping[Triple, TensorVector],
     scaled vectors U^t = t1! t2! t3! D T^t; a triple missing from it
     (one with a negative part, say) reads as zero.  The result is
     U^triple with the same D.  Integer inputs give an integer result:
-    the step multiplies and subtracts, never divides.  Requires
-    triple[via - 1] > 0.
+    the step multiplies and subtracts, never divides.  The whole step is
+    one `exact_linalg.lift_step` call, which compiles it for lifts of at
+    most three cells and walks the lift's contraction plan for wider
+    ones.  Requires via in {1, 2, 3} and triple[via - 1] > 0.
     """
+    if via not in (1, 2, 3):
+        raise ValueError(f"via must be 1, 2 or 3, got {via}")
     a, b, c = triple
     if triple[via - 1] <= 0:
         raise ValueError(f"cannot climb part {via} of {triple}")
@@ -152,26 +156,21 @@ def derive_entry(levels: Mapping[Triple, TensorVector],
     get = levels.get
     k = n - a - b - c + 2
     if via == 1:
-        base = apply_lift(get((a - 1, b, c), zero), lifts[0])
-        c1, t1 = c, get((a - 1, b + 1, c - 1), zero)
-        c2, t2 = b, get((a - 1, b - 1, c + 1), zero)
-        c3, t3 = k * (a - 1), get((a - 2, b, c), zero)
+        U = get((a - 1, b, c), zero)
+        terms = ((c, get((a - 1, b + 1, c - 1), zero)),
+                 (b, get((a - 1, b - 1, c + 1), zero)),
+                 (k * (a - 1), get((a - 2, b, c), zero)))
     elif via == 2:
-        base = apply_lift(get((a, b - 1, c), zero), lifts[1])
-        c1, t1 = c, get((a + 1, b - 1, c - 1), zero)
-        c2, t2 = a, get((a - 1, b - 1, c + 1), zero)
-        c3, t3 = k * (b - 1), get((a, b - 2, c), zero)
-    elif via == 3:
-        base = apply_lift(get((a, b, c - 1), zero), lifts[2])
-        c1, t1 = b, get((a + 1, b - 1, c - 1), zero)
-        c2, t2 = a, get((a - 1, b + 1, c - 1), zero)
-        c3, t3 = k * (c - 1), get((a, b, c - 2), zero)
+        U = get((a, b - 1, c), zero)
+        terms = ((c, get((a + 1, b - 1, c - 1), zero)),
+                 (a, get((a - 1, b - 1, c + 1), zero)),
+                 (k * (b - 1), get((a, b - 2, c), zero)))
     else:
-        raise ValueError(f"via must be 1, 2 or 3, got {via}")
-    # base - c1 t1 - c2 t2 - c3 t3, in one pass over the entries
-    return TensorVector(base.m, [
-        x - c1 * y1 - c2 * y2 - c3 * y3 for x, y1, y2, y3
-        in zip(base.entries, t1.entries, t2.entries, t3.entries)])
+        U = get((a, b, c - 1), zero)
+        terms = ((b, get((a + 1, b - 1, c - 1), zero)),
+                 (a, get((a - 1, b + 1, c - 1), zero)),
+                 (k * (c - 1), get((a, b, c - 2), zero)))
+    return lift_step(U, lifts[via - 1], terms)
 
 
 def common_denominator(vec: TensorVector) -> int:

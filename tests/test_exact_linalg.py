@@ -1,13 +1,15 @@
 """Structural lifts: index order, lazy application, commutation."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from eqcube import exact_linalg
 from eqcube.exact_linalg import (LiftedMatrix, TensorVector, apply_lift,
                                  commutes, diag_lift, exact_quotient,
                                  flat_index, iter_index_triples, kron3,
-                                 kron_lift,
+                                 kron_lift, lift_step,
                                  mat_identity, mat_mul, materialize, vec_mat)
 
 S_PAIR = [[0, 3], [1, 2]]
@@ -207,3 +209,137 @@ def test_exact_quotient_number_rule():
 def test_zero_vector_is_shared():
     assert TensorVector.zero(3) is TensorVector.zero(3)
     assert TensorVector.zero(3).entries == (0,) * 27
+
+
+# lift_step against the plan: apply_lift, then each c * T subtracted in
+# turn, as the table recursion's step combined them before it compiled
+
+
+def reference_step(U, L, terms):
+    out = apply_lift(U, L).entries
+    for c, T in terms:
+        out = [x - c * y for x, y in zip(out, T.entries)]
+    return out
+
+
+def typed(entries):
+    return [(type(e), e) for e in entries]
+
+
+def random_number(rng, kind):
+    """Zero a third of the time, else an int, a 2^200-sized int or a
+    Fraction."""
+    if rng.random() < 1 / 3:
+        return Fraction(0) if kind == "fraction" else 0
+    if kind == "int":
+        return rng.randint(-9, 9)
+    if kind == "big":
+        return rng.randint(-2 ** 200, 2 ** 200)
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+
+def random_base(rng, m, kind, zero_lines=False):
+    """A seeded m x m base with entries as `random_number` draws them,
+    and with `zero_lines` one zero row and one zero column besides."""
+    row, col = rng.randrange(m), rng.randrange(m)
+    return [[0 if zero_lines and (t == row or i == col)
+             else random_number(rng, kind) for i in range(m)]
+            for t in range(m)]
+
+
+def random_vector(rng, m, kind):
+    if rng.random() < 0.2:
+        return TensorVector.zero(m)  # an absent neighbour reads as zero
+    return TensorVector(m, (random_number(rng, kind) for _ in range(m ** 3)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["int", "big", "fraction"])
+def test_lift_step_matches_the_plan_in_value_and_type(m, kind):
+    rng = random.Random(f"lift_step:{m}:{kind}")
+    for draw in range(6 if m < 4 else 1):
+        S = random_base(rng, m, kind, zero_lines=draw % 2 == 1)
+        for position in (1, 2, 3):
+            for L in (kron_lift(S, position), kron_lift(S, position).T):
+                for count in range(4):
+                    U = random_vector(rng, m, kind)
+                    terms = [(random_number(rng, kind),
+                              random_vector(rng, m, kind))
+                             for _ in range(count)]
+                    assert typed(lift_step(U, L, terms).entries) == typed(
+                        reference_step(U, L, terms)), (S, position, count)
+                    assert (count in L._steps) == (m < 4)
+
+
+def test_lift_step_mixes_number_types_as_the_plan_does():
+    # int vectors through a Fraction base, Fraction terms with int and
+    # zero coefficients: every entry keeps the reference's type
+    rng = random.Random(19)
+    for m in (1, 2, 3):
+        S = random_base(rng, m, "fraction", zero_lines=True)
+        U = random_vector(rng, m, "big")
+        terms = [(0, random_vector(rng, m, "fraction")),
+                 (Fraction(0), random_vector(rng, m, "int")),
+                 (3, TensorVector.zero(m))]
+        for position in (1, 2, 3):
+            L = kron_lift(S, position)
+            assert typed(lift_step(U, L, terms).entries) == typed(
+                reference_step(U, L, terms))
+
+
+def test_lift_step_refuses_vectors_of_another_size():
+    for m in (2, 4):
+        L = kron_lift(mat_identity(m), 2)
+        with pytest.raises(ValueError):
+            lift_step(TensorVector.zero(m + 1), L)
+        with pytest.raises(ValueError):
+            lift_step(TensorVector.zero(m), L, [(1, TensorVector.zero(m + 1))])
+
+
+def test_only_wide_lifts_walk_the_plan(monkeypatch):
+    calls = []
+    monkeypatch.setattr(exact_linalg, "apply_lift",
+                        lambda U, L: calls.append(L.m) or apply_lift(U, L))
+    for m in (1, 2, 3, 4):
+        U = TensorVector(m, range(m ** 3))
+        L = kron_lift([[2] * m] * m, 1)
+        assert lift_step(U, L, [(2, U)]).entries == tuple(
+            reference_step(U, L, [(2, U)]))
+    assert calls == [4]
+
+
+def test_lifts_of_one_support_share_one_compiled_step():
+    U = TensorVector(2, range(8))
+    steps = []
+    for n in (4, 5, 6):
+        L = kron_lift([[0, n], [n, 0]], 2)
+        assert lift_step(U, L).entries == apply_lift(U, L).entries
+        steps.append(L._steps[0].func)
+    assert steps[0] is steps[1] is steps[2]
+
+
+def test_compiled_step_source_holds_no_coefficient(monkeypatch):
+    # 987654321 is a base entry and a term coefficient: it must reach the
+    # step as an argument, never as text of its source or a constant
+    sources = []
+
+    def spy(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(exact_linalg, "compile", spy, raising=False)
+    exact_linalg._compiled_step.cache_clear()
+    value = 987654321
+    for m in (1, 2, 3):
+        S = [[value if (t + i) % 2 else 0 for i in range(m)]
+             for t in range(m)]
+        for position in (1, 2, 3):
+            L = kron_lift(S, position)
+            U = TensorVector(m, range(m ** 3))
+            terms = [(value, U), (value, U), (value, U)]
+            assert lift_step(U, L, terms).entries == tuple(
+                reference_step(U, L, terms))
+            code = L._steps[3].func.__code__
+            assert value not in code.co_consts
+    assert len(sources) == 9
+    assert not any(str(value) in source for source in sources)
