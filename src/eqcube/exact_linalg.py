@@ -14,11 +14,11 @@ lift builds once, listing for every output position its (source
 position, coefficient) pairs with nonzero coefficient: at most m^4
 products.  `lift_step` is the table recursion's whole exchange step,
 U * L - c_1 T_1 - c_2 T_2 - c_3 T_3.  A lift of at most three cells
-compiles it once into a straight-line function, every product unrolled
-and the zero entries of its matrix skipped, shared by all lifts of the
-same size, slot and support; compiling costs m^4-sized source, more than
-the few steps of a small table of wider lifts earn back, so those walk
-the plan.  The dense m^3 x m^3 matrix is only ever built by
+compiles it once into straight-line code, every product unrolled and
+the zero entries of its matrix skipped, shared by all lifts of the same
+size, slot and support; compiling costs m^4-sized source, more than the
+few steps of a small table of wider lifts earn back, so those walk the
+plan.  The dense m^3 x m^3 matrix is only ever built by
 `materialize`, a debugging and testing aid.
 
 This module owns the two rules of a distribution vector.  Layout:
@@ -228,14 +228,42 @@ def apply_lift(U: TensorVector, L: LiftedMatrix) -> TensorVector:
 
 
 # The one rule choosing how `lift_step` runs: a lift of at most this many
-# cells compiles its step.  On a shared 2-vCPU VM (Python 3.11) one
-# function with three terms takes about 0.5 and 1.3 ms to compile at
-# m = 2 and 3 and saves about 4 and 13 us a step, so it pays back within
-# about 100 steps.  Its source holds about m^4 products: at m = 4 and 8 it
-# takes about 3 and 40 ms, more than the 9-19 steps of a small m = 4 or
+# cells compiles its step.  On a shared 2-vCPU VM (Python 3.11) the
+# function of one slot and support compiles in about 0.1 and 0.3 ms at
+# m = 2 and 3, and the combination it calls, shared by all slots and
+# supports, in about 0.25 and 0.65 ms once; a compiled step saves about
+# 4 and 13 us, so a table of a few dozen steps pays for it.  The source
+# grows as m^4: at m = 4 and 8 one slot's function and the combination
+# take about 2.3 and 30 ms, more than the 9-19 steps of a small m = 4 or
 # m = 8 table earn back, so wider lifts walk the plan.  The choice rests
 # on m alone, so a step costs the same work whatever ran before it.
 _COMPILE_MAX_M = 3
+
+
+def _compiled(source: str, name: str, namespace: dict) -> Callable:
+    """The function `name` that `source` defines, run in `namespace`."""
+    exec(compile(source, f"<compiled {name}>", "exec"), namespace)
+    return namespace[name]
+
+
+def _unpack(names: Iterable[str], value: str) -> str:
+    return "    (" + "".join(f"{name}, " for name in names) + f") = {value}"
+
+
+@lru_cache(maxsize=None)  # one per m <= 3 and number of terms
+def _compiled_combination(m: int, terms: int) -> Callable:
+    """combine(p_0, ..., p_(m^3 - 1), terms): the tuple of the p_x minus
+    each c * T of the (c, T) pairs in `terms`, entry by entry in turn."""
+    size = m ** 3
+    head = "".join(f"p{x}, " for x in range(size))
+    return _compiled("\n".join([
+        f"def combine({head}terms):",
+        _unpack((f"(c{q}, T{q})" for q in range(terms)), "terms"),
+        *(_unpack((f"t{q}_{x}" for x in range(size)), f"T{q}.entries")
+          for q in range(terms)),
+        "    return (" + "".join(
+            f"p{x}" + "".join(f" - c{q}*t{q}_{x}" for q in range(terms))
+            + ", " for x in range(size)) + ")"]), "combine", {})
 
 
 @lru_cache(maxsize=256)  # bounds memory; a screen or sweep uses about a dozen
@@ -246,37 +274,27 @@ def _compiled_step(m: int, position: int,
     is nonzero exactly on `support`, subtracting `terms` vectors.
 
     step(s, u, terms) takes the nonzero base entries in support order,
-    the entries of U and the (c, T) pairs, and returns the entries of
-    U * L - c_1 T_1 - c_2 T_2 - ...: output (a, i, b) of the (A, m, B)
-    view sums u_(a, t, b) * S_ti over the support, in order of t, then
-    subtracts each c * t_(a, i, b) in turn.  The source names positions
-    and arguments only, never an entry, so one function serves every
-    lift of the same size, slot and support.
+    the entries of U and the (c, T) pairs.  Output (a, i, b) of the
+    (A, m, B) view, whose middle axis is the contracted slot, sums
+    u_(a, t, b) * S_ti over the support in order of t; the m^3 sums go
+    straight to the shared `_compiled_combination`, which subtracts the
+    terms.  The source names positions and arguments only, never an
+    entry, so one function serves every lift of the same size, slot and
+    support.
     """
     size, B = m ** 3, m ** (3 - position)
     coef = {ti: f"s{r}" for r, ti in enumerate(support)}
-    exprs = []
-    for p in range(size):
-        i = p // B % m  # output p is (a, i, b); its sources (a, t, b)
-        products = " + ".join(f"u{p + (t - i) * B}*{coef[t, i]}"
-                              for t in range(m) if (t, i) in coef)
-        exprs.append((products or "0") + "".join(f" - c{q}*t{q}_{p}"
-                                                 for q in range(terms)))
-
-    def unpack(names: Iterable[str], value: str) -> str:
-        return "    (" + "".join(f"{name}, " for name in names) + f") = {value}"
-
-    lines = ["def step(s, u, terms):",
-             unpack(coef.values(), "s"),
-             unpack((f"u{p}" for p in range(size)), "u"),
-             unpack((f"(c{q}, T{q})" for q in range(terms)), "terms")]
-    lines += [unpack((f"t{q}_{p}" for p in range(size)), f"T{q}.entries")
-              for q in range(terms)]
-    lines.append("    return (" + ", ".join(exprs) + ",)")
-    namespace: dict = {}
-    exec(compile("\n".join(lines), f"<lift step m={m} slot {position}>",
-                 "exec"), namespace)
-    return namespace["step"]
+    sums = []
+    for x in range(size):
+        i = x // B % m  # output x is (a, i, b); its sources (a, t, b)
+        sums.append(" + ".join(f"u{x + (t - i) * B}*{coef[t, i]}"
+                               for t in range(m) if (t, i) in coef) or "0")
+    return _compiled("\n".join([
+        "def step(s, u, terms):",
+        _unpack(coef.values(), "s"),
+        _unpack((f"u{x}" for x in range(size)), "u"),
+        "    return combine(" + "".join(f"{e}, " for e in sums) + "terms)"]),
+        "step", {"combine": _compiled_combination(m, terms)})
 
 
 def lift_step(U: TensorVector, L: LiftedMatrix,

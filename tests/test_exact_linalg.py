@@ -329,6 +329,7 @@ def test_compiled_step_source_holds_no_coefficient(monkeypatch):
 
     monkeypatch.setattr(exact_linalg, "compile", spy, raising=False)
     exact_linalg._compiled_step.cache_clear()
+    exact_linalg._compiled_combination.cache_clear()
     value = 987654321
     for m in (1, 2, 3):
         S = [[value if (t + i) % 2 else 0 for i in range(m)]
@@ -341,5 +342,5 @@ def test_compiled_step_source_holds_no_coefficient(monkeypatch):
                 reference_step(U, L, terms))
             code = L._steps[3].func.__code__
             assert value not in code.co_consts
-    assert len(sources) == 9
+    assert len(sources) == 9 + 3  # a step per slot, a combination per m
     assert not any(str(value) in source for source in sources)
