@@ -33,8 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from itertools import repeat
-from operator import add, mul, sub
+from operator import add, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 
@@ -266,6 +265,20 @@ def _compiled_combination(m: int, terms: int) -> Callable:
             + ", " for x in range(size)) + ")"]), "combine", {})
 
 
+@lru_cache(maxsize=None)  # one per number of terms
+def _compiled_pass(terms: int) -> Callable:
+    """combine(entries, terms): one pass over `entries` and the entries of
+    each T of the (c, T) pairs in `terms`, subtracting each c * T in turn;
+    the combination of a lift that walks its plan, of any m."""
+    ys = "".join(f"y{q}, " for q in range(terms))
+    vectors = "".join(f"T{q}.entries, " for q in range(terms))
+    return _compiled("\n".join([
+        "def combine(entries, terms):",
+        _unpack((f"(c{q}, T{q})" for q in range(terms)), "terms"),
+        "    return [x" + "".join(f" - c{q}*y{q}" for q in range(terms))
+        + f" for x, {ys}in zip(entries, {vectors})]"]), "combine", {})
+
+
 @lru_cache(maxsize=256)  # bounds memory; a screen or sweep uses about a dozen
 def _compiled_step(m: int, position: int,
                    support: tuple[tuple[int, int], ...],
@@ -318,10 +331,8 @@ def lift_step(U: TensorVector, L: LiftedMatrix,
         if any(T.m != m for _, T in terms):
             raise ValueError(f"dimension mismatch: a term differs from "
                              f"the lift's m={m}")
-        out = apply_lift(U, L).entries
-        for c, T in terms:
-            out = map(sub, out, map(mul, repeat(c), T.entries))
-        return TensorVector(m, out)
+        return TensorVector(m, _compiled_pass(len(terms))(
+            apply_lift(U, L).entries, terms))
     step = L._steps.get(len(terms))
     if step is None:
         support, coefs = L._sparse

@@ -320,18 +320,27 @@ def test_lifts_of_one_support_share_one_compiled_step():
 
 def test_compiled_step_source_holds_no_coefficient(monkeypatch):
     # 987654321 is a base entry and a term coefficient: it must reach the
-    # step as an argument, never as text of its source or a constant
-    sources = []
+    # generated code as an argument, never as text of its source or a
+    # constant of its code
+    sources, constants = [], []
 
     def spy(source, *args):
+        module = compile(source, *args)
         sources.append(source)
-        return compile(source, *args)
+        codes = [module]
+        while codes:
+            code = codes.pop()
+            constants.extend(code.co_consts)
+            codes += [c for c in code.co_consts if hasattr(c, "co_consts")]
+        return module
 
     monkeypatch.setattr(exact_linalg, "compile", spy, raising=False)
-    exact_linalg._compiled_step.cache_clear()
-    exact_linalg._compiled_combination.cache_clear()
+    for cache in (exact_linalg._compiled_step,
+                  exact_linalg._compiled_combination,
+                  exact_linalg._compiled_pass):
+        cache.cache_clear()
     value = 987654321
-    for m in (1, 2, 3):
+    for m in (1, 2, 3, 4):
         S = [[value if (t + i) % 2 else 0 for i in range(m)]
              for t in range(m)]
         for position in (1, 2, 3):
@@ -340,7 +349,7 @@ def test_compiled_step_source_holds_no_coefficient(monkeypatch):
             terms = [(value, U), (value, U), (value, U)]
             assert lift_step(U, L, terms).entries == tuple(
                 reference_step(U, L, terms))
-            code = L._steps[3].func.__code__
-            assert value not in code.co_consts
-    assert len(sources) == 9 + 3  # a step per slot, a combination per m
+    # a step per slot and a combination per m up to 3, one pass at m = 4
+    assert len(sources) == 3 * 3 + 3 + 1
     assert not any(str(value) in source for source in sources)
+    assert value not in constants
