@@ -315,14 +315,15 @@ def lift_step(U: TensorVector, L: LiftedMatrix,
               ) -> TensorVector:
     """U * L - c_1 T_1 - c_2 T_2 - ... for the (c, T) pairs in `terms`.
 
-    One exchange step of the table recursion, in one pass.  Every entry
-    is that of `apply_lift(U, L)` minus each c * T in turn, in value and
-    in type.  A lift of at most `_COMPILE_MAX_M` cells runs a compiled
-    straight-line function with every product unrolled and the zero
-    entries of its base skipped, built on its first step with that many
-    terms and shared by all lifts of the same size, slot and support.  A
-    wider lift applies its contraction plan through `apply_lift`.
-    Raises ValueError when a vector and the lift differ in m.
+    One exchange step of the table recursion.  Every entry is that of
+    `apply_lift(U, L)` minus each c * T in turn, in value and in type.  A
+    lift of at most `_COMPILE_MAX_M` cells computes every entry in one
+    pass of compiled straight-line code, every product unrolled and the
+    zero entries of its base skipped, built on its first step with that
+    many terms and shared by all lifts of the same size, slot and
+    support.  A wider lift applies its contraction plan through
+    `apply_lift`, then subtracts the terms in one more pass.  Raises
+    ValueError when a vector and the lift differ in m.
     """
     m = L.m
     if U.m != m:
