@@ -212,7 +212,7 @@ def test_zero_vector_is_shared():
 
 
 # lift_step against the plan: apply_lift, then each c * T subtracted in
-# turn, as the table recursion's step combined them before it compiled
+# turn
 
 
 def reference_step(U, L, terms):
