@@ -13,12 +13,14 @@ transpose).  `apply_lift` applies one through a contraction plan each
 lift builds once, listing for every output position its (source
 position, coefficient) pairs with nonzero coefficient: at most m^4
 products.  `lift_step` is the table recursion's whole exchange step,
-U * L - c_1 T_1 - c_2 T_2 - c_3 T_3.  A lift of at most three cells
-compiles it once into straight-line code, every product unrolled and
-the zero entries of its matrix skipped, shared by all lifts of the same
-size, slot and support; compiling costs m^4-sized source, more than the
-few steps of a small table of wider lifts earn back, so those walk the
-plan.  The dense m^3 x m^3 matrix is only ever built by
+U * L - c_1 T_1 - c_2 T_2 - c_3 T_3, always with exactly three terms.
+A lift of at most three cells compiles it once into straight-line
+code, every product unrolled and the zero entries of its matrix
+skipped, shared by all lifts of the same size, slot and support;
+compiling costs m^4-sized source, more than the few steps of a small
+table of wider lifts earn back, so those run no generated code: they
+walk the plan, then subtract the terms in one list comprehension.  The
+dense m^3 x m^3 matrix is only ever built by
 `materialize`, a debugging and testing aid.
 
 This module owns the two rules of a distribution vector.  Layout:
@@ -111,9 +113,6 @@ class TensorVector:
         """Entrywise `exact_quotient` by c; c = 0 raises ZeroDivisionError."""
         return TensorVector(self.m, (exact_quotient(e, c) for e in self.entries))
 
-    def __neg__(self) -> "TensorVector":
-        return TensorVector(self.m, (-e for e in self.entries))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TensorVector):
             return NotImplemented
@@ -170,19 +169,15 @@ class LiftedMatrix:
             for r in range(max(1, *map(len, pairs))))
 
     @cached_property
-    def _sparse(self) -> tuple[tuple[tuple[int, int], ...], tuple]:
-        """The (t, i) of every nonzero S_ti, row by row, and those entries
-        in the same order: the support a compiled step is built for and
-        the coefficients it is called with."""
+    def _step(self) -> Callable:
+        """This lift's compiled step, its nonzero base entries bound in
+        row-by-row order, the order of the support it is built for."""
         nonzero = [((t, i), s) for t, row in enumerate(self.base)
                    for i, s in enumerate(row) if s]
-        return tuple(ti for ti, _ in nonzero), tuple(s for _, s in nonzero)
-
-    @cached_property
-    def _steps(self) -> dict[int, Callable]:
-        """This lift's compiled steps, its coefficients bound, by number
-        of terms; `lift_step` fills it on first use."""
-        return {}
+        return partial(
+            _compiled_step(self.m, self.position,
+                           tuple(ti for ti, _ in nonzero)),
+            tuple(s for _, s in nonzero))
 
 
 def kron_lift(S: Sequence[Sequence], position: int) -> LiftedMatrix:
@@ -249,46 +244,32 @@ def _unpack(names: Iterable[str], value: str) -> str:
     return "    (" + "".join(f"{name}, " for name in names) + f") = {value}"
 
 
-@lru_cache(maxsize=None)  # one per m <= 3 and number of terms
-def _compiled_combination(m: int, terms: int) -> Callable:
+@lru_cache(maxsize=None)  # one per m <= 3
+def _compiled_combination(m: int) -> Callable:
     """combine(p_0, ..., p_(m^3 - 1), terms): the tuple of the p_x minus
-    each c * T of the (c, T) pairs in `terms`, entry by entry in turn."""
+    c1 * T1, c2 * T2 and c3 * T3, entry by entry in turn, for the three
+    (c, T) pairs in `terms`."""
     size = m ** 3
     head = "".join(f"p{x}, " for x in range(size))
     return _compiled("\n".join([
         f"def combine({head}terms):",
-        _unpack((f"(c{q}, T{q})" for q in range(terms)), "terms"),
+        "    (c1, T1), (c2, T2), (c3, T3) = terms",
         *(_unpack((f"t{q}_{x}" for x in range(size)), f"T{q}.entries")
-          for q in range(terms)),
-        "    return (" + "".join(
-            f"p{x}" + "".join(f" - c{q}*t{q}_{x}" for q in range(terms))
-            + ", " for x in range(size)) + ")"]), "combine", {})
-
-
-@lru_cache(maxsize=None)  # one per number of terms
-def _compiled_pass(terms: int) -> Callable:
-    """combine(entries, terms): one pass over `entries` and the entries of
-    each T of the (c, T) pairs in `terms`, subtracting each c * T in turn;
-    the combination of a lift that walks its plan, of any m."""
-    ys = "".join(f"y{q}, " for q in range(terms))
-    vectors = "".join(f"T{q}.entries, " for q in range(terms))
-    return _compiled("\n".join([
-        "def combine(entries, terms):",
-        _unpack((f"(c{q}, T{q})" for q in range(terms)), "terms"),
-        "    return [x" + "".join(f" - c{q}*y{q}" for q in range(terms))
-        + f" for x, {ys}in zip(entries, {vectors})]"]), "combine", {})
+          for q in (1, 2, 3)),
+        "    return (" + "".join(f"p{x} - c1*t1_{x} - c2*t2_{x} - c3*t3_{x}, "
+                                for x in range(size)) + ")"]),
+        "combine", {})
 
 
 @lru_cache(maxsize=256)  # bounds memory; a screen or sweep uses about a dozen
 def _compiled_step(m: int, position: int,
-                   support: tuple[tuple[int, int], ...],
-                   terms: int) -> Callable:
+                   support: tuple[tuple[int, int], ...]) -> Callable:
     """The straight-line step of an m-cell lift at `position` whose base
-    is nonzero exactly on `support`, subtracting `terms` vectors.
+    is nonzero exactly on `support`.
 
     step(s, u, terms) takes the nonzero base entries in support order,
-    the entries of U and the (c, T) pairs.  Output (a, i, b) of the
-    (A, m, B) view, whose middle axis is the contracted slot, sums
+    the entries of U and the three (c, T) pairs.  Output (a, i, b) of
+    the (A, m, B) view, whose middle axis is the contracted slot, sums
     u_(a, t, b) * S_ti over the support in order of t; the m^3 sums go
     straight to the shared `_compiled_combination`, which subtracts the
     terms.  The source names positions and arguments only, never an
@@ -307,41 +288,38 @@ def _compiled_step(m: int, position: int,
         _unpack(coef.values(), "s"),
         _unpack((f"u{x}" for x in range(size)), "u"),
         "    return combine(" + "".join(f"{e}, " for e in sums) + "terms)"]),
-        "step", {"combine": _compiled_combination(m, terms)})
+        "step", {"combine": _compiled_combination(m)})
 
 
 def lift_step(U: TensorVector, L: LiftedMatrix,
-              terms: Sequence[tuple[object, TensorVector]] = ()
-              ) -> TensorVector:
-    """U * L - c_1 T_1 - c_2 T_2 - ... for the (c, T) pairs in `terms`.
+              terms: Sequence[tuple[object, TensorVector]]) -> TensorVector:
+    """U * L - c1 T1 - c2 T2 - c3 T3 for the three (c, T) pairs in `terms`.
 
     One exchange step of the table recursion.  Every entry is that of
-    `apply_lift(U, L)` minus each c * T in turn, in value and in type.  A
-    lift of at most `_COMPILE_MAX_M` cells computes every entry in one
-    pass of compiled straight-line code, every product unrolled and the
-    zero entries of its base skipped, built on its first step with that
-    many terms and shared by all lifts of the same size, slot and
-    support.  A wider lift applies its contraction plan through
-    `apply_lift`, then subtracts the terms in one more pass.  Raises
-    ValueError when a vector and the lift differ in m.
+    `apply_lift(U, L)` minus c1 * T1, c2 * T2 and c3 * T3 in turn, in
+    value and in type.  A lift of at most `_COMPILE_MAX_M` cells
+    computes every entry in one pass of compiled straight-line code,
+    every product unrolled and the zero entries of its base skipped,
+    built on its first step and shared by all lifts of the same size,
+    slot and support.  A wider lift runs no generated code: it applies
+    its contraction plan through `apply_lift`, then subtracts the terms
+    in one list comprehension.  Raises ValueError when `terms` holds
+    other than three pairs or a vector and the lift differ in m.
     """
     m = L.m
     if U.m != m:
         raise ValueError(f"dimension mismatch: vector m={U.m}, lift m={m}")
     if m > _COMPILE_MAX_M:
-        if any(T.m != m for _, T in terms):
+        (c1, T1), (c2, T2), (c3, T3) = terms
+        if not T1.m == T2.m == T3.m == m:
             raise ValueError(f"dimension mismatch: a term differs from "
                              f"the lift's m={m}")
-        return TensorVector(m, _compiled_pass(len(terms))(
-            apply_lift(U, L).entries, terms))
-    step = L._steps.get(len(terms))
-    if step is None:
-        support, coefs = L._sparse
-        step = L._steps[len(terms)] = partial(
-            _compiled_step(m, L.position, support, len(terms)), coefs)
-    # the step unpacks every vector into exactly m^3 names, which raises
-    # ValueError for a term of another m
-    return TensorVector(m, step(U.entries, terms))
+        return TensorVector(m, [
+            x - c1 * y1 - c2 * y2 - c3 * y3 for x, y1, y2, y3 in zip(
+                apply_lift(U, L).entries, T1.entries, T2.entries, T3.entries)])
+    # the step unpacks the three pairs, and every vector into exactly m^3
+    # names, which raises ValueError for another count or m
+    return TensorVector(m, L._step(U.entries, terms))
 
 
 def commutes(A: LiftedMatrix, B: LiftedMatrix) -> bool:

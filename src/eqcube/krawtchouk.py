@@ -93,9 +93,6 @@ class TriPoly:
             out[mono] = out.get(mono, 0) - c
         return TriPoly(out)
 
-    def __neg__(self) -> "TriPoly":
-        return TriPoly({mono: -c for mono, c in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, TriPoly):
             out: dict = {}

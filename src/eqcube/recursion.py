@@ -463,9 +463,18 @@ def cross_check(table: DistributionTable, Q: QuotientMatrix,
 
     Failures are reported as findings, not raised: an audit of a table
     for a matrix with no partition is exactly when one wants the list.
+    A companion of the same kind, or of another n or m, is refused with
+    ValueError before any check runs.
     """
-    lifts = lifts_for(Q, table.kind)
     n, m = table.n, table.m
+    if companion is not None:
+        if companion.kind == table.kind:
+            raise ValueError("companion table must be of the other kind")
+        if (companion.n, companion.m) != (n, m):
+            raise ValueError(
+                f"companion table has n={companion.n}, m={companion.m}; "
+                f"the table has n={n}, m={m}")
+    lifts = lifts_for(Q, table.kind)
     checks = ["derivations", "symmetry"]
     triples = table.triples()
 
@@ -509,8 +518,6 @@ def cross_check(table: DistributionTable, Q: QuotientMatrix,
 
     pairing: list[Triple] = []
     if companion is not None:
-        if companion.kind == table.kind:
-            raise ValueError("companion table must be of the other kind")
         tri = table if table.kind == TRIANGLE else companion
         inter = companion if table.kind == TRIANGLE else table
         if tri.standard_initial and inter.standard_initial:

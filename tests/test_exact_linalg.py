@@ -73,7 +73,7 @@ def test_tensor_vector_arithmetic():
     assert w.get(1, 2, 1) == 3
     assert w.get(2, 1, 1) == 1
     assert (w - v) / 3 == u
-    assert (-u + u).is_zero()
+    assert (u - u).is_zero()
     assert TensorVector.zero(2).is_zero()
     assert TensorVector.zero(2) is TensorVector.zero(2)
     with pytest.raises(ValueError):
@@ -253,6 +253,13 @@ def random_vector(rng, m, kind):
     return TensorVector(m, (random_number(rng, kind) for _ in range(m ** 3)))
 
 
+def random_terms(rng, m, kind):
+    """The three (c, T) pairs of one exchange step, zero coefficients and
+    zero neighbours included."""
+    return [(random_number(rng, kind), random_vector(rng, m, kind))
+            for _ in range(3)]
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 @pytest.mark.parametrize("kind", ["int", "big", "fraction"])
 def test_lift_step_matches_the_plan_in_value_and_type(m, kind):
@@ -261,21 +268,20 @@ def test_lift_step_matches_the_plan_in_value_and_type(m, kind):
         S = random_base(rng, m, kind, zero_lines=draw % 2 == 1)
         for position in (1, 2, 3):
             for L in (kron_lift(S, position), kron_lift(S, position).T):
-                for count in range(4):
+                for _ in range(4):
                     U = random_vector(rng, m, kind)
-                    terms = [(random_number(rng, kind),
-                              random_vector(rng, m, kind))
-                             for _ in range(count)]
+                    terms = random_terms(rng, m, kind)
                     assert typed(lift_step(U, L, terms).entries) == typed(
-                        reference_step(U, L, terms)), (S, position, count)
-                    assert (count in L._steps) == (m < 4)
+                        reference_step(U, L, terms)), (S, position)
+                # only a compiled lift builds its step
+                assert ("_step" in vars(L)) == (m < 4)
 
 
 def test_lift_step_mixes_number_types_as_the_plan_does():
     # int vectors through a Fraction base, Fraction terms with int and
     # zero coefficients: every entry keeps the reference's type
     rng = random.Random(19)
-    for m in (1, 2, 3):
+    for m in (1, 2, 3, 4):
         S = random_base(rng, m, "fraction", zero_lines=True)
         U = random_vector(rng, m, "big")
         terms = [(0, random_vector(rng, m, "fraction")),
@@ -290,10 +296,23 @@ def test_lift_step_mixes_number_types_as_the_plan_does():
 def test_lift_step_refuses_vectors_of_another_size():
     for m in (2, 4):
         L = kron_lift(mat_identity(m), 2)
+        zeros = [(1, TensorVector.zero(m))] * 3
         with pytest.raises(ValueError):
-            lift_step(TensorVector.zero(m + 1), L)
-        with pytest.raises(ValueError):
-            lift_step(TensorVector.zero(m), L, [(1, TensorVector.zero(m + 1))])
+            lift_step(TensorVector.zero(m + 1), L, zeros)
+        for q in range(3):
+            terms = list(zeros)
+            terms[q] = (1, TensorVector.zero(m + 1))
+            with pytest.raises(ValueError):
+                lift_step(TensorVector.zero(m), L, terms)
+
+
+@pytest.mark.parametrize("m", [2, 4], ids=["compiled", "plan"])
+@pytest.mark.parametrize("count", [2, 4])
+def test_lift_step_takes_exactly_three_terms(m, count):
+    U = TensorVector(m, range(m ** 3))
+    L = kron_lift([[1] * m] * m, 3)
+    with pytest.raises(ValueError, match="values to unpack"):
+        lift_step(U, L, [(1, U)] * count)
 
 
 def test_only_wide_lifts_walk_the_plan(monkeypatch):
@@ -303,18 +322,22 @@ def test_only_wide_lifts_walk_the_plan(monkeypatch):
     for m in (1, 2, 3, 4):
         U = TensorVector(m, range(m ** 3))
         L = kron_lift([[2] * m] * m, 1)
-        assert lift_step(U, L, [(2, U)]).entries == tuple(
-            reference_step(U, L, [(2, U)]))
+        terms = [(2, U), (-1, TensorVector(m, range(m ** 3, 0, -1))),
+                 (0, TensorVector.zero(m))]
+        assert lift_step(U, L, terms).entries == tuple(
+            reference_step(U, L, terms))
     assert calls == [4]
 
 
 def test_lifts_of_one_support_share_one_compiled_step():
     U = TensorVector(2, range(8))
+    terms = [(1, TensorVector.zero(2))] * 3
     steps = []
     for n in (4, 5, 6):
         L = kron_lift([[0, n], [n, 0]], 2)
-        assert lift_step(U, L).entries == apply_lift(U, L).entries
-        steps.append(L._steps[0].func)
+        assert lift_step(U, L, terms).entries == apply_lift(U, L).entries
+        assert L._step.args == ((n, n),)
+        steps.append(L._step.func)
     assert steps[0] is steps[1] is steps[2]
 
 
@@ -336,10 +359,10 @@ def test_compiled_step_source_holds_no_coefficient(monkeypatch):
 
     monkeypatch.setattr(exact_linalg, "compile", spy, raising=False)
     for cache in (exact_linalg._compiled_step,
-                  exact_linalg._compiled_combination,
-                  exact_linalg._compiled_pass):
+                  exact_linalg._compiled_combination):
         cache.cache_clear()
     value = 987654321
+    compiled = {}
     for m in (1, 2, 3, 4):
         S = [[value if (t + i) % 2 else 0 for i in range(m)]
              for t in range(m)]
@@ -349,7 +372,9 @@ def test_compiled_step_source_holds_no_coefficient(monkeypatch):
             terms = [(value, U), (value, U), (value, U)]
             assert lift_step(U, L, terms).entries == tuple(
                 reference_step(U, L, terms))
-    # a step per slot and a combination per m up to 3, one pass at m = 4
-    assert len(sources) == 3 * 3 + 3 + 1
+        compiled[m] = len(sources)
+    # a step per slot and a combination per m up to 3; m = 4 compiles
+    # nothing
+    assert compiled[3] == compiled[4] == 3 * 3 + 3
     assert not any(str(value) in source for source in sources)
     assert value not in constants

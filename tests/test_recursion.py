@@ -1,6 +1,7 @@
 """Distribution tables: recursion, scanning, internal consistency."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -212,6 +213,24 @@ def test_cross_check_consistent_even_for_nonexistent_matrix():
     rep = cross_check(build_table(Q, TRIANGLE), Q)
     assert rep.ok
     assert "pairing" not in rep.checks_run
+
+
+def test_cross_check_refuses_a_mismatched_companion_before_any_work(
+        monkeypatch):
+    T = build_table(Q_PAIR, TRIANGLE)
+    W = build_table(Q_PAIR, INTERWEIGHT)
+    W22 = build_table(Q22, INTERWEIGHT, max_level=1)
+    calls = []
+    monkeypatch.setattr(recursion, "derive_entry",
+                        lambda *args: calls.append(args) or derive_entry(*args))
+    for companion, message in [
+            (T, "other kind"),
+            (replace(W, n=4), "n=4, m=2; the table has n=3, m=2"),
+            (replace(W22, n=3), "n=3, m=3; the table has n=3, m=2")]:
+        with pytest.raises(ValueError, match=message):
+            cross_check(T, Q_PAIR, companion)
+    assert calls == []
+    assert cross_check(T, Q_PAIR, W).ok and calls
 
 
 def test_cross_check_single_cell_marginals():
