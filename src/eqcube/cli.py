@@ -254,7 +254,6 @@ def cmd_screen(args: argparse.Namespace, out) -> int:
     doc = asdict(cert)
     if cert.feasibility is not None:
         feasibility = doc["feasibility"]
-        del feasibility["n"]
         if cert.feasibility.sizes is not None:
             feasibility["sizes"] = [render_value(s)
                                     for s in cert.feasibility.sizes]

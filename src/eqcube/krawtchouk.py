@@ -34,7 +34,7 @@ polynomial: P^{r,0,0}(x, y, z) = K_r((n - x)/2).
 Polynomials are exact: monomials x^i y^j z^k n^d with Fraction
 coefficients.  `render` produces the canonical text form (graded-lex
 monomial order, common denominator pulled out).  The lift evaluators
-share `_cleared_terms`: P at a fixed n, times the lcm D of its
+share `_cleared_terms`: P at n = Q.n, times the lcm D of its
 denominators.  `eval_at_lifts` and the dense test aid
 `materialize_poly_at_lifts` apply integer combinations of lift powers
 to one vector at a time and divide by D once; `lift_image_is_zero`
@@ -421,21 +421,20 @@ def classical_krawtchouk(r: int) -> TriPoly:
 # ---------------------------------------------------------------------------
 # lift evaluation
 
-def _cleared_terms(P: TriPoly, Q: QuotientMatrix,
-                   n_value: int | None) -> tuple[int, list]:
-    """D and P's coefficients at n = n_value (default Q.n) times D, as
-    sorted (exponent, integer) terms; D is the lcm of their denominators."""
-    coeffs = P.specialize_n(Q.n if n_value is None else n_value)
+def _cleared_terms(P: TriPoly, Q: QuotientMatrix) -> tuple[int, list]:
+    """D and P's coefficients at n = Q.n times D, as sorted (exponent,
+    integer) terms; D is the lcm of their denominators."""
+    coeffs = P.specialize_n(Q.n)
     D = math.lcm(*(c.denominator for c in coeffs.values()))
     return D, [(e, int(c * D)) for e, c in sorted(coeffs.items())]
 
 
 def _image_at_lifts(P: TriPoly, Q: QuotientMatrix, mode: str,
-                    n_value: int | None, v: TensorVector) -> TensorVector:
+                    v: TensorVector) -> TensorVector:
     """v P(L1, L2, L3): D v P(L1, L2, L3) is an integer combination of the
     lift powers of v, shared by the monomials, divided by D once."""
     lifts = lifts_for(Q, mode)
-    D, terms = _cleared_terms(P, Q, n_value)
+    D, terms = _cleared_terms(P, Q)
     powers = {(0, 0, 0): v}
 
     def power(e: tuple[int, int, int]) -> TensorVector:
@@ -451,35 +450,35 @@ def _image_at_lifts(P: TriPoly, Q: QuotientMatrix, mode: str,
     return out / D
 
 
-def eval_at_lifts(P: TriPoly, Q: QuotientMatrix, mode: str = TRIANGLE,
-                  n_value: int | None = None) -> TensorVector:
+def eval_at_lifts(P: TriPoly, Q: QuotientMatrix,
+                  mode: str = TRIANGLE) -> TensorVector:
     """Apply P(L1, L2, L3) to the level-0 vector of the given mode.
 
-    The lifts commute pairwise, so monomials are well defined.  With
-    n_value = Q.n this reproduces the table entry at (r1, r2, r3)
+    The lifts commute pairwise, so monomials are well defined.  P is
+    taken at n = Q.n, so this reproduces the table entry at (r1, r2, r3)
     whenever r1 + r2 + r3 <= n; at index sum n + 1 the image is the zero
     vector even though P(L1, L2, L3) itself need not vanish as a matrix.
     Entries are ints where integral, as in `build_table`.
     """
-    return _image_at_lifts(P, Q, mode, n_value, default_initial(Q, mode))
+    return _image_at_lifts(P, Q, mode, default_initial(Q, mode))
 
 
-def lift_image_is_zero(P: TriPoly, Q: QuotientMatrix, mode: str = TRIANGLE,
-                       n_value: int | None = None) -> bool:
+def lift_image_is_zero(P: TriPoly, Q: QuotientMatrix,
+                       mode: str = TRIANGLE) -> bool:
     """Whether P(L1, L2, L3) is the zero matrix, decided without the lifts.
 
     Each lift acts as S or S^T on one tensor slot.  Both have the minimal
     polynomial mu of S, so the lifts generate
     Q[x]/(mu) (x) Q[y]/(mu) (x) Q[z]/(mu), a tensor product of injective
-    maps: P(L1, L2, L3) = 0 exactly when P, at n = n_value (default Q.n),
-    reduces to zero modulo mu(x), mu(y) and mu(z).  The coefficients are
-    cleared by the lcm of their denominators and each monomial is
-    replaced by the product of its residues x^e mod mu, all integers.
+    maps: P(L1, L2, L3) = 0 exactly when P, at n = Q.n, reduces to zero
+    modulo mu(x), mu(y) and mu(z).  The coefficients are cleared by the
+    lcm of their denominators and each monomial is replaced by the
+    product of its residues x^e mod mu, all integers.
     """
     lifts_for(Q, mode)  # rejects an unknown mode
     mu = min_poly(Q.rows)
     d = len(mu) - 1
-    terms = _cleared_terms(P, Q, n_value)[1]
+    terms = _cleared_terms(P, Q)[1]
     if not terms:
         return True
     # residues[e]: x^e mod mu, ascending.  x * r shifts r up one degree
@@ -501,9 +500,8 @@ def lift_image_is_zero(P: TriPoly, Q: QuotientMatrix, mode: str = TRIANGLE,
 
 
 def materialize_poly_at_lifts(P: TriPoly, Q: QuotientMatrix,
-                              mode: str = TRIANGLE,
-                              n_value: int | None = None) -> tuple[tuple, ...]:
+                              mode: str = TRIANGLE) -> tuple[tuple, ...]:
     """Dense m^3 x m^3 matrix P(L1, L2, L3).  Debug and test aid only."""
     return tuple(
-        _image_at_lifts(P, Q, mode, n_value, TensorVector.unit(Q.m, t)).entries
+        _image_at_lifts(P, Q, mode, TensorVector.unit(Q.m, t)).entries
         for t in iter_index_triples(Q.m))

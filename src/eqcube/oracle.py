@@ -239,16 +239,15 @@ def brute_triangle(P: PartitionInstance, force: bool = False) -> DistributionTab
     for v in range(1 << n):
         _count_anchored(P, v, counts)
     entries = {t: TensorVector(m, vec) for t, vec in counts.items()}
-    return DistributionTable(kind=TRIANGLE, n=n, m=m, entries=entries,
-                             standard_initial=True)
+    return DistributionTable(kind=TRIANGLE, n=n, m=m, entries=entries)
 
 
 def brute_interweight(P: PartitionInstance, v: int,
                       force: bool = False) -> DistributionTable:
     """Count vertex pairs (x, y) anchored at v into an interweight table.
 
-    Only the slice i = color(v) is populated, so the table is labeled
-    nonstandard: no marginal or pairing identity holds for it.  The slice
+    Only the slice i = color(v) is populated, so its level 0 is not the
+    standard one: no marginal or pairing identity holds for it.  The slice
     equals the engine's row i, but a via-1 derivation reads the empty
     rows through the slot-1 lift, so `cross_check` lists every via-1
     route (10 on the 3-cube pair partition).  Capped at n <= 7 unless force.
@@ -262,8 +261,7 @@ def brute_interweight(P: PartitionInstance, v: int,
     counts = _empty_counts(n, m)
     _count_anchored(P, v, counts)
     entries = {t: TensorVector(m, vec) for t, vec in counts.items()}
-    return DistributionTable(kind=INTERWEIGHT, n=n, m=m, entries=entries,
-                             standard_initial=False)
+    return DistributionTable(kind=INTERWEIGHT, n=n, m=m, entries=entries)
 
 
 @dataclass(frozen=True)

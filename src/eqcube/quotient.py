@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from .exact_linalg import exact_quotient, mat_identity, mat_mul
@@ -80,7 +79,6 @@ def _ratio_text(num: int, den: int) -> str:
     return f"{num}" if den == 1 else f"{num}/{den}"
 
 
-@lru_cache(maxsize=64)
 def cell_sizes(Q: QuotientMatrix) -> tuple:
     """Cell sizes forced by |C_i| S_ij = |C_j| S_ji and sum = 2^n.
 
@@ -92,10 +90,7 @@ def cell_sizes(Q: QuotientMatrix) -> tuple:
     support graph is disconnected and InvalidQuotient if some cycle
     gives contradictory ratios.  Each size follows the number rule of
     `exact_linalg.exact_quotient`: an int where integral, else a
-    Fraction, which callers decide the meaning of.  Cached per matrix,
-    as `recursion.lifts_for` is: every table built from one matrix
-    shares the tuple.  A refusal is not cached; it is raised again on
-    every call.
+    Fraction, which callers decide the meaning of.
     """
     m = Q.m
     S = Q.rows
@@ -242,7 +237,6 @@ class FeasibilityReport:
     distinct off-diagonal entries).
     """
 
-    n: int
     row_sum_ok: bool
     sizes: tuple | None
     sizes_connected: bool
@@ -313,7 +307,6 @@ def feasibility_conditions(Q: QuotientMatrix) -> FeasibilityReport:
             f"spectrum; residual {list(spec.residual)}")
 
     return FeasibilityReport(
-        n=Q.n,
         row_sum_ok=True,
         sizes=sizes,
         sizes_connected=connected,

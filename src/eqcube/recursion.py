@@ -83,7 +83,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .exact_linalg import (LiftedMatrix, TensorVector, apply_lift, diag_lift,
                            exact_quotient, flat_index, iter_index_triples,
                            kron_lift, lift_step)
-from .quotient import QuotientMatrix, cell_sizes
+from .quotient import QuotientError, QuotientMatrix, cell_sizes
 
 Triple = tuple[int, int, int]
 
@@ -197,15 +197,14 @@ def canonical_via(triple: Triple) -> int:
 class DistributionTable:
     """All vectors T^{r1,r2,r3} (or W^...) up to a level bound.
 
-    `standard_initial` records whether level 0 was the canonical one for
-    the kind; marginal identities only hold in that case.
+    Level 0 is stored with the rest; `cross_check` compares it with
+    `default_initial` to decide which identities the table must meet.
     """
 
     kind: str
     n: int
     m: int
     entries: dict[Triple, TensorVector]
-    standard_initial: bool = True
 
     def triples(self) -> list[Triple]:
         """Stored triples in the one scan order every walk of a table
@@ -325,7 +324,6 @@ def build_table(Q: QuotientMatrix, kind: str = TRIANGLE,
     """
     n = Q.n
     max_level = table_depth(max_level, n)
-    standard = initial is None
     if initial is None:
         initial = default_initial(Q, kind)
     elif initial.m != Q.m:
@@ -344,8 +342,7 @@ def build_table(Q: QuotientMatrix, kind: str = TRIANGLE,
         entries.update(_fill(plan, {
             triple: level_entries[triple] / entry_scale(triple, D)
             for triple in reps}))
-    return DistributionTable(kind=kind, n=n, m=Q.m, entries=entries,
-                             standard_initial=standard)
+    return DistributionTable(kind=kind, n=n, m=Q.m, entries=entries)
 
 
 def weight_distribution(Q: QuotientMatrix) -> tuple[tuple[tuple, ...], ...]:
@@ -384,8 +381,11 @@ def scan_violations(table: DistributionTable,
     Order: level, then lexicographic triple, then lexicographic index.
     Negative entries always violate.  Integrality is tested on
     entry / sizes[i] for triangle tables (counts per anchor vertex) and
-    on the entry itself for interweight tables.
+    on the entry itself for interweight tables.  Raises ValueError for
+    sizes of another length than m.
     """
+    if sizes is not None and len(sizes) != table.m:
+        raise ValueError(f"{len(sizes)} cell sizes for a table with m={table.m}")
     indices = list(iter_index_triples(table.m))
     anchor = sizes if table.kind == TRIANGLE else (1,) * table.m
     # per flat position: (numerator, denominator) of its anchor cell's
@@ -456,25 +456,37 @@ def cross_check(table: DistributionTable, Q: QuotientMatrix,
         cannot trade places with a leg, and the only valid symmetry is
         the exchange of the two legs: X^{r1,r2,r3}_{ijk} = X^{r1,r3,r2}_{ikj};
     (c) T = W * D' entrywise, when the companion table of the other
-        kind is supplied (both must use standard initial vectors);
-    (d) multinomial marginals, for standard initial vectors only:
+        kind is supplied (both must have the standard level 0);
+    (d) multinomial marginals, for the standard level 0 only:
         sum_{j,k} X^{r1,r2,r3}_{ijk} = f_i * n! / (r1! r2! r3! (n-s)!)
         with f_i = |C_i| for triangle tables and 1 for interweight.
 
     Failures are reported as findings, not raised: an audit of a table
     for a matrix with no partition is exactly when one wants the list.
-    A companion of the same kind, or of another n or m, is refused with
-    ValueError before any check runs.
+    A level 0 is standard when it is `default_initial`'s for Q.  A
+    companion of the same kind, and a matrix or companion of another n
+    or m, are refused with ValueError before any check runs.
     """
     n, m = table.n, table.m
-    if companion is not None:
-        if companion.kind == table.kind:
-            raise ValueError("companion table must be of the other kind")
-        if (companion.n, companion.m) != (n, m):
-            raise ValueError(
-                f"companion table has n={companion.n}, m={companion.m}; "
-                f"the table has n={n}, m={m}")
+    if companion is not None and companion.kind == table.kind:
+        raise ValueError("companion table must be of the other kind")
+    for name, other in (("matrix", Q), ("companion table", companion)):
+        if other is not None and (other.n, other.m) != (n, m):
+            raise ValueError(f"{name} has n={other.n}, m={other.m}; "
+                             f"the table has n={n}, m={m}")
     lifts = lifts_for(Q, table.kind)
+    try:
+        sizes = cell_sizes(Q)
+    except QuotientError:  # then no triangle level 0 is standard
+        sizes = None
+    # f_i of each kind: the diagonal of its standard level 0 (see
+    # default_initial) and the factor of its marginals
+    factors = {TRIANGLE: sizes, INTERWEIGHT: (1,) * m}
+
+    def standard(t: DistributionTable) -> bool:
+        f = factors[t.kind]
+        return f is not None and t.entries[(0, 0, 0)] == initial_triangle(f)
+
     checks = ["derivations", "symmetry"]
     triples = table.triples()
 
@@ -520,21 +532,18 @@ def cross_check(table: DistributionTable, Q: QuotientMatrix,
     if companion is not None:
         tri = table if table.kind == TRIANGLE else companion
         inter = companion if table.kind == TRIANGLE else table
-        if tri.standard_initial and inter.standard_initial:
+        if standard(tri) and standard(inter):
             checks.append("pairing")
-            D = diag_lift(cell_sizes(Q))
+            D = diag_lift(sizes)
             for triple in tri.triples():
                 W = inter.entries.get(triple)
                 if W is not None and tri.entries[triple] != apply_lift(W, D):
                     pairing.append(triple)
 
     marg: list[tuple[Triple, int]] = []
-    if table.standard_initial:
+    if standard(table):
         checks.append("marginals")
-        if table.kind == TRIANGLE:
-            factors = cell_sizes(Q)
-        else:
-            factors = (1,) * m
+        f = factors[table.kind]
         for triple in table.triples():
             r1, r2, r3 = triple
             count = (math.factorial(n)
@@ -546,7 +555,7 @@ def cross_check(table: DistributionTable, Q: QuotientMatrix,
                 # the (i, *, *) entries are one contiguous block
                 total = sum(vec[flat_index(m, i, 1, 1):
                                 flat_index(m, i, m, m) + 1])
-                if total != factors[i - 1] * count:
+                if total != f[i - 1] * count:
                     marg.append((triple, i))
 
     return CrossCheckReport(

