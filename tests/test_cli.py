@@ -7,6 +7,7 @@ external formats: JSON documents, CSV layout, exit codes.
 
 import hashlib
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -124,6 +125,39 @@ def test_table_writes_to_file(write_doc, tmp_path, capsys):
     assert capsys.readouterr().out == ""
     doc = json.loads(out.read_text(encoding="utf-8"))
     assert doc["entries"]["0,0,1"][1] == "6"
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone (`eqcube ... | head`): every write
+    fails with EPIPE.  fileno() is a file of the test's own, so pointing
+    stdout's descriptor elsewhere leaves the test process's fd 1 alone."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_pipe_exits_141_without_a_traceback(write_doc, tmp_path,
+                                                  capsys, monkeypatch):
+    path = write_doc("two.json", {"n": 2, "S": [[2, 0], [0, 2]]})
+    sink = tmp_path / "stdout"
+    with open(sink, "wb") as fh:
+        monkeypatch.setattr("sys.stdout", ClosedPipe(fh.fileno()))
+        assert main(["table", "--input", path, "--kind", "interweight",
+                     "--cross-check", "--format", "json"]) == 141
+        # stdout's descriptor now points at the null device, so what the
+        # interpreter flushes at exit goes nowhere
+        os.write(fh.fileno(), b"flushed at exit")
+    assert sink.read_bytes() == b""
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("command", [
@@ -705,6 +739,16 @@ def test_table_output_bytes_are_pinned(write_doc, capsys, flags, digest):
     assert main(["table", "--input", path] + flags) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == digest
+
+
+def test_screen_output_bytes_are_pinned(write_doc, capsys):
+    # SHA-256 of the 22-cube `screen` document: the certificate's first
+    # violation, its violation count and the feasibility report
+    path = write_doc("s22.json", S22_MATRIX)
+    assert main(["screen", "--input", path]) == 2
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == (
+        "7ae5180f3e7ba2943f618653223c356e06c4e42b0b0e40b6cdd6f5feb88bdd5a")
 
 
 @pytest.mark.parametrize("kind, digest", [

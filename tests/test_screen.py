@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -88,6 +89,16 @@ def test_certify_twenty_two_cube_example():
     assert cert.first_violation is not None
     hits = {(vv.triple, vv.index) for vv in _scan_refetch(cert)}
     assert ((0, 8, 9), (1, 1, 1)) in hits
+
+
+def test_certify_counts_what_the_scan_lists_on_the_22_cube():
+    cert = certify([[0, 22, 0], [5, 6, 11], [0, 10, 12]], 22)
+    violations = _scan_refetch(cert)
+    assert cert.violations_found == len(violations) == 8532
+    assert cert.first_violation == violations[0]
+    first = cert.first_violation
+    assert (first.triple, first.index) == ((0, 8, 9), (1, 1, 1))
+    assert type(first.value) is Fraction and first.reason == "negative"
 
 
 def _scan_refetch(cert: Certificate):
