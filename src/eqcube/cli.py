@@ -30,7 +30,8 @@ agreement, a sweep candidate without a witness), 2 `screen` certified
 nonexistent, 64 any input the CLI or the library refuses (bad JSON,
 missing fields, malformed flags, a structure and matrix of different
 shapes, an --out that cannot be written, a brute-force cost cap, a
-polynomial degree above 200).
+polynomial degree above 200), 141 the reader of the output closed the
+pipe before it was written (`| head`), as a shell reports for SIGPIPE.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import argparse
 import contextlib
 import csv
 import json
+import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -463,6 +465,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 64
+    except BrokenPipeError:
+        # the reader closed the pipe (`eqcube table ... | head`): point
+        # stdout's descriptor at the null device, so the interpreter's
+        # flush of what is still buffered at exit raises nothing
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

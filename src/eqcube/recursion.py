@@ -51,14 +51,15 @@ X^{s(r)}_{s(ijk)} = X^r_{ijk}.  Triangle tables have all six slot
 permutations; interweight tables only the exchange of the two legs
 (r2 <-> r3, j <-> k), since L1 differs from L2 and L3.  The scaled
 step is equivariant: climbing part p of t and part s(p) of s(t) use
-the same coefficients on permuted neighbors.  Every triple of an orbit
-has the same scale, so `build_table` divides only the representative
-r1 >= r2 >= r3 (triangle) or r2 >= r3 (interweight) of each orbit and
-permutes the quotient to the rest, O(m^3) moves in place of m^3
-big-integer divisions.  It refuses with ValueError a level-0 vector
-without the symmetries of its kind; every standard one (the size and
-unit diagonals, `oracle.ps_initial_triangle`, a sum of tensor cubes)
-has them.  The climb itself derives every triple.
+the same coefficients on permuted neighbors.  So `iter_table_levels`
+derives only the representative r1 >= r2 >= r3 (triangle) or r2 >= r3
+(interweight) of each orbit and permutes its vector to the rest of the
+orbit, O(m^3) moves in place of a step, before it climbs the next level.
+It refuses with ValueError a level-0 vector without the symmetries of
+its kind; every standard one (the size and unit diagonals,
+`oracle.ps_initial_triangle`, a sum of tensor cubes) has them.  Every
+triple of an orbit has the same scale, so `build_table` divides only
+the representatives too, by the orbit plan the climb used.
 
 Any triple with two or three positive parts is reachable by several
 routes; `cross_check` verifies that all of them agree and checks the
@@ -273,30 +274,60 @@ def _fill(plan, reps: Mapping[Triple, TensorVector]
             for triple, rep, order in plan}
 
 
+class _Level(dict):
+    """One level of the scaled table climbed by orbits, holding the
+    (representatives, plan) pair of `_orbits` it was climbed by, so that
+    `build_table` divides by the same plan."""
+
+    __slots__ = ("orbits",)
+
+    def __init__(self, entries: Mapping[Triple, TensorVector], orbits):
+        super().__init__(entries)
+        self.orbits = orbits
+
+
 def iter_table_levels(Q: QuotientMatrix, kind: str,
-                      initial: TensorVector,
-                      max_level: int) -> Iterator[dict[Triple, TensorVector]]:
+                      initial: TensorVector, max_level: int, *,
+                      every_triple: bool = False
+                      ) -> Iterator[dict[Triple, TensorVector]]:
     """Yield the scaled table one level at a time, keeping two levels of
     state.
 
-    Each level maps its triples to integer vectors
-    U^t = t1! t2! t3! D T^t, with D = common_denominator(initial); level
-    0 is D * initial.
+    Each level maps its triples, in lexicographic order, to integer
+    vectors U^t = t1! t2! t3! D T^t, with D = common_denominator(initial);
+    level 0 is D * initial.  One `derive_entry` step climbs each orbit
+    representative of a level (r1 >= r2 >= r3 for triangle tables,
+    r2 >= r3 for interweight tables), and the level is completed by
+    permuting their vectors, so the next level's steps find every
+    neighbour.  Raises ValueError, before any step, for an initial vector
+    without the symmetries of the kind.  With every_triple, each triple
+    is climbed by its own step and any initial vector is accepted.
     """
     n = Q.n
     lifts = lifts_for(Q, kind)
+    if not every_triple:
+        for label, order in _SYMMETRIES[kind]:
+            if _permuted(initial, order) != initial:
+                raise ValueError(f"initial vector lacks the {label} symmetry "
+                                 f"of a {kind} table")
     D = common_denominator(initial)
     prev: dict[Triple, TensorVector] = {}
-    # D clears every denominator of the initial vector, so int() is exact
-    cur: dict[Triple, TensorVector] = {
-        (0, 0, 0): TensorVector(Q.m, (int(e * D) for e in initial.entries))}
-    yield cur
-    for level in range(1, max_level + 1):
-        known = {**prev, **cur}
-        prev, cur = cur, {
-            triple: derive_entry(known, lifts, n, triple,
-                                 canonical_via(triple))
-            for triple in iter_triples_of_level(level)}
+    cur: dict[Triple, TensorVector] = {}
+    for level in range(max_level + 1):
+        triples = iter_triples_of_level(level)
+        orbits = None if every_triple else _orbits(kind, triples)
+        if level == 0:
+            # D clears every denominator of the initial vector, so int()
+            # is exact
+            steps = {(0, 0, 0): TensorVector(
+                Q.m, (int(e * D) for e in initial.entries))}
+        else:
+            known = {**prev, **cur}
+            steps = {triple: derive_entry(known, lifts, n, triple,
+                                          canonical_via(triple))
+                     for triple in (triples if orbits is None else orbits[0])}
+        prev, cur = cur, (steps if orbits is None
+                          else _Level(_fill(orbits[1], steps), orbits))
         yield cur
 
 
@@ -315,12 +346,13 @@ def build_table(Q: QuotientMatrix, kind: str = TRIANGLE,
                 initial: TensorVector | None = None) -> DistributionTable:
     """Construct the full distribution table up to max_level (default n).
 
-    Entries are exact: the scaled vector from `iter_table_levels` of
-    each orbit representative is divided by its scale with `/`, giving
-    ints where the quotient is integral and Fractions elsewhere, and the
-    quotient is permuted to the rest of the orbit.  Raises ValueError,
-    before any level is derived, for an initial vector without the
-    symmetries of the kind.
+    Entries are exact: `iter_table_levels` climbs one step per orbit
+    representative, the scaled vector of each representative is divided
+    by its scale with `/`, giving ints where the quotient is integral
+    and Fractions elsewhere, and the quotient is permuted to the rest of
+    the orbit by the plan the climb used.  Raises ValueError, before any
+    level is derived, for an initial vector without the symmetries of
+    the kind.
     """
     n = Q.n
     max_level = table_depth(max_level, n)
@@ -328,19 +360,12 @@ def build_table(Q: QuotientMatrix, kind: str = TRIANGLE,
         initial = default_initial(Q, kind)
     elif initial.m != Q.m:
         raise ValueError(f"initial vector has m={initial.m}, matrix m={Q.m}")
-    if kind not in _SYMMETRIES:
-        raise ValueError(f"unknown table kind {kind!r}")
-    for label, order in _SYMMETRIES[kind]:
-        if _permuted(initial, order) != initial:
-            raise ValueError(f"initial vector lacks the {label} symmetry "
-                             f"of a {kind} table")
     D = common_denominator(initial)
     entries: dict[Triple, TensorVector] = {}
-    for level, level_entries in enumerate(
-            iter_table_levels(Q, kind, initial, max_level)):
-        reps, plan = _orbits(kind, iter_triples_of_level(level))
+    for level in iter_table_levels(Q, kind, initial, max_level):
+        reps, plan = level.orbits
         entries.update(_fill(plan, {
-            triple: level_entries[triple] / entry_scale(triple, D)
+            triple: level[triple] / entry_scale(triple, D)
             for triple in reps}))
     return DistributionTable(kind=kind, n=n, m=Q.m, entries=entries)
 
@@ -374,6 +399,33 @@ class Violation:
     reason: str  # "negative" or "non-integer"
 
 
+def violation_sites(table: DistributionTable, sizes: Sequence | None = None
+                    ) -> Iterator[tuple[Triple, tuple[int, int, int],
+                                        int | Fraction, str]]:
+    """(triple, index, value, reason) of each violating entry, in
+    `scan_violations`' order and under its rules, with the value as the
+    table holds it.  A caller that needs only the first violation and the
+    count builds no `Violation` for the rest.  Raises ValueError for
+    sizes of another length than m.
+    """
+    if sizes is not None and len(sizes) != table.m:
+        raise ValueError(f"{len(sizes)} cell sizes for a table with m={table.m}")
+    indices = list(iter_index_triples(table.m))
+    anchor = sizes if table.kind == TRIANGLE else (1,) * table.m
+    # per flat position: its anchor cell's size, or None where only
+    # negativity is tested
+    size_at = [None if anchor is None else anchor[i - 1] for i, _, _ in indices]
+    for triple in table.triples():
+        for index, v, size in zip(indices, table.entries[triple].entries,
+                                  size_at):
+            if v < 0:
+                yield triple, index, v, "negative"
+            # v / size is an integer exactly when v % size == 0, for int
+            # and Fraction values alike
+            elif size is not None and v % size:
+                yield triple, index, v, "non-integer"
+
+
 def scan_violations(table: DistributionTable,
                     sizes: Sequence | None = None) -> list[Violation]:
     """All violating entries in deterministic order.
@@ -384,26 +436,8 @@ def scan_violations(table: DistributionTable,
     on the entry itself for interweight tables.  Raises ValueError for
     sizes of another length than m.
     """
-    if sizes is not None and len(sizes) != table.m:
-        raise ValueError(f"{len(sizes)} cell sizes for a table with m={table.m}")
-    indices = list(iter_index_triples(table.m))
-    anchor = sizes if table.kind == TRIANGLE else (1,) * table.m
-    # per flat position: (numerator, denominator) of its anchor cell's
-    # size, or None where only negativity is tested
-    size_at = [None if anchor is None else
-               (anchor[i - 1].numerator, anchor[i - 1].denominator)
-               for i, _, _ in indices]
-    out: list[Violation] = []
-    for triple in table.triples():
-        for index, v, size in zip(indices, table.entries[triple].entries,
-                                  size_at):
-            if v < 0:
-                out.append(Violation(triple, index, Fraction(v), "negative"))
-            # v / size is an integer iff its reduced denominator is 1
-            elif size is not None and (v.numerator * size[1]) % (
-                    v.denominator * size[0]):
-                out.append(Violation(triple, index, Fraction(v), "non-integer"))
-    return out
+    return [Violation(triple, index, Fraction(v), reason)
+            for triple, index, v, reason in violation_sites(table, sizes)]
 
 
 def scaled_entries(table: DistributionTable) -> dict[Triple, TensorVector]:

@@ -26,9 +26,11 @@ from fractions import Fraction
 
 from .quotient import (FeasibilityReport, InvalidQuotient,
                        feasibility_conditions, validate_quotient)
+# certify no longer calls scan_violations, but it stays importable here:
+# bench/spans.py wraps it at this attribute too
 from .recursion import (TRIANGLE, Violation, build_table, common_denominator,
                         default_initial, entry_scale, iter_table_levels,
-                        scan_violations, table_depth)
+                        scan_violations, table_depth, violation_sites)
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,9 @@ def certify(S, n: int, max_level: int | None = None) -> Certificate:
 
     The table is scanned to max_level (default n) in deterministic order
     (level, then lexicographic triple, then lexicographic index), so the
-    reported first violation is reproducible.  A matrix can fail
+    reported first violation is reproducible.  The scan is
+    `scan_violations`', but only the first violation is built; the rest
+    are counted.  A matrix can fail
     feasibility and still get its table scanned; both findings end up in
     the certificate.  A matrix that is no quotient matrix, or whose size
     ratios contradict each other, gets only a validation error.  Raises
@@ -76,9 +80,12 @@ def certify(S, n: int, max_level: int | None = None) -> Certificate:
     levels = -1
     if report.sizes is not None:
         table = build_table(Q, TRIANGLE, max_level=max_level)
-        violations = scan_violations(table, sizes=report.sizes)
-        total = len(violations)
-        first = violations[0] if violations else None
+        sites = violation_sites(table, sizes=report.sizes)
+        site = next(sites, None)
+        if site is not None:
+            triple, index, value, reason = site
+            first = Violation(triple, index, Fraction(value), reason)
+            total = 1 + sum(1 for _ in sites)
         levels = max_level
     verdict = ("nonexistent"
                if first is not None or report.verdict == "rejected"
@@ -140,7 +147,11 @@ def hunt_witness(params: tuple[int, int, int, int, int]) -> SweepCandidate:
     Q = validate_quotient(((a, b), (c, d)), n)
     initial = default_initial(Q, TRIANGLE)
     D = common_denominator(initial)
-    levels = iter_table_levels(Q, TRIANGLE, initial, n)
+    # The hunt reads only the r1 = 0 plane but derives every triple:
+    # bench/tests/test_bench.py::test_hunts_leave_polynomial_and_oracle_layers_idle
+    # pins C(t + 3, 3) derive_entry steps for a hunt to level t.  The
+    # r3 <= 1 hunt of ROADMAP item 2 replaces every_triple.
+    levels = iter_table_levels(Q, TRIANGLE, initial, n, every_triple=True)
     for level, level_entries in enumerate(levels):
         for r2 in range(level + 1):
             triple = (0, r2, level - r2)

@@ -1,6 +1,7 @@
 """Distribution tables: recursion, scanning, internal consistency."""
 
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -11,9 +12,9 @@ from eqcube.oracle import singleton_partition, verify_equitable
 from eqcube import recursion
 from eqcube.quotient import cell_sizes, validate_quotient
 from eqcube.recursion import (INTERWEIGHT, TRIANGLE, DistributionTable,
-                              build_table, canonical_via, common_denominator,
-                              cross_check, default_initial, derive_entry,
-                              entry_scale,
+                              Violation, build_table, canonical_via,
+                              common_denominator, cross_check,
+                              default_initial, derive_entry, entry_scale,
                               initial_interweight, initial_triangle,
                               iter_table_levels, iter_triples_of_level,
                               lifts_for, scaled_entries, scan_violations,
@@ -190,6 +191,32 @@ def test_scan_violations_refuses_sizes_of_another_length(kind, sizes):
         scan_violations(build_table(Q_PAIR, kind), sizes=sizes)
 
 
+def test_scan_divisibility_matches_fraction_division():
+    # v % size == 0 against the reduced denominator of Fraction(v) / size,
+    # on tables with fractional cell sizes (32/5, 48/5 and 16/5, 24/5) and
+    # fractional entries, under those sizes and seeded rational ones
+    rng = random.Random(20134)
+    draws = [tuple(Fraction(rng.randint(1, 60), rng.randint(1, 12))
+                   for _ in range(2)) for _ in range(20)]
+    for Q in (validate_quotient([[1, 3], [2, 2]], 4), Q_FIFTHS):
+        for kind in (TRIANGLE, INTERWEIGHT):
+            table = build_table(Q, kind)
+            assert any(type(e) is Fraction for vec in table.entries.values()
+                       for e in vec.entries)
+            for sizes in [cell_sizes(Q)] + draws:
+                anchor = sizes if kind == TRIANGLE else (1, 1)
+                expected = [
+                    Violation(t, index, Fraction(v),
+                              "negative" if v < 0 else "non-integer")
+                    for t in table.triples()
+                    for index, v in zip(iter_index_triples(2),
+                                        table.entries[t].entries)
+                    if v < 0
+                    or (Fraction(v) / anchor[index[0] - 1]).denominator != 1]
+                assert scan_violations(table, sizes) == expected, (Q, kind)
+                assert any(x.reason == "non-integer" for x in expected)
+
+
 def test_scan_violations_order_is_level_triple_index():
     Q = validate_quotient([[0, 5], [3, 2]], 5)
     v = scan_violations(build_table(Q, TRIANGLE), sizes=cell_sizes(Q))
@@ -312,7 +339,41 @@ def test_initial_vector_without_the_kinds_symmetry_is_refused(
                         lambda *args: derived.append(args))
     with pytest.raises(ValueError, match="symmetry"):
         build_table(Q_PAIR, kind, initial=initial)
+    with pytest.raises(ValueError, match="symmetry"):
+        next(iter_table_levels(Q_PAIR, kind, initial, 3))
     assert derived == []
+    # climbing every triple needs no symmetry
+    levels = iter_table_levels(Q_PAIR, kind, initial, 3, every_triple=True)
+    assert len(list(levels)) == 4
+
+
+def _representatives(kind, level):
+    """Triples of a level with r1 >= r2 >= r3 (triangle) or r2 >= r3
+    (interweight), in lexicographic order."""
+    return [t for t in iter_triples_of_level(level)
+            if t[1] >= t[2] and (kind == INTERWEIGHT or t[0] >= t[1])]
+
+
+@pytest.mark.parametrize("kind", [TRIANGLE, INTERWEIGHT])
+def test_build_table_steps_once_per_orbit_representative(monkeypatch, kind):
+    steps, plans = [], []
+    derive, orbits = recursion.derive_entry, recursion._orbits
+
+    def counted_derive(levels, lifts, n, triple, via):
+        steps.append(triple)
+        return derive(levels, lifts, n, triple, via)
+
+    def counted_orbits(kind, triples):
+        plans.append(kind)
+        return orbits(kind, triples)
+
+    monkeypatch.setattr(recursion, "derive_entry", counted_derive)
+    monkeypatch.setattr(recursion, "_orbits", counted_orbits)
+    build_table(Q22, kind)
+    assert steps == [t for level in range(1, 23)
+                     for t in _representatives(kind, level)]
+    # the climb and the division share one orbit plan per level
+    assert plans == [kind] * 23
 
 
 def test_leg_exchange_suffices_for_an_interweight_table():
