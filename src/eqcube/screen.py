@@ -26,8 +26,8 @@ from fractions import Fraction
 
 from .quotient import (FeasibilityReport, InvalidQuotient,
                        feasibility_conditions, validate_quotient)
-# certify no longer calls scan_violations, but it stays importable here:
-# bench/spans.py wraps it at this attribute too
+# scan_violations is not called here, but bench/spans.py wraps it at
+# this module's attribute too, so it stays imported
 from .recursion import (TRIANGLE, Violation, build_table, common_denominator,
                         default_initial, entry_scale, iter_table_levels,
                         scan_violations, table_depth, violation_sites)
@@ -57,9 +57,9 @@ def certify(S, n: int, max_level: int | None = None) -> Certificate:
 
     The table is scanned to max_level (default n) in deterministic order
     (level, then lexicographic triple, then lexicographic index), so the
-    reported first violation is reproducible.  The scan is
-    `scan_violations`', but only the first violation is built; the rest
-    are counted.  A matrix can fail
+    reported first violation is reproducible.  The scan follows
+    `scan_violations`' rules but builds a `Violation` for the first
+    violation only and counts the rest.  A matrix can fail
     feasibility and still get its table scanned; both findings end up in
     the certificate.  A matrix that is no quotient matrix, or whose size
     ratios contradict each other, gets only a validation error.  Raises
