@@ -414,7 +414,8 @@ def violation_sites(table: DistributionTable, sizes: Sequence | None = None
     anchor = sizes if table.kind == TRIANGLE else (1,) * table.m
     # per flat position: its anchor cell's size, or None where only
     # negativity is tested
-    size_at = [None if anchor is None else anchor[i - 1] for i, _, _ in indices]
+    size_at = [None if anchor is None else anchor[i - 1]
+               for i, _, _ in indices]
     for triple in table.triples():
         for index, v, size in zip(indices, table.entries[triple].entries,
                                   size_at):
