@@ -260,6 +260,26 @@ def random_terms(rng, m, kind):
             for _ in range(3)]
 
 
+@pytest.mark.parametrize("kind", ["int", "big", "fraction"])
+def test_division_matches_exact_quotient_in_value_and_type(kind):
+    # TensorVector / c applies the number rule entry by entry: signed
+    # ints and Fractions, over signed int, big int and Fraction divisors
+    rng = random.Random(f"division:{kind}")
+    for m in (1, 2, 3):
+        for _ in range(12):
+            v = random_vector(rng, m, kind)
+            divisors = [rng.choice((-1, 1)) * rng.randint(1, 12),
+                        rng.randint(1, 2 ** 64),
+                        Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                 rng.randint(1, 9))]
+            for c in divisors:
+                want = [exact_quotient(e, c) for e in v.entries]
+                assert typed((v / c).entries) == typed(want), (v, c)
+            for zero in (0, Fraction(0)):
+                with pytest.raises(ZeroDivisionError):
+                    v / zero
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 @pytest.mark.parametrize("kind", ["int", "big", "fraction"])
 def test_lift_step_matches_the_plan_in_value_and_type(m, kind):

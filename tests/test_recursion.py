@@ -18,7 +18,7 @@ from eqcube.recursion import (INTERWEIGHT, TRIANGLE, DistributionTable,
                               initial_interweight, initial_triangle,
                               iter_table_levels, iter_triples_of_level,
                               lifts_for, scaled_entries, scan_violations,
-                              weight_distribution)
+                              violation_sites, weight_distribution)
 
 Q_PAIR = validate_quotient([[0, 3], [1, 2]], 3)
 Q22 = validate_quotient([[0, 22, 0], [5, 6, 11], [0, 10, 12]], 22)
@@ -215,6 +215,62 @@ def test_scan_divisibility_matches_fraction_division():
                     or (Fraction(v) / anchor[index[0] - 1]).denominator != 1]
                 assert scan_violations(table, sizes) == expected, (Q, kind)
                 assert any(x.reason == "non-integer" for x in expected)
+
+
+def naive_sites(table, sizes):
+    """violation_sites' findings by one test per entry, in scan order."""
+    anchor = sizes if table.kind == TRIANGLE else (1,) * table.m
+    sites = []
+    for t in table.triples():
+        for index, v in zip(iter_index_triples(table.m),
+                            table.entries[t].entries):
+            if v < 0:
+                sites.append((t, index, v, "negative"))
+            elif (anchor is not None
+                  and (Fraction(v) / anchor[index[0] - 1]).denominator != 1):
+                sites.append((t, index, v, "non-integer"))
+    return sites
+
+
+def planted(rng, table):
+    """A copy of the table with negatives, non-integers and harmless
+    multiples planted at seeded entries of about a third of its vectors."""
+    entries = {}
+    for t, vec in table.entries.items():
+        values = list(vec.entries)
+        if rng.random() < 1 / 3:
+            for _ in range(rng.randint(1, 3)):
+                values[rng.randrange(len(values))] = rng.choice([
+                    -rng.randint(1, 50),
+                    Fraction(rng.randint(-20, 20), rng.randint(1, 7)),
+                    rng.randint(0, 40),
+                    12 * rng.randint(0, 9)])
+        entries[t] = TensorVector(table.m, values)
+    return replace(table, entries=entries)
+
+
+@pytest.mark.parametrize("kind", [TRIANGLE, INTERWEIGHT])
+def test_violation_sites_match_a_naive_scan(kind):
+    # seeded plants on tables with integral cell sizes (the pair
+    # partition, the 22-cube to level 6) and fractional ones (32/5 and
+    # 48/5 for [[1, 3], [2, 2]]), scanned with and without sizes
+    rng = random.Random(f"violation_sites:{kind}")
+    tables = [(Q_PAIR, None), (Q22, 6),
+              (validate_quotient([[1, 3], [2, 2]], 4), None)]
+    for Q, level in tables:
+        table = build_table(Q, kind, max_level=level)
+        reasons = set()
+        for _ in range(4):
+            tampered = planted(rng, table)
+            for sizes in (None, cell_sizes(Q)):
+                want = naive_sites(tampered, sizes)
+                got = list(violation_sites(tampered, sizes))
+                assert [(t, index, type(v), v, reason)
+                        for t, index, v, reason in got] == [
+                    (t, index, type(v), v, reason)
+                    for t, index, v, reason in want], (Q, sizes)
+                reasons |= {reason for *_, reason in want}
+        assert reasons == {"negative", "non-integer"}, Q
 
 
 def test_scan_violations_order_is_level_triple_index():
