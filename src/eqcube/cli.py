@@ -30,7 +30,7 @@ agreement, a sweep candidate without a witness), 2 `screen` certified
 nonexistent, 64 any input the CLI or the library refuses (bad JSON,
 missing fields, malformed flags, a structure and matrix of different
 shapes, an --out that cannot be written, a brute-force cost cap, a
-polynomial degree above 200), 141 the reader of the output closed the
+table size cap, a polynomial degree above 200), 141 the reader of the output closed the
 pipe before it was written (`| head`), as a shell reports for SIGPIPE.
 """
 
@@ -204,7 +204,8 @@ def _open_out(path: str | None):
 
 def cmd_table(args: argparse.Namespace, out) -> int:
     Q = _load_quotient(args.input)
-    table = recursion.build_table(Q, args.kind, max_level=args.max_level)
+    table = recursion.build_table(Q, args.kind, max_level=args.max_level,
+                                  force=args.force)
     if args.cross_check:
         report = recursion.cross_check(table, Q)
         if not report.ok:
@@ -252,7 +253,7 @@ def cmd_poly(args: argparse.Namespace, out) -> int:
 
 def cmd_screen(args: argparse.Namespace, out) -> int:
     n, S = load_matrix(args.input)
-    cert = screen.certify(S, n, max_level=args.max_level)
+    cert = screen.certify(S, n, max_level=args.max_level, force=args.force)
     doc = asdict(cert)
     if cert.feasibility is not None:
         feasibility = doc["feasibility"]
@@ -350,7 +351,8 @@ def cmd_oracle_ps_table(args: argparse.Namespace, out) -> int:
     PS, Q = _load_structure_pair(args)
     initial = oracle.ps_initial_triangle(PS)
     write_table(recursion.build_table(Q, TRIANGLE, max_level=args.max_level,
-                                      initial=initial), args.format, out)
+                                      initial=initial, force=args.force),
+                args.format, out)
     return 0
 
 
@@ -377,11 +379,14 @@ def build_parser() -> argparse.ArgumentParser:
     structure = _option("--structure", required=True,
                         help="structure JSON file")
     level = _option("--max-level", type=int, default=None)
+    force = _option("--force", action="store_true",
+                    help=f"override the cap of {recursion.MAX_TABLE_ENTRIES} "
+                         f"table entries")
     out = _option("--out", default=None, help="output file (default stdout)")
     table_out = [_option("--format", choices=("json", "csv"), default="json"),
                  out]
 
-    p = sub.add_parser("table", parents=[matrix, level, *table_out],
+    p = sub.add_parser("table", parents=[matrix, level, force, *table_out],
                        help="build a distribution table by recursion")
     p.add_argument("--kind", choices=(TRIANGLE, INTERWEIGHT), default=TRIANGLE)
     p.add_argument("--cross-check", action="store_true",
@@ -398,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="all")
     p.set_defaults(func=cmd_poly)
 
-    p = sub.add_parser("screen", parents=[matrix, level],
+    p = sub.add_parser("screen", parents=[matrix, level, force],
                        help="certify a candidate matrix")
     p.set_defaults(func=cmd_screen)
 
@@ -446,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle_ps_verify)
 
     p = osub.add_parser("ps-table", parents=[structure, matrix, level,
-                                             *table_out],
+                                             force, *table_out],
                         help="propagate a structure's triangle table")
     p.set_defaults(func=cmd_oracle_ps_table)
 

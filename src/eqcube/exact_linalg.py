@@ -24,10 +24,17 @@ dense m^3 x m^3 matrix is only ever built by
 `materialize`, a debugging and testing aid.
 
 This module owns the two rules of a distribution vector.  Layout:
-`flat_index` is the one map from (i, j, k) to a flat position.  Numbers:
+`flat_index` is the one map from (i, j, k) to a flat position, and
+`TensorVector.permuted` the one permutation of the three slots, run as
+a cached `operator.itemgetter` over the flat positions.  Numbers:
 entries are Python ints or `fractions.Fraction`s, and `exact_quotient`
-(which `TensorVector / c` applies) gives an int where the quotient is
-integral and a Fraction otherwise.  Nothing here rounds.
+gives an int where the quotient is integral and a Fraction otherwise;
+`TensorVector / c` applies that rule in one pass.  Nothing here rounds.
+
+`TensorVector(m, entries)` checks that it gets m^3 entries.  The
+vectors this module builds itself from a tuple of the right length
+skip that check: the results of arithmetic, permutations, quotients,
+`apply_lift` and `lift_step`.
 """
 
 from __future__ import annotations
@@ -35,7 +42,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from operator import add, mul
+from itertools import repeat
+from operator import add, itemgetter, mul, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 
@@ -78,7 +86,7 @@ class TensorVector:
     @lru_cache(maxsize=None)
     def zero(m: int) -> "TensorVector":
         """The zero vector for m cells, one shared instance per m."""
-        return TensorVector(m, (0,) * m ** 3)
+        return _vector(m, (0,) * m ** 3)
 
     @classmethod
     def unit(cls, m: int, triple: tuple[int, int, int]) -> "TensorVector":
@@ -98,20 +106,29 @@ class TensorVector:
 
     def __add__(self, other: "TensorVector") -> "TensorVector":
         self._check_mate(other)
-        return TensorVector(self.m, (a + b for a, b in zip(self.entries, other.entries)))
+        return _vector(self.m, tuple(map(add, self.entries, other.entries)))
 
     def __sub__(self, other: "TensorVector") -> "TensorVector":
         self._check_mate(other)
-        return TensorVector(self.m, (a - b for a, b in zip(self.entries, other.entries)))
+        return _vector(self.m, tuple(map(sub, self.entries, other.entries)))
 
     def __mul__(self, c) -> "TensorVector":
-        return TensorVector(self.m, (e * c for e in self.entries))
+        return _vector(self.m, tuple(map(mul, self.entries, repeat(c))))
 
     __rmul__ = __mul__
 
     def __truediv__(self, c) -> "TensorVector":
-        """Entrywise `exact_quotient` by c; c = 0 raises ZeroDivisionError."""
-        return TensorVector(self.m, (exact_quotient(e, c) for e in self.entries))
+        """Entrywise `exact_quotient` by c, in value and type, in one pass
+        of operators; c = 0 raises ZeroDivisionError."""
+        # e // c and e % c are divmod(e, c)'s parts, for int and Fraction
+        # operands alike, so this is exact_quotient without the call
+        return _vector(self.m, tuple([e // c if not e % c else Fraction(e, c)
+                                      for e in self.entries]))
+
+    def permuted(self, order: tuple[int, int, int]) -> "TensorVector":
+        """The vector whose entry at index (i1, i2, i3) is this one's at
+        (i_o[0], i_o[1], i_o[2]), o = order, a permutation of (0, 1, 2)."""
+        return _vector(self.m, _slot_getter(self.m, order)(self.entries))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TensorVector):
@@ -120,6 +137,27 @@ class TensorVector:
 
     def __repr__(self) -> str:
         return f"TensorVector(m={self.m}, {list(self.entries)!r})"
+
+
+def _vector(m: int, entries: tuple) -> TensorVector:
+    """A TensorVector of `entries`, a tuple of exactly m^3 entries, made
+    without `TensorVector.__init__`'s copy and length check."""
+    vec = object.__new__(TensorVector)
+    vec.m = m
+    vec.entries = entries
+    return vec
+
+
+@lru_cache(maxsize=None)  # at most six orders per m
+def _slot_getter(m: int, order: tuple[int, int, int]) -> Callable:
+    """The tuple of flat entries whose index is permuted by `order`:
+    position p reads the position of index (i_o[0], i_o[1], i_o[2]),
+    (i1, i2, i3) being p's index."""
+    positions = [flat_index(m, *(index[o] for o in order))
+                 for index in iter_index_triples(m)]
+    # an itemgetter of one position returns the bare entry, not a tuple;
+    # at m = 1 every order is the identity
+    return itemgetter(*positions) if m > 1 else tuple
 
 
 def _as_rows(S: Sequence[Sequence]) -> tuple[tuple, ...]:
@@ -218,7 +256,7 @@ def apply_lift(U: TensorVector, L: LiftedMatrix) -> TensorVector:
     out = map(mul, map(get, sources), coefs)
     for sources, coefs in rest:
         out = map(add, out, map(mul, map(get, sources), coefs))
-    return TensorVector(L.m, out)
+    return _vector(L.m, tuple(out))
 
 
 # The one rule choosing how `lift_step` runs: a lift of at most this many
@@ -314,12 +352,13 @@ def lift_step(U: TensorVector, L: LiftedMatrix,
         if not T1.m == T2.m == T3.m == m:
             raise ValueError(f"dimension mismatch: a term differs from "
                              f"the lift's m={m}")
-        return TensorVector(m, [
+        return _vector(m, tuple([
             x - c1 * y1 - c2 * y2 - c3 * y3 for x, y1, y2, y3 in zip(
-                apply_lift(U, L).entries, T1.entries, T2.entries, T3.entries)])
+                apply_lift(U, L).entries, T1.entries, T2.entries, T3.entries)]))
     # the step unpacks the three pairs, and every vector into exactly m^3
-    # names, which raises ValueError for another count or m
-    return TensorVector(m, L._step(U.entries, terms))
+    # names, which raises ValueError for another count or m; it returns
+    # a tuple of m^3 entries
+    return _vector(m, L._step(U.entries, terms))
 
 
 def commutes(A: LiftedMatrix, B: LiftedMatrix) -> bool:

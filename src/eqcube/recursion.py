@@ -54,7 +54,8 @@ step is equivariant: climbing part p of t and part s(p) of s(t) use
 the same coefficients on permuted neighbors.  So `iter_table_levels`
 derives only the representative r1 >= r2 >= r3 (triangle) or r2 >= r3
 (interweight) of each orbit and permutes its vector to the rest of the
-orbit, O(m^3) moves in place of a step, before it climbs the next level.
+orbit with `TensorVector.permuted`, one itemgetter call over the flat
+positions in place of a step, before it climbs the next level.
 It refuses with ValueError a level-0 vector without the symmetries of
 its kind; every standard one (the size and unit diagonals,
 `oracle.ps_initial_triangle`, a sum of tensor cubes) has them.  Every
@@ -70,7 +71,9 @@ triples.
 
 For a partition that actually exists every T entry is a count
 divisible by the anchor cell size, so a negative or non-integral entry
-refutes existence (`scan_violations`).
+refutes existence (`scan_violations`).  The scan tests a whole vector
+with `min` and a `map` of `%` first, and walks the entries only of a
+vector that holds a violation.
 """
 
 from __future__ import annotations
@@ -79,11 +82,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exact_linalg import (LiftedMatrix, TensorVector, apply_lift, diag_lift,
-                           exact_quotient, flat_index, iter_index_triples,
-                           kron_lift, lift_step)
+                           flat_index, iter_index_triples, kron_lift,
+                           lift_step)
 from .quotient import QuotientError, QuotientMatrix, cell_sizes
 
 Triple = tuple[int, int, int]
@@ -226,21 +230,6 @@ _SYMMETRIES = {
 _IDENTITY = (0, 1, 2)
 
 
-@lru_cache(maxsize=None)
-def _slot_map(m: int, order: tuple[int, int, int]) -> tuple[int, ...]:
-    """For each flat position, the flat position of its index permuted
-    by `order`: index (i1, i2, i3) goes to (i_o[0], i_o[1], i_o[2])."""
-    return tuple(flat_index(m, *(index[o] for o in order))
-                 for index in iter_index_triples(m))
-
-
-def _permuted(vec: TensorVector, order: tuple[int, int, int]) -> TensorVector:
-    """The vector of triple t, given the vector of (t[o[0]], t[o[1]],
-    t[o[2]]) in a table with the symmetry o: X^t_idx = X^{t o}_{idx o}."""
-    return TensorVector(vec.m, map(vec.entries.__getitem__,
-                                   _slot_map(vec.m, order)))
-
-
 def _orbit_order(kind: str, triple: Triple) -> tuple[int, int, int]:
     """The order o taking a triple t to the representative of its orbit,
     (t[o[0]], t[o[1]], t[o[2]]) with the parts descending (triangle) or
@@ -268,9 +257,11 @@ def _orbits(kind: str, triples: Iterable[Triple]
 
 def _fill(plan, reps: Mapping[Triple, TensorVector]
           ) -> dict[Triple, TensorVector]:
-    """Every triple of an orbit plan from its representatives' vectors."""
+    """Every triple of an orbit plan from its representatives' vectors:
+    in a table with the symmetry o, the vector of t is that of
+    (t[o[0]], t[o[1]], t[o[2]]) permuted by o, X^t_idx = X^{t o}_{idx o}."""
     return {triple: reps[rep] if order == _IDENTITY
-            else _permuted(reps[rep], order)
+            else reps[rep].permuted(order)
             for triple, rep, order in plan}
 
 
@@ -307,7 +298,7 @@ def iter_table_levels(Q: QuotientMatrix, kind: str,
     lifts = lifts_for(Q, kind)
     if not every_triple:
         for label, order in _SYMMETRIES[kind]:
-            if _permuted(initial, order) != initial:
+            if initial.permuted(order) != initial:
                 raise ValueError(f"initial vector lacks the {label} symmetry "
                                  f"of a {kind} table")
     D = common_denominator(initial)
@@ -331,19 +322,36 @@ def iter_table_levels(Q: QuotientMatrix, kind: str,
         yield cur
 
 
-def table_depth(max_level: int | None, n: int) -> int:
-    """The level a table climbs to: max_level, or n when it is None.
-    Raises ValueError for a level outside [0, n]."""
+# The most entries, C(L + 3, 3) m^3 for m cells to level L, that a full
+# table may hold unless forced.  On a shared 2-vCPU VM (Python 3.11) a
+# table near the cap took 0.7 s and 47 MB peak at m = 3 (level 58),
+# 1.3 s and 62 MB at m = 2 (level 88) and 7.3 s and 198 MB at m = 1
+# (level 178, the largest entries); the 22-cube's holds 62100.
+MAX_TABLE_ENTRIES = 10 ** 6
+
+
+def table_depth(max_level: int | None, n: int, m: int,
+                force: bool = False) -> int:
+    """The level a table of m cells climbs to: max_level, or n when it
+    is None.  Raises ValueError for a level outside [0, n], and, unless
+    force, for a table of more than MAX_TABLE_ENTRIES entries."""
     if max_level is None:
-        return n
-    if not 0 <= max_level <= n:
+        max_level = n
+    elif not 0 <= max_level <= n:
         raise ValueError(f"max_level must lie in [0, {n}], got {max_level}")
+    entries = math.comb(max_level + 3, 3) * m ** 3
+    if entries > MAX_TABLE_ENTRIES and not force:
+        raise ValueError(
+            f"a {m}-cell table to level {max_level} holds {entries} "
+            f"entries, more than the cap of {MAX_TABLE_ENTRIES}; pass "
+            f"--force (force=True in Python) to build it anyway")
     return max_level
 
 
 def build_table(Q: QuotientMatrix, kind: str = TRIANGLE,
                 max_level: int | None = None,
-                initial: TensorVector | None = None) -> DistributionTable:
+                initial: TensorVector | None = None,
+                force: bool = False) -> DistributionTable:
     """Construct the full distribution table up to max_level (default n).
 
     Entries are exact: `iter_table_levels` climbs one step per orbit
@@ -352,10 +360,11 @@ def build_table(Q: QuotientMatrix, kind: str = TRIANGLE,
     and Fractions elsewhere, and the quotient is permuted to the rest of
     the orbit by the plan the climb used.  Raises ValueError, before any
     level is derived, for an initial vector without the symmetries of
-    the kind.
+    the kind, and, unless force, for a table of more than
+    MAX_TABLE_ENTRIES entries (see `table_depth`).
     """
     n = Q.n
-    max_level = table_depth(max_level, n)
+    max_level = table_depth(max_level, n, Q.m, force)
     if initial is None:
         initial = default_initial(Q, kind)
     elif initial.m != Q.m:
@@ -417,8 +426,13 @@ def violation_sites(table: DistributionTable, sizes: Sequence | None = None
     size_at = [None if anchor is None else anchor[i - 1]
                for i, _, _ in indices]
     for triple in table.triples():
-        for index, v, size in zip(indices, table.entries[triple].entries,
-                                  size_at):
+        entries = table.entries[triple].entries
+        # most vectors hold no violation: test the whole vector at C
+        # speed first and walk its entries only when it holds one
+        if min(entries) >= 0 and (anchor is None
+                                  or not any(map(mod, entries, size_at))):
+            continue
+        for index, v, size in zip(indices, entries, size_at):
             if v < 0:
                 yield triple, index, v, "negative"
             # v / size is an integer exactly when v % size == 0, for int
@@ -450,9 +464,9 @@ def scaled_entries(table: DistributionTable) -> dict[Triple, TensorVector]:
 
 
 def _scaled(vec: TensorVector, s: int) -> TensorVector:
-    """s * vec, for a scale s that clears every denominator of vec."""
-    return TensorVector(vec.m, (exact_quotient(e.numerator * s, e.denominator)
-                                for e in vec.entries))
+    """s * vec under the number rule: ints wherever s clears the
+    denominator, as it clears all of them for the vectors of a table."""
+    return vec * s / 1
 
 
 @dataclass
@@ -530,9 +544,9 @@ def cross_check(table: DistributionTable, Q: QuotientMatrix,
     orders = _SYMMETRIES[table.kind]
     for triple in triples:
         vec = table.entries[triple].entries
-        images = [(label, _permuted(
-            table.entries[tuple(triple[o] for o in order)], order).entries)
-                  for label, order in orders]
+        images = [(label, table.entries[
+            (triple[order[0]], triple[order[1]], triple[order[2]])
+        ].permuted(order).entries) for label, order in orders]
         if all(image == vec for _, image in images):
             continue
         for p, index in enumerate(indices):
@@ -570,28 +584,27 @@ def cross_check(table: DistributionTable, Q: QuotientMatrix,
         if standard(tri) and standard(inter):
             checks.append("pairing")
             D = diag_lift(sizes)
-            for triple in tri.triples():
-                W = inter.entries.get(triple)
-                if W is not None and tri.entries[triple] != apply_lift(W, D):
+            # the triples both tables hold, in the scan order
+            for triple in triples:
+                T, W = tri.entries.get(triple), inter.entries.get(triple)
+                if T is not None and W is not None and T != apply_lift(W, D):
                     pairing.append(triple)
 
     marg: list[tuple[Triple, int]] = []
     if standard(table):
         checks.append("marginals")
         f = factors[table.kind]
-        for triple in table.triples():
+        block = m * m  # the (i, *, *) entries are one contiguous block
+        for triple in triples:
             r1, r2, r3 = triple
             count = (math.factorial(n)
                      // (math.factorial(r1) * math.factorial(r2)
                          * math.factorial(r3)
                          * math.factorial(n - r1 - r2 - r3)))
             vec = table.entries[triple].entries
-            for i in range(1, m + 1):
-                # the (i, *, *) entries are one contiguous block
-                total = sum(vec[flat_index(m, i, 1, 1):
-                                flat_index(m, i, m, m) + 1])
-                if total != f[i - 1] * count:
-                    marg.append((triple, i))
+            for i in range(m):
+                if sum(vec[i * block:(i + 1) * block]) != f[i] * count:
+                    marg.append((triple, i + 1))
 
     return CrossCheckReport(
         checks_run=tuple(checks),

@@ -52,7 +52,8 @@ class Certificate:
     levels_scanned: int
 
 
-def certify(S, n: int, max_level: int | None = None) -> Certificate:
+def certify(S, n: int, max_level: int | None = None,
+            force: bool = False) -> Certificate:
     """Screen a candidate matrix and scan its triangle table.
 
     The table is scanned to max_level (default n) in deterministic order
@@ -63,10 +64,12 @@ def certify(S, n: int, max_level: int | None = None) -> Certificate:
     feasibility and still get its table scanned; both findings end up in
     the certificate.  A matrix that is no quotient matrix, or whose size
     ratios contradict each other, gets only a validation error.  Raises
-    ValueError for max_level outside [0, n], whatever the matrix.
+    ValueError for max_level outside [0, n], and, unless force, for a
+    table of more than `recursion.MAX_TABLE_ENTRIES` entries, before
+    any work and whatever the matrix.
     """
-    max_level = table_depth(max_level, n)
     rows = tuple(tuple(r) for r in S)
+    max_level = table_depth(max_level, n, len(rows), force)
     try:
         Q = validate_quotient(rows, n)
         report = feasibility_conditions(Q)
@@ -79,7 +82,7 @@ def certify(S, n: int, max_level: int | None = None) -> Certificate:
     total = 0
     levels = -1
     if report.sizes is not None:
-        table = build_table(Q, TRIANGLE, max_level=max_level)
+        table = build_table(Q, TRIANGLE, max_level=max_level, force=force)
         sites = violation_sites(table, sizes=report.sizes)
         site = next(sites, None)
         if site is not None:

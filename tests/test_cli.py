@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from eqcube import cli
+from eqcube import cli, recursion
 from eqcube.cli import main, parse_rational, render_value, InputError
 from eqcube.oracle import parity_partition, singleton_partition
 from eqcube.quotient import validate_quotient
@@ -516,6 +516,41 @@ def test_subcommand_help_names_its_shared_options(capsys, command, options):
     assert main(command + ["--help"]) == 0
     out = capsys.readouterr().out
     assert {o for o in SHARED_OPTIONS if o in out} == options
+
+
+@pytest.mark.parametrize("command", ["table", "screen"])
+def test_a_table_over_the_size_cap_exits_64_before_any_step(
+        write_doc, capsys, monkeypatch, command):
+    # the one-cell 400-cube's table would hold C(403, 3) = 10827401 entries
+    monkeypatch.setattr(recursion, "derive_entry", None)  # any step fails
+    path = write_doc("n400.json", {"n": 400, "S": [[400]]})
+    assert main([command, "--input", path]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("10827401 entries, more than the cap of 1000000; pass --force"
+            in captured.err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--input", "MATRIX"],
+    ["screen", "--input", "MATRIX"],
+    ["oracle", "ps-table", "--structure", "STRUCTURE", "--input", "MATRIX"],
+], ids=["table", "screen", "ps-table"])
+def test_force_lifts_the_table_size_cap(write_doc, capsys, monkeypatch, argv):
+    # the pair partition's table holds C(6, 3) * 8 = 160 entries
+    paths = {"MATRIX": write_doc("pair.json", PAIR_MATRIX),
+             "STRUCTURE": write_doc("ps.json", {
+                 "n": 3, "m": 2,
+                 "values": [[1, 0] if v in (0, 7) else [0, 1]
+                            for v in range(8)]})}
+    argv = [paths.get(a, a) for a in argv]
+    assert main(argv) == 0
+    uncapped = capsys.readouterr().out
+    monkeypatch.setattr(recursion, "MAX_TABLE_ENTRIES", 159)
+    assert main(argv) == 64
+    assert "pass --force" in capsys.readouterr().err
+    assert main(argv + ["--force"]) == 0
+    assert capsys.readouterr().out == uncapped
 
 
 # -- sweep -------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Distribution tables: recursion, scanning, internal consistency."""
 
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from eqcube.exact_linalg import TensorVector, iter_index_triples
+from eqcube.exact_linalg import TensorVector, flat_index, iter_index_triples
 from eqcube.oracle import singleton_partition, verify_equitable
 from eqcube import recursion
 from eqcube.quotient import cell_sizes, validate_quotient
@@ -48,6 +49,62 @@ def test_canonical_via_takes_first_positive_part():
     assert canonical_via((0, 0, 4)) == 3
     with pytest.raises(ValueError):
         canonical_via((0, 0, 0))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8])
+def test_permuted_is_the_map_over_slot_positions(m):
+    # the reference reads, at each flat position, the flat position of
+    # its index permuted by the order, one entry at a time; every order
+    # of the kinds' symmetries and the rest of the six, ints and
+    # Fractions
+    rng = random.Random(f"permuted:{m}")
+    vec = TensorVector(m, [rng.choice((rng.randint(-99, 99),
+                                       Fraction(rng.randint(-9, 9),
+                                                rng.randint(1, 9))))
+                           for _ in range(m ** 3)])
+    orders = [order for symmetries in recursion._SYMMETRIES.values()
+              for _, order in symmetries]
+    orders += [o for o in itertools.permutations(range(3)) if o not in orders]
+    for order in orders:
+        positions = [flat_index(m, *(index[o] for o in order))
+                     for index in iter_index_triples(m)]
+        got = vec.permuted(order)
+        assert type(got) is TensorVector and got.m == m
+        assert got.entries == tuple(map(vec.entries.__getitem__, positions))
+        assert list(map(type, got.entries)) == [
+            type(vec.entries[p]) for p in positions]
+
+
+def test_table_size_cap_boundary(monkeypatch):
+    # a table to level L holds C(L + 3, 3) m^3 entries: a table at the
+    # cap builds, one entry over it is refused unless forced
+    assert recursion.table_depth(None, 179, 1) == 179  # 988260 entries
+    with pytest.raises(ValueError, match="1004731 entries, more than the "
+                       "cap of 1000000; pass --force"):
+        recursion.table_depth(None, 180, 1)
+    assert recursion.table_depth(None, 180, 1, force=True) == 180
+    assert recursion.table_depth(90, 400, 1) == 90
+    assert math.comb(22 + 3, 3) * 3 ** 3 == 62100  # the 22-cube's
+    # the pair partition's table to level 3 holds C(6, 3) * 8 = 160
+    monkeypatch.setattr(recursion, "MAX_TABLE_ENTRIES", 160)
+    whole = build_table(Q_PAIR)
+    monkeypatch.setattr(recursion, "MAX_TABLE_ENTRIES", 159)
+    for kind in (TRIANGLE, INTERWEIGHT):
+        with pytest.raises(ValueError, match="a 2-cell table to level 3 "
+                           "holds 160 entries, more than the cap of 159"):
+            build_table(Q_PAIR, kind)
+    assert build_table(Q_PAIR, force=True) == whole
+    assert build_table(Q_PAIR, max_level=2).triples()[-1] == (2, 0, 0)
+
+
+@pytest.mark.parametrize("kind", [TRIANGLE, INTERWEIGHT])
+def test_a_table_over_the_cap_is_refused_before_any_step(monkeypatch, kind):
+    steps = []
+    monkeypatch.setattr(recursion, "derive_entry",
+                        lambda *args: steps.append(args))
+    with pytest.raises(ValueError, match="10827401 entries"):
+        build_table(validate_quotient([[400]], 400), kind)
+    assert steps == []
 
 
 def test_build_table_level_zero_only():

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from eqcube import recursion, screen
 from eqcube.quotient import cell_sizes, validate_quotient
 from eqcube.screen import (Certificate, SweepCandidate, certify,
                            enumerate_ci_candidates, hunt_witness, sweep_ci,
@@ -80,6 +81,21 @@ def test_certify_contradictory_size_ratios_are_a_validation_error():
 def test_certify_refuses_level_outside_dimension(S, max_level):
     with pytest.raises(ValueError, match="max_level"):
         certify(S, 3, max_level=max_level)
+
+
+@pytest.mark.parametrize("S", [[[400]], [[1, 2], [1, 1]]],
+                         ids=["valid", "invalid"])
+def test_certify_refuses_a_table_over_the_cap_before_any_work(monkeypatch, S):
+    # C(403, 3) = 10827401 entries: refused before validation, the
+    # screens or any step, whatever the matrix
+    def idle(*args, **kwargs):
+        raise AssertionError("work done before the refusal")
+    for module, name in ((screen, "validate_quotient"),
+                         (recursion, "derive_entry")):
+        monkeypatch.setattr(module, name, idle)
+    n = 400 if len(S) == 1 else 139  # C(142, 3) 8 = 3737440 entries
+    with pytest.raises(ValueError, match="pass --force"):
+        certify(S, n)
 
 
 def test_certify_twenty_two_cube_example():
