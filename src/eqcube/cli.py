@@ -29,9 +29,10 @@ ran failed (cross-check, equitability, invariance, ps-verify, route
 agreement, a sweep candidate without a witness), 2 `screen` certified
 nonexistent, 64 any input the CLI or the library refuses (bad JSON,
 missing fields, malformed flags, a structure and matrix of different
-shapes, an --out that cannot be written, a brute-force cost cap, a
-table size cap, a polynomial degree above 200), 141 the reader of the output closed the
-pipe before it was written (`| head`), as a shell reports for SIGPIPE.
+shapes, an --out that cannot be written, a brute-force cost cap, the
+table size cap, a polynomial degree above 200), 141 the reader of the
+output closed the pipe before it was written (`| head`), as a shell
+reports for SIGPIPE.
 """
 
 from __future__ import annotations

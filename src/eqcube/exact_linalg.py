@@ -150,9 +150,9 @@ def _vector(m: int, entries: tuple) -> TensorVector:
 
 @lru_cache(maxsize=None)  # at most six orders per m
 def _slot_getter(m: int, order: tuple[int, int, int]) -> Callable:
-    """The tuple of flat entries whose index is permuted by `order`:
-    position p reads the position of index (i_o[0], i_o[1], i_o[2]),
-    (i1, i2, i3) being p's index."""
+    """The map from a tuple of flat entries to the tuple permuted by
+    `order`: position p reads the position of index (i_o[0], i_o[1],
+    i_o[2]), (i1, i2, i3) being p's index."""
     positions = [flat_index(m, *(index[o] for o in order))
                  for index in iter_index_triples(m)]
     # an itemgetter of one position returns the bare entry, not a tuple;
