@@ -83,17 +83,18 @@ def test_certify_refuses_level_outside_dimension(S, max_level):
         certify(S, 3, max_level=max_level)
 
 
-@pytest.mark.parametrize("S", [[[400]], [[1, 2], [1, 1]]],
+# C(403, 3) = 10827401 and C(142, 3) 2^3 = 3737440 entries
+@pytest.mark.parametrize("S, n", [([[400]], 400), ([[1, 2], [1, 1]], 139)],
                          ids=["valid", "invalid"])
-def test_certify_refuses_a_table_over_the_cap_before_any_work(monkeypatch, S):
-    # C(403, 3) = 10827401 entries: refused before validation, the
-    # screens or any step, whatever the matrix
+def test_certify_refuses_a_table_over_the_cap_before_any_work(monkeypatch,
+                                                              S, n):
+    # refused before validation, the screens or any step, whatever the
+    # matrix
     def idle(*args, **kwargs):
         raise AssertionError("work done before the refusal")
     for module, name in ((screen, "validate_quotient"),
                          (recursion, "derive_entry")):
         monkeypatch.setattr(module, name, idle)
-    n = 400 if len(S) == 1 else 139  # C(142, 3) 8 = 3737440 entries
     with pytest.raises(ValueError, match="pass --force"):
         certify(S, n)
 
