@@ -98,6 +98,25 @@ def test_table_cross_check_accepts_consistent_table(write_doc, capsys):
     assert main(["table", "--input", path, "--cross-check"]) == 0
 
 
+def test_table_cross_check_failure_exits_1_with_counts(write_doc, capsys,
+                                                       monkeypatch):
+    failing = recursion.CrossCheckReport(
+        checks_run=("derivations", "symmetry", "marginals"),
+        derivation_mismatches=[((0, 0, 1), 3)],
+        symmetry_mismatches=[((0, 0, 1), (1, 1, 1), "cyclic"),
+                             ((1, 0, 0), (1, 1, 1), "cyclic")],
+        pairing_mismatches=[],
+        marginal_mismatches=[((0, 0, 1), 1), ((0, 0, 1), 2),
+                             ((0, 1, 0), 1)])
+    monkeypatch.setattr(recursion, "cross_check", lambda table, Q: failing)
+    path = write_doc("pair.json", PAIR_MATRIX)
+    assert main(["table", "--input", path, "--cross-check"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("cross-check failed: 1 derivation, 2 symmetry, "
+                            "3 marginal mismatches\n")
+
+
 def test_table_output_is_deterministic(write_doc, capsys):
     path = write_doc("pair.json", PAIR_MATRIX)
     main(["table", "--input", path])
@@ -382,6 +401,16 @@ def test_malformed_matrix_is_usage_error_not_verdict(write_doc, capsys, S):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("S", [[], "S", [0, 3], [[0, 3], 1]])
+def test_matrix_that_is_not_a_list_of_rows_is_usage_error(write_doc, capsys,
+                                                          S):
+    path = write_doc("rows.json", {"n": 3, "S": S})
+    assert main(["table", "--input", path]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "S must be a list of rows" in captured.err
 
 
 def test_non_square_and_bool_matrices_are_usage_errors(write_doc, capsys):

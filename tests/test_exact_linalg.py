@@ -80,6 +80,13 @@ def test_tensor_vector_arithmetic():
         u + TensorVector.zero(3)
 
 
+@pytest.mark.parametrize("entries", [(0,) * 7, (0,) * 9, ()])
+def test_tensor_vector_refuses_a_wrong_entry_count(entries):
+    with pytest.raises(ValueError,
+                       match=f"expected 8 entries for m=2, got {len(entries)}"):
+        TensorVector(2, entries)
+
+
 def test_materialized_lifts_match_hand_matrices():
     assert materialize(kron_lift(S_PAIR, 1)) == LIFT1_8x8
     assert materialize(kron_lift(S_PAIR, 2)) == LIFT2_8x8

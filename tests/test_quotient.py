@@ -39,6 +39,11 @@ def test_validate_rejects_shape_and_sign_problems():
         validate_quotient([[0, 3], [-1, 4]], 3)
 
 
+def test_validate_rejects_a_matrix_without_rows():
+    with pytest.raises(InvalidQuotient, match="matrix has no rows"):
+        validate_quotient([], 3)
+
+
 def test_cell_sizes_examples():
     assert cell_sizes(validate_quotient([[0, 3], [1, 2]], 3)) == (2, 6)
     assert cell_sizes(validate_quotient([[0, 5], [3, 2]], 5)) == (12, 20)

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -118,6 +119,18 @@ def test_build_table_rejects_level_beyond_dimension():
         build_table(Q_PAIR, TRIANGLE, max_level=4)
     with pytest.raises(ValueError):
         build_table(Q_PAIR, "weights")
+
+
+@pytest.mark.parametrize("kind", [TRIANGLE, INTERWEIGHT])
+def test_build_table_refuses_an_initial_vector_of_another_m(monkeypatch,
+                                                            kind):
+    steps = []
+    monkeypatch.setattr(recursion, "derive_entry",
+                        lambda *args: steps.append(args))
+    with pytest.raises(ValueError,
+                       match="initial vector has m=3, matrix m=2"):
+        build_table(Q_PAIR, kind, initial=initial_interweight(3))
+    assert steps == []
 
 
 def test_pair_partition_triangle_values():
@@ -572,6 +585,15 @@ def test_one_level_past_the_dimension_vanishes(kind):
     for triple in iter_triples_of_level(4):
         got = derive_entry(scaled, lifts, 3, triple, canonical_via(triple))
         assert got.is_zero(), triple
+
+
+@pytest.mark.parametrize("triple, via", [
+    ((0, 1, 1), 1), ((1, 0, 1), 2), ((1, 1, 0), 3), ((0, 0, 0), 1)])
+def test_derive_entry_refuses_to_climb_a_zero_part(triple, via):
+    levels = {(0, 0, 0): initial_triangle((2, 6))}
+    message = re.escape(f"cannot climb part {via} of {triple}")
+    with pytest.raises(ValueError, match=message):
+        derive_entry(levels, lifts_for(Q_PAIR, TRIANGLE), 3, triple, via)
 
 
 @pytest.mark.parametrize("via", [0, 4, -1])
