@@ -49,7 +49,8 @@ from typing import Any, Sequence
 
 from . import krawtchouk, oracle, recursion, screen
 from .exact_linalg import iter_index_triples
-from .quotient import QuotientError, QuotientMatrix, validate_quotient
+from .quotient import (QuotientError, QuotientMatrix, check_dimension,
+                       validate_quotient)
 from .recursion import INTERWEIGHT, TRIANGLE, DistributionTable
 
 
@@ -61,15 +62,6 @@ class InputError(ValueError):
 def render_value(v) -> str:
     """Exact decimal or p/q text for an int or Fraction."""
     return str(Fraction(v))
-
-
-def parse_rational(v) -> Fraction:
-    if isinstance(v, bool) or isinstance(v, float):
-        raise InputError(f"not an exact value: {v!r}")
-    try:
-        return Fraction(v)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise InputError(f"not an exact value: {v!r}") from exc
 
 
 def _load_json(path: str) -> Any:
@@ -135,13 +127,11 @@ def load_structure(path: str) -> oracle.PerfectStructure:
     n, m, values = _read_doc(path, "m", "values")
     if not isinstance(values, list):
         raise InputError(f"{path}: values must be a list")
-    rows = []
     for row in values:
         if not isinstance(row, list) or len(row) != m:
             raise InputError(f"{path}: each value row must have {m} entries")
-        rows.append([parse_rational(x) for x in row])
     try:
-        return oracle.PerfectStructure.from_rows(n, rows)
+        return oracle.PerfectStructure.from_rows(n, values)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -232,7 +222,7 @@ _POLY_METHODS = {
 def cmd_poly(args: argparse.Namespace, out) -> int:
     r = (args.r1, args.r2, args.r3)
     if args.n is not None:
-        krawtchouk.check_dimension(args.n)  # before any route runs
+        check_dimension(args.n)  # before any route runs
     if args.method == "all":
         polys = {name: fn(*r) for name, fn in _POLY_METHODS.items()}
         first = polys["recursion"]

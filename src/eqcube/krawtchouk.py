@@ -49,7 +49,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact_linalg import TensorVector, apply_lift, iter_index_triples
-from .quotient import QuotientMatrix, min_poly
+from .quotient import QuotientMatrix, check_dimension, min_poly
 from .recursion import TRIANGLE, default_initial, lifts_for
 
 
@@ -229,13 +229,6 @@ def falling_factorial(p: TriPoly, length: int) -> TriPoly:
     for t in range(length):
         out = out * (p - TriPoly.const(t))
     return out
-
-
-def check_dimension(n_value: int) -> None:
-    """Refuse a negative dimension; callable before any route runs."""
-    if n_value < 0:
-        raise ValueError(f"negative dimension n = {n_value} "
-                         f"(--n on the command line)")
 
 
 def _check_parts(r1: int, r2: int, r3: int, bound: int = 200) -> None:

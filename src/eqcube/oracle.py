@@ -334,6 +334,18 @@ def set_triangle_multiset(X: Sequence[int], n: int) -> list[Triple]:
 # ---------------------------------------------------------------------------
 # perfect structures: rational cell-valued vertex functions
 
+def parse_rational(v) -> Fraction:
+    """v as a Fraction: an int, a Fraction, or a string such as "2",
+    "-3/4" or "0.25".  Refuses, with ValueError, a float or a bool, which
+    are no exact values, and whatever Fraction cannot read (None, say)."""
+    if isinstance(v, (bool, float)):
+        raise ValueError(f"not an exact value: {v!r}")
+    try:
+        return Fraction(v)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"not an exact value: {v!r}") from exc
+
+
 @dataclass(frozen=True)
 class PerfectStructure:
     """A function from vertices to rational m-vectors such that the
@@ -345,13 +357,17 @@ class PerfectStructure:
 
     @classmethod
     def from_rows(cls, n: int, rows: Sequence[Sequence]) -> "PerfectStructure":
+        """The structure with these value rows, one per vertex, each
+        value read by `parse_rational`.  Raises ValueError for n outside
+        [1, 14], a row count other than 2^n, rows of unequal lengths or a
+        value that is not exact."""
         if not 1 <= n <= 14:
             raise ValueError(f"perfect structures are stored for n <= 14; "
                              f"got {n}")
         size = 1 << n
         if len(rows) != size:
             raise ValueError(f"expected {size} value rows, got {len(rows)}")
-        vals = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        vals = tuple(tuple(map(parse_rational, row)) for row in rows)
         m = len(vals[0])
         if any(len(row) != m for row in vals):
             raise ValueError("value rows have inconsistent lengths")

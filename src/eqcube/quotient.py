@@ -44,11 +44,23 @@ class QuotientMatrix:
         return len(self.rows)
 
 
+def check_dimension(n_value: int) -> None:
+    """Refuse, with ValueError, a dimension that is not an int (a bool
+    or a float is refused too) or is negative; callable before any work."""
+    if not isinstance(n_value, int) or isinstance(n_value, bool):
+        raise ValueError(f"not an integer: {n_value!r}")
+    if n_value < 0:
+        raise ValueError(f"negative dimension n = {n_value} "
+                         f"(--n on the command line)")
+
+
 def validate_quotient(S: Sequence[Sequence[int]], n: int) -> QuotientMatrix:
     """Check shape, integrality, row sums and support symmetry.
 
-    Raises InvalidQuotient naming the offending row or pair.
+    Raises ValueError for an n that `check_dimension` refuses, and
+    InvalidQuotient naming the offending row or pair.
     """
+    check_dimension(n)
     rows = tuple(tuple(row) for row in S)
     m = len(rows)
     if m == 0:

@@ -88,7 +88,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .exact_linalg import (LiftedMatrix, TensorVector, apply_lift, diag_lift,
                            flat_index, iter_index_triples, kron_lift,
                            lift_step)
-from .quotient import QuotientError, QuotientMatrix, cell_sizes
+from .quotient import (QuotientError, QuotientMatrix, cell_sizes,
+                       check_dimension)
 
 Triple = tuple[int, int, int]
 
@@ -333,12 +334,15 @@ MAX_TABLE_ENTRIES = 10 ** 6
 def table_depth(max_level: int | None, n: int, m: int,
                 force: bool = False) -> int:
     """The level a table of m cells climbs to: max_level, or n when it
-    is None.  Raises ValueError for a level outside [0, n], and, unless
+    is None.  Raises ValueError for an n or max_level that
+    `check_dimension` refuses, for a level outside [0, n], and, unless
     force, for a table of more than MAX_TABLE_ENTRIES entries."""
+    check_dimension(n)
     if max_level is None:
         max_level = n
     elif not 0 <= max_level <= n:
         raise ValueError(f"max_level must lie in [0, {n}], got {max_level}")
+    check_dimension(max_level)  # a bool or a float inside [0, n]
     entries = math.comb(max_level + 3, 3) * m ** 3
     if entries > MAX_TABLE_ENTRIES and not force:
         raise ValueError(
@@ -455,20 +459,6 @@ def scan_violations(table: DistributionTable,
             for triple, index, v, reason in violation_sites(table, sizes)]
 
 
-def scaled_entries(table: DistributionTable) -> dict[Triple, TensorVector]:
-    """The table's vectors in the engine's scaled form U = r1! r2! r3! D T,
-    with D the common denominator of its level-0 vector."""
-    D = common_denominator(table.entries[(0, 0, 0)])
-    return {triple: _scaled(vec, entry_scale(triple, D))
-            for triple, vec in table.entries.items()}
-
-
-def _scaled(vec: TensorVector, s: int) -> TensorVector:
-    """s * vec under the number rule: ints wherever s clears the
-    denominator, as it clears all of them for the vectors of a table."""
-    return vec * s / 1
-
-
 @dataclass
 class CrossCheckReport:
     """Findings of the internal-consistency audit of a table."""
@@ -489,15 +479,16 @@ def cross_check(table: DistributionTable, Q: QuotientMatrix,
                 companion: DistributionTable | None = None) -> CrossCheckReport:
     """Audit a table against every identity it must satisfy.
 
-    (a) every alternative climbing route reproduces the stored vector
-        (compared in the engine's scaled form U, see `scaled_entries`).
-        The routes of the orbit representatives are re-derived first.
-        When (b) finds nothing, the scaled vectors of every other triple
-        are permutations of theirs (only the representatives are
-        scaled), and since the step is equivariant so are its routes,
-        which then agree too.  Only when (b) or a representative fails
-        are all routes of all triples re-derived, so the list names
-        every mismatching route either way;
+    (a) every alternative climbing route reproduces the stored vector,
+        compared in the engine's scaled form U = r1! r2! r3! D T with D
+        the common denominator of the level-0 vector.  When (b) finds
+        nothing, only the orbit representatives are scaled and audited:
+        the scaled vectors of every other triple are permutations of
+        theirs, and since the step is equivariant so are its routes,
+        which then agree too; only when a representative fails are all
+        routes of all triples re-derived.  A table that fails (b) is
+        scaled and audited triple by triple from the start.  So the list
+        names every mismatching route either way;
     (b) index symmetries.  Triangle tables count unordered structure, so
         both the swap and the cyclic relabeling hold:
         X^{r1,r2,r3}_{ijk} = X^{r2,r1,r3}_{jik} = X^{r2,r3,r1}_{jki}.
@@ -554,27 +545,26 @@ def cross_check(table: DistributionTable, Q: QuotientMatrix,
                 if vec[p] != image[p]:
                     sym.append((triple, index, label))
 
-    reps, plan = _orbits(table.kind, triples)
-    if sym:
-        scaled = scaled_entries(table)
-    else:
-        # every triple of an orbit has its representative's scale, so a
-        # table with its symmetries scales by permuting the representatives
-        D = common_denominator(table.entries[(0, 0, 0)])
-        scaled = _fill(plan, {triple: _scaled(table.entries[triple],
-                                              entry_scale(triple, D))
-                              for triple in reps})
+    # on a symmetric table every triple of an orbit has its
+    # representative's scale, vector and routes, permuted, so the
+    # representatives are scaled and audited for their orbits
+    audited, plan = (triples, None) if sym else _orbits(table.kind, triples)
+    D = common_denominator(table.entries[(0, 0, 0)])
+    # / 1 applies the number rule: the scale clears every denominator of
+    # a table's vector, so the scaled entries are ints
+    scaled = {triple: table.entries[triple] * entry_scale(triple, D) / 1
+              for triple in audited}
+    if plan is not None:
+        scaled = _fill(plan, scaled)
 
-    def route_mismatches(audited: list[Triple]) -> list[tuple[Triple, int]]:
-        return [(triple, via) for triple in audited if sum(triple)
+    def route_mismatches(over: list[Triple]) -> list[tuple[Triple, int]]:
+        return [(triple, via) for triple in over if sum(triple)
                 for via in (1, 2, 3) if triple[via - 1] > 0
                 and derive_entry(scaled, lifts, n, triple, via)
                 != scaled[triple]]
 
-    # on a symmetric table the routes of a triple are its representative's
-    # routes permuted, so the representatives speak for their orbits
-    deriv = route_mismatches(reps)
-    if sym or deriv:
+    deriv = route_mismatches(audited)
+    if deriv and plan is not None:
         deriv = route_mismatches(triples)
 
     pairing: list[Triple] = []

@@ -116,9 +116,18 @@ class SweepCandidate:
 class SweepReport:
     n_max: int
     candidates: tuple[SweepCandidate, ...]
-    total: int
-    with_witness: int
-    without_witness: int
+
+    @property
+    def total(self) -> int:
+        return len(self.candidates)
+
+    @property
+    def with_witness(self) -> int:
+        return sum(1 for c in self.candidates if c.witness is not None)
+
+    @property
+    def without_witness(self) -> int:
+        return self.total - self.with_witness
 
 
 def enumerate_ci_candidates(n_max: int) -> list[tuple[int, int, int, int, int]]:
@@ -196,7 +205,4 @@ def sweep_ci(n_max: int, jobs: int = 1) -> SweepReport:
             results = list(pool.map(hunt_witness, params, chunksize=1))
     else:
         results = [hunt_witness(p) for p in params]
-    with_w = sum(1 for r in results if r.witness is not None)
-    return SweepReport(n_max=n_max, candidates=tuple(results),
-                       total=len(results), with_witness=with_w,
-                       without_witness=len(results) - with_w)
+    return SweepReport(n_max=n_max, candidates=tuple(results))

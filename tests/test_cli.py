@@ -13,8 +13,9 @@ from fractions import Fraction
 import pytest
 
 from eqcube import cli, recursion
-from eqcube.cli import main, parse_rational, render_value, InputError
-from eqcube.oracle import parity_partition, singleton_partition
+from eqcube.cli import main, render_value
+from eqcube.oracle import (parity_partition, parse_rational,
+                           singleton_partition)
 from eqcube.quotient import validate_quotient
 from eqcube.recursion import TRIANGLE, build_table
 from eqcube.screen import SweepCandidate
@@ -45,11 +46,11 @@ def test_render_and_parse_rational_round_trip():
 
 
 def test_parse_rational_rejects_floats():
-    with pytest.raises(InputError):
+    with pytest.raises(ValueError, match="not an exact value: 0.5"):
         parse_rational(0.5)
-    with pytest.raises(InputError):
+    with pytest.raises(ValueError, match="not an exact value: True"):
         parse_rational(True)
-    with pytest.raises(InputError):
+    with pytest.raises(ValueError, match="not an exact value: 'not a number'"):
         parse_rational("not a number")
 
 
@@ -751,6 +752,20 @@ def test_ps_structure_n_above_bound_is_usage_error(write_doc, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "n <= 14" in captured.err
+
+
+@pytest.mark.parametrize("command", ["ps-verify", "ps-table"])
+@pytest.mark.parametrize("value", [0.5, True, None, "half"])
+def test_ps_structure_with_an_inexact_value_is_usage_error(write_doc, capsys,
+                                                           command, value):
+    doc = dict(PS_PLAIN, values=[[2, 0], [0, 2], [2, value], [0, 2]])
+    spath = write_doc("inexact.json", doc)
+    mpath = write_doc("all1.json", ALL1_MATRIX)
+    assert main(["oracle", command, "--structure", spath,
+                 "--input", mpath]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"not an exact value: {value!r}" in captured.err
 
 
 def test_oracle_ps_table_level_zero_values(write_doc, capsys):

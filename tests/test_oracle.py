@@ -278,6 +278,20 @@ def test_perfect_structure_n_outside_bound_is_refused(n):
         PerfectStructure.from_rows(n, [(2, 0), (0, 2), (2, 0), (0, 2)])
 
 
+@pytest.mark.parametrize("value", [0.5, True, None, "half", "1/0"])
+def test_perfect_structure_refuses_an_inexact_value(value):
+    with pytest.raises(ValueError, match="not an exact value"):
+        PerfectStructure.from_rows(2, [(2, 0), (0, 2), (2, value), (0, 2)])
+
+
+def test_perfect_structure_reads_ints_fractions_and_strings():
+    PS = PerfectStructure.from_rows(
+        2, [(2, "0"), ("-3/4", 2), (Fraction(1, 2), "0.25"), (0, 2)])
+    assert PS.values == ((2, 0), (Fraction(-3, 4), 2),
+                         (Fraction(1, 2), Fraction(1, 4)), (0, 2))
+    assert all(type(v) is Fraction for row in PS.values for v in row)
+
+
 def test_ps_initial_triangle_values():
     assert list(ps_initial_triangle(C_PLAIN).entries) == [16, 0, 0, 0,
                                                           0, 0, 0, 16]

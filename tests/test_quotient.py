@@ -39,6 +39,20 @@ def test_validate_rejects_shape_and_sign_problems():
         validate_quotient([[0, 3], [-1, 4]], 3)
 
 
+# a float or a bool n would turn the cell sizes into floats
+@pytest.mark.parametrize("S, n", [([[0, 3], [1, 2]], 3.0),
+                                  ([[0, 1], [1, 0]], True),
+                                  ([[0, 3], [1, 2]], "3")])
+def test_validate_refuses_a_dimension_that_is_not_an_int(S, n):
+    with pytest.raises(ValueError, match=f"not an integer: {n!r}"):
+        validate_quotient(S, n)
+
+
+def test_validate_refuses_a_negative_dimension():
+    with pytest.raises(ValueError, match="negative dimension n = -3"):
+        validate_quotient([[0]], -3)
+
+
 def test_validate_rejects_a_matrix_without_rows():
     with pytest.raises(InvalidQuotient, match="matrix has no rows"):
         validate_quotient([], 3)

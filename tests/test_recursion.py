@@ -19,8 +19,8 @@ from eqcube.recursion import (INTERWEIGHT, TRIANGLE, DistributionTable,
                               default_initial, derive_entry, entry_scale,
                               initial_interweight, initial_triangle,
                               iter_table_levels, iter_triples_of_level,
-                              lifts_for, scaled_entries, scan_violations,
-                              violation_sites, weight_distribution)
+                              lifts_for, scan_violations, violation_sites,
+                              weight_distribution)
 
 Q_PAIR = validate_quotient([[0, 3], [1, 2]], 3)
 Q22 = validate_quotient([[0, 22, 0], [5, 6, 11], [0, 10, 12]], 22)
@@ -105,6 +105,27 @@ def test_a_table_over_the_cap_is_refused_before_any_step(monkeypatch, kind):
                         lambda *args: steps.append(args))
     with pytest.raises(ValueError, match="10827401 entries"):
         build_table(validate_quotient([[400]], 400), kind)
+    assert steps == []
+
+
+@pytest.mark.parametrize("n, max_level, message", [
+    (3, 2.5, "not an integer: 2.5"),
+    (3, True, "not an integer: True"),
+    (3, 4.5, "max_level must lie in"),
+    (3.0, None, "not an integer: 3.0"),
+    (True, 1, "not an integer: True"),
+])
+@pytest.mark.parametrize("kind", [TRIANGLE, INTERWEIGHT])
+def test_a_level_or_dimension_that_is_not_an_int_is_refused_before_any_step(
+        monkeypatch, kind, n, max_level, message):
+    # the matrix object is built by hand: validate_quotient refuses a
+    # float or bool n itself
+    steps = []
+    monkeypatch.setattr(recursion, "derive_entry",
+                        lambda *args: steps.append(args))
+    Q = replace(Q_PAIR, n=n)
+    with pytest.raises(ValueError, match=message):
+        build_table(Q, kind, max_level=max_level)
     assert steps == []
 
 
@@ -577,11 +598,19 @@ def test_cached_lifts_keep_the_interweight_transpose_apart():
     assert interweight[1:] == triangle[1:]
 
 
+def scaled_pair_levels(kind, max_level):
+    """The engine's scaled vectors U of the pair partition's table of
+    the given kind, every triple to max_level, as the climb yields them."""
+    initial = default_initial(Q_PAIR, kind)
+    return {triple: U
+            for level in iter_table_levels(Q_PAIR, kind, initial, max_level)
+            for triple, U in level.items()}
+
+
 @pytest.mark.parametrize("kind", [TRIANGLE, INTERWEIGHT])
 def test_one_level_past_the_dimension_vanishes(kind):
-    table = build_table(Q_PAIR, kind)
     lifts = lifts_for(Q_PAIR, kind)
-    scaled = scaled_entries(table)
+    scaled = scaled_pair_levels(kind, 3)
     for triple in iter_triples_of_level(4):
         got = derive_entry(scaled, lifts, 3, triple, canonical_via(triple))
         assert got.is_zero(), triple
@@ -598,7 +627,7 @@ def test_derive_entry_refuses_to_climb_a_zero_part(triple, via):
 
 @pytest.mark.parametrize("via", [0, 4, -1])
 def test_derive_entry_refuses_a_route_outside_1_2_3(via):
-    scaled = scaled_entries(build_table(Q_PAIR, TRIANGLE, max_level=1))
+    scaled = scaled_pair_levels(TRIANGLE, 1)
     with pytest.raises(ValueError, match=f"via must be 1, 2 or 3, got {via}"):
         derive_entry(scaled, lifts_for(Q_PAIR, TRIANGLE), 3, (1, 0, 1), via)
 

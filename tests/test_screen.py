@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 
 from eqcube import recursion, screen
 from eqcube.quotient import cell_sizes, validate_quotient
-from eqcube.screen import (Certificate, SweepCandidate, certify,
+from eqcube.screen import (Certificate, SweepCandidate, SweepReport, certify,
                            enumerate_ci_candidates, hunt_witness, sweep_ci,
                            worker_count)
 from eqcube.recursion import TRIANGLE, build_table
@@ -81,6 +82,24 @@ def test_certify_contradictory_size_ratios_are_a_validation_error():
 def test_certify_refuses_level_outside_dimension(S, max_level):
     with pytest.raises(ValueError, match="max_level"):
         certify(S, 3, max_level=max_level)
+
+
+@pytest.mark.parametrize("n, max_level, message", [
+    (3.0, None, "not an integer: 3.0"),
+    (True, None, "not an integer: True"),
+    (3, 2.5, "not an integer: 2.5"),
+    (3, True, "not an integer: True"),
+])
+def test_certify_refuses_a_dimension_or_level_that_is_not_an_int(
+        monkeypatch, n, max_level, message):
+    # refused before validation or any step
+    def idle(*args, **kwargs):
+        raise AssertionError("work done before the refusal")
+    for module, name in ((screen, "validate_quotient"),
+                         (recursion, "derive_entry")):
+        monkeypatch.setattr(module, name, idle)
+    with pytest.raises(ValueError, match=message):
+        certify([[0, 3], [1, 2]], n, max_level=max_level)
 
 
 # C(403, 3) = 10827401 and C(142, 3) 2^3 = 3737440 entries
@@ -170,6 +189,18 @@ def test_sweep_small_range_all_witnessed():
         assert isinstance(rec, SweepCandidate)
         assert rec.witness is not None
         assert rec.witness_value < 0
+
+
+def test_sweep_report_counts_its_candidates():
+    found = SweepCandidate(n=5, a=0, b=5, c=3, d=2, witness=(2, 3),
+                           witness_value=Fraction(-1))
+    missed = SweepCandidate(n=3, a=0, b=3, c=1, d=2, witness=None,
+                            witness_value=None)
+    report = SweepReport(n_max=5, candidates=(found, missed, found))
+    assert (report.total, report.with_witness, report.without_witness) \
+        == (3, 2, 1)
+    # the counts are read off the candidates, not stored beside them
+    assert [f.name for f in fields(SweepReport)] == ["n_max", "candidates"]
 
 
 def test_sweep_parallel_matches_serial():
