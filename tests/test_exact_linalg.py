@@ -82,8 +82,8 @@ def test_tensor_vector_arithmetic():
 
 @pytest.mark.parametrize("entries", [(0,) * 7, (0,) * 9, ()])
 def test_tensor_vector_refuses_a_wrong_entry_count(entries):
-    with pytest.raises(ValueError,
-                       match=f"expected 8 entries for m=2, got {len(entries)}"):
+    message = f"expected 8 entries for m=2, got {len(entries)}"
+    with pytest.raises(ValueError, match=message):
         TensorVector(2, entries)
 
 

@@ -39,7 +39,7 @@ def test_validate_rejects_shape_and_sign_problems():
         validate_quotient([[0, 3], [-1, 4]], 3)
 
 
-# a float or a bool n would turn the cell sizes into floats
+# a float n would give float cell sizes; a bool is no dimension either
 @pytest.mark.parametrize("S, n", [([[0, 3], [1, 2]], 3.0),
                                   ([[0, 1], [1, 0]], True),
                                   ([[0, 3], [1, 2]], "3")])
