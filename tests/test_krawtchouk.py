@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from eqcube.exact_linalg import kron3, mat_identity, mat_mul, vec_mat
-from eqcube.krawtchouk import (ONE, ZERO, TriPoly, X, Y, Z,
+from eqcube.krawtchouk import (N, ONE, ZERO, TriPoly, X, Y, Z,
                                classical_krawtchouk, eval_at_lifts,
                                genfun_coeff, lift_image_is_zero,
                                materialize_poly_at_lifts,
@@ -132,6 +132,29 @@ def test_specialize_n_refuses_a_negative_dimension():
         poly_recursive(0, 0, 2).specialize_n(-3)
 
 
+def _fraction_specialize_n(P, n):
+    """P at n summed term by term in Fractions: the reference."""
+    out = {}
+    for (dx, dy, dz, dn), c in P.terms.items():
+        key = (dx, dy, dz)
+        out[key] = out.get(key, Fraction(0)) + Fraction(c) * n ** dn
+    return {k: v for k, v in out.items() if v != 0}
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 22])
+def test_specialize_n_matches_a_fraction_reference(n):
+    # every route-1 polynomial of degree <= 8, the zero polynomial, and
+    # one that vanishes at this n: values, Fraction type and key order
+    cases = [poly_recursive(*t) for t in _triples_with_sum_at_most(8)]
+    cases += [ZERO, (N - TriPoly.const(n)) * X]
+    for P in cases:
+        got, ref = P.specialize_n(n), _fraction_specialize_n(P, n)
+        assert got == ref
+        assert list(got) == list(ref)
+        assert all(type(v) is Fraction for v in got.values())
+    assert cases[-1].specialize_n(n) == ZERO.specialize_n(n) == {}
+
+
 def test_classical_krawtchouk_small_cases():
     assert classical_krawtchouk(0).render() == "1"
     assert classical_krawtchouk(1).render() == "-2*x + n"
@@ -186,6 +209,20 @@ def test_vanishing_one_level_past_the_dimension():
         if not lift_image_is_zero(P, Q_PAIR, TRIANGLE):
             nonzero_somewhere = True
     assert nonzero_somewhere
+
+
+@pytest.mark.parametrize("kind", [TRIANGLE, INTERWEIGHT])
+def test_eval_at_lifts_matches_build_table_on_non_integral_cell_sizes(kind):
+    # cell sizes 24/5 and 16/5: Fraction lift powers are combined, and
+    # every entry keeps build_table's type, an int where integral
+    Q = validate_quotient([[1, 2], [3, 0]], 3)
+    table = build_table(Q, kind)
+    assert any(type(v) is Fraction
+               for vec in table.entries.values() for v in vec.entries)
+    for triple, vec in table.entries.items():
+        got = eval_at_lifts(poly_recursive(*triple), Q, kind)
+        assert got == vec
+        assert list(map(type, got.entries)) == list(map(type, vec.entries))
 
 
 def test_materialize_poly_at_lifts_small_case():

@@ -111,6 +111,90 @@ def test_min_poly_of_non_diagonalizable_matrix():
     assert min_poly(Q.rows) == (1, -1, -5, -3) == char_poly(Q.rows)
 
 
+def _fraction_min_poly(rows):
+    """The Krylov search of min_poly on Fraction vectors: the reference."""
+    m = len(rows)
+    power = [[int(i == j) for j in range(m)] for i in range(m)]
+    basis = []
+    for k in range(m + 1):
+        vec = [Fraction(v) for row in power for v in row]
+        comb = [Fraction(int(i == k)) for i in range(m + 1)]
+        for pivot, bvec, bcomb in basis:
+            f = vec[pivot] / bvec[pivot]
+            if f:
+                vec = [u - f * w for u, w in zip(vec, bvec)]
+                comb = [u - f * w for u, w in zip(comb, bcomb)]
+        pivot = next((i for i, v in enumerate(vec) if v), None)
+        if pivot is None:
+            assert all(c.denominator == 1 for c in comb)
+            return tuple(int(c) for c in reversed(comb[:k + 1]))
+        basis.append((pivot, vec, comb))
+        power = [[sum(power[i][t] * rows[t][j] for t in range(m))
+                  for j in range(m)] for i in range(m)]
+    raise AssertionError("no dependence among I, A, ..., A^m")
+
+
+def _conjugated(rng, B):
+    """U B U^-1 for a random unimodular integer U: an integer matrix with
+    the Jordan structure of B."""
+    m = len(B)
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    V = [row[:] for row in U]  # U^-1
+    for _ in range(2 * m):
+        if m < 2:
+            break
+        i, j = rng.sample(range(m), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        # U <- (I + c e_i e_j^T) U and V <- V (I - c e_i e_j^T)
+        U[i] = [u + c * w for u, w in zip(U[i], U[j])]
+        for row in V:
+            row[j] -= c * row[i]
+
+    def mul(P, R):
+        return [[sum(P[a][t] * R[t][b] for t in range(m)) for b in range(m)]
+                for a in range(m)]
+    return mul(mul(U, B), V)
+
+
+def _jordan(blocks):
+    """Block-diagonal matrix of Jordan blocks (eigenvalue, size)."""
+    m = sum(size for _, size in blocks)
+    J = [[0] * m for _ in range(m)]
+    at = 0
+    for value, size in blocks:
+        for t in range(size):
+            J[at + t][at + t] = value
+            if t + 1 < size:
+                J[at + t][at + t + 1] = 1
+        at += size
+    return J
+
+
+def test_min_poly_matches_the_fraction_krylov_search_on_seeded_matrices():
+    rng = random.Random(2013)
+    cases = [[[0] * m for _ in range(m)] for m in range(1, 9)]
+    cases += [[[c]] for c in (-3, 0, 5)]
+    cases += [_jordan([(2, 3)]), _jordan([(-1, 2), (-1, 2), (3, 1)]),
+              _jordan([(0, 4), (0, 1)]), _jordan([(1, 1)] * 6)]
+    for _ in range(60):
+        m = rng.randint(1, 8)
+        cases.append([[rng.randint(-3, 3) for _ in range(m)]
+                      for _ in range(m)])
+        # repeated eigenvalues and Jordan blocks, hidden by a change of basis
+        blocks, left = [], rng.randint(1, 8)
+        while left:
+            size = rng.randint(1, left)
+            blocks.append((rng.randint(-2, 2), size))
+            left -= size
+        cases.append(_conjugated(rng, _jordan(blocks)))
+    for rows in cases:
+        assert min_poly(rows) == _fraction_min_poly(rows), rows
+    # the zero matrix, a 1 x 1, and a single 3 x 3 Jordan block at 2
+    assert min_poly([[0] * 5] * 5) == (1, 0)
+    assert min_poly([[5]]) == (1, -5)
+    assert min_poly(_conjugated(rng, _jordan([(2, 3)]))) == (1, -6, 12, -8)
+
+
 def test_spectrum_check_splits_over_cube_eigenvalues():
     rep = spectrum_check(validate_quotient([[0, 3], [1, 2]], 3))
     assert rep.splits
