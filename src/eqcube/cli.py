@@ -222,7 +222,10 @@ _POLY_METHODS = {
 def cmd_poly(args: argparse.Namespace, out) -> int:
     r = (args.r1, args.r2, args.r3)
     if args.n is not None:
-        check_dimension(args.n)  # before any route runs
+        try:
+            check_dimension(args.n)  # before any route runs
+        except ValueError as exc:
+            raise InputError(f"{exc} (--n on the command line)") from None
     if args.method == "all":
         polys = {name: fn(*r) for name, fn in _POLY_METHODS.items()}
         first = polys["recursion"]

@@ -31,14 +31,21 @@ end.  Route 1 works on Fractions throughout and is the reference.
 At r2 = r3 = 0 the family degenerates to the classical Krawtchouk
 polynomial: P^{r,0,0}(x, y, z) = K_r((n - x)/2).
 
-Polynomials are exact: monomials x^i y^j z^k n^d with Fraction
+Polynomials are exact: monomials x^i y^j z^k n^d with int or Fraction
 coefficients.  `render` produces the canonical text form (graded-lex
-monomial order, common denominator pulled out).  The lift evaluators
-share `_cleared_terms`: P at n = Q.n, times the lcm D of its
-denominators.  `eval_at_lifts` and the dense test aid
-`materialize_poly_at_lifts` apply integer combinations of lift powers
-to one vector at a time and divide by D once; `lift_image_is_zero`
-applies no lift: it reduces P modulo the minimal polynomial of S in
+monomial order, common denominator pulled out).
+
+Evaluation runs in integers throughout.  `_cleared_terms` is the one
+rule for P at a dimension n: its coefficients there times D, the lcm
+of their denominators, summed from integer numerators over the powers
+of n.  `specialize_n` divides them by D again, for `poly --n`.
+`eval_at_lifts` and the dense test aid `materialize_poly_at_lifts`
+apply integer combinations of lift powers to one vector at a time and
+divide by D once; Fractions appear only where the level-0 vector has
+them (cell sizes that are not integers) or where that division leaves
+an entry that is not integral, as in the table engine.
+`lift_image_is_zero` applies no lift: it reduces P modulo the minimal
+polynomial of S (`quotient.min_poly`, an integer Krylov search) in
 each variable.
 """
 
@@ -47,6 +54,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
+from operator import add, mul
 
 from .exact_linalg import TensorVector, apply_lift, iter_index_triples
 from .quotient import QuotientMatrix, check_dimension, min_poly
@@ -141,13 +150,12 @@ class TriPoly:
         return out
 
     def specialize_n(self, n_value: int) -> dict[tuple[int, int, int], Fraction]:
-        """Collapse the n variable at a nonnegative dimension."""
+        """Collapse the n variable at a nonnegative dimension: the nonzero
+        Fraction coefficient of each (x, y, z) exponent, in the order of
+        its first term here."""
         check_dimension(n_value)
-        out: dict[tuple[int, int, int], Fraction] = {}
-        for (dx, dy, dz, dn), c in self.terms.items():
-            key = (dx, dy, dz)
-            out[key] = out.get(key, Fraction(0)) + Fraction(c) * n_value ** dn
-        return {k: v for k, v in out.items() if v != 0}
+        D, terms = _cleared_terms(self, n_value)
+        return {e: Fraction(k, D) for e, k in terms.items()}
 
     # -- canonical text form --------------------------------------------
 
@@ -414,20 +422,34 @@ def classical_krawtchouk(r: int) -> TriPoly:
 # ---------------------------------------------------------------------------
 # lift evaluation
 
-def _cleared_terms(P: TriPoly, Q: QuotientMatrix) -> tuple[int, list]:
-    """D and P's coefficients at n = Q.n times D, as sorted (exponent,
-    integer) terms; D is the lcm of their denominators."""
-    coeffs = P.specialize_n(Q.n)
-    D = math.lcm(*(c.denominator for c in coeffs.values()))
-    return D, [(e, int(c * D)) for e, c in sorted(coeffs.items())]
+def _cleared_terms(P: TriPoly, n_value: int) -> tuple[int, dict]:
+    """P at n = n_value times D, the lcm of the denominators of its
+    coefficients there: D, and the nonzero integer coefficient of each
+    (x, y, z) exponent, in the order of its first term in P.
+
+    Integers throughout: the coefficients are cleared by the lcm D0 of
+    their denominators and summed over the powers of n, then the sums
+    and D0 are divided by their gcd g.  That gives D = D0 / g, since
+    the lcm of the reduced denominators D0 / gcd(D0, N_e) of the sums
+    N_e / D0 is D0 / gcd(D0, all N_e).
+    """
+    D0 = math.lcm(*(c.denominator for c in P.terms.values()))
+    sums: dict[tuple[int, int, int], int] = {}
+    for (dx, dy, dz, dn), c in P.terms.items():
+        key = (dx, dy, dz)
+        sums[key] = (sums.get(key, 0)
+                     + c.numerator * (D0 // c.denominator) * n_value ** dn)
+    g = math.gcd(D0, *sums.values())
+    return D0 // g, {e: k // g for e, k in sums.items() if k}
 
 
 def _image_at_lifts(P: TriPoly, Q: QuotientMatrix, mode: str,
                     v: TensorVector) -> TensorVector:
     """v P(L1, L2, L3): D v P(L1, L2, L3) is an integer combination of the
-    lift powers of v, shared by the monomials, divided by D once."""
+    lift powers of v, shared by the monomials, summed as flat tuples and
+    divided by D once."""
     lifts = lifts_for(Q, mode)
-    D, terms = _cleared_terms(P, Q)
+    D, terms = _cleared_terms(P, Q.n)
     powers = {(0, 0, 0): v}
 
     def power(e: tuple[int, int, int]) -> TensorVector:
@@ -437,10 +459,10 @@ def _image_at_lifts(P: TriPoly, Q: QuotientMatrix, mode: str,
             powers[e] = apply_lift(power(down), lifts[slot])
         return powers[e]
 
-    out = TensorVector.zero(Q.m)
-    for e, c in terms:
-        out = out + power(e) * c
-    return out / D
+    out = TensorVector.zero(Q.m).entries
+    for e, k in terms.items():
+        out = tuple(map(add, out, map(mul, power(e).entries, repeat(k))))
+    return TensorVector(Q.m, out) / D
 
 
 def eval_at_lifts(P: TriPoly, Q: QuotientMatrix,
@@ -471,18 +493,18 @@ def lift_image_is_zero(P: TriPoly, Q: QuotientMatrix,
     lifts_for(Q, mode)  # rejects an unknown mode
     mu = min_poly(Q.rows)
     d = len(mu) - 1
-    terms = _cleared_terms(P, Q)[1]
+    terms = _cleared_terms(P, Q.n)[1]
     if not terms:
         return True
     # residues[e]: x^e mod mu, ascending.  x * r shifts r up one degree
     # and, mu being monic, rewrites its x^d term as x^d - mu (mod mu).
     residues = [[1] + [0] * (d - 1)]
-    for _ in range(max(max(e) for e, k in terms)):
+    for _ in range(max(map(max, terms))):
         r = residues[-1]
         residues.append([(r[i - 1] if i else 0) - r[-1] * mu[d - i]
                          for i in range(d)])
     acc = [0] * d ** 3
-    for (a, b, c), k in terms:
+    for (a, b, c), k in terms.items():
         for i, u in enumerate(residues[a]):
             for j, v in enumerate(residues[b]):
                 if u and v:

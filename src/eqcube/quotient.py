@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 from .exact_linalg import exact_quotient, mat_identity, mat_mul
@@ -50,8 +49,7 @@ def check_dimension(n_value: int) -> None:
     if not isinstance(n_value, int) or isinstance(n_value, bool):
         raise ValueError(f"not an integer: {n_value!r}")
     if n_value < 0:
-        raise ValueError(f"negative dimension n = {n_value} "
-                         f"(--n on the command line)")
+        raise ValueError(f"negative dimension n = {n_value}")
 
 
 def validate_quotient(S: Sequence[Sequence[int]], n: int) -> QuotientMatrix:
@@ -167,10 +165,13 @@ def char_poly(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
 def min_poly(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Coefficients of the minimal polynomial of A, descending, leading 1.
 
-    Krylov search: the powers I, A, A^2, ... are reduced, as flat
-    vectors, against the earlier ones; the first power that reduces to
-    zero gives the monic dependence of least degree.  It divides the
-    characteristic polynomial, so Gauss's lemma makes it integral.
+    Krylov search in integers throughout: the powers I, A, A^2, ... are
+    reduced, as flat vectors, against the earlier ones by
+    cross-multiplication, each reduced row and its combination of powers
+    divided by their gcd; the first power that reduces to zero gives the
+    dependence of least degree, made monic by one exact division.  It
+    divides the characteristic polynomial, so Gauss's lemma makes it
+    integral.
     """
     m = len(rows)
     A = tuple(tuple(row) for row in rows)
@@ -178,19 +179,21 @@ def min_poly(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     # reduced earlier powers: (pivot, flat vector, combination of powers)
     basis: list[tuple[int, list, list]] = []
     for k in range(m + 1):
-        vec = [Fraction(v) for row in power for v in row]
-        comb = [Fraction(int(i == k)) for i in range(m + 1)]
+        vec = [v for row in power for v in row]
+        comb = [int(i == k) for i in range(m + 1)]
         for pivot, bvec, bcomb in basis:
-            f = vec[pivot] / bvec[pivot]
-            if f:
-                vec = [u - f * w for u, w in zip(vec, bvec)]
-                comb = [u - f * w for u, w in zip(comb, bcomb)]
+            a, b = vec[pivot], bvec[pivot]
+            if a:
+                vec = [b * u - a * w for u, w in zip(vec, bvec)]
+                comb = [b * u - a * w for u, w in zip(comb, bcomb)]
         pivot = next((i for i, v in enumerate(vec) if v), None)
         if pivot is None:
-            if any(c.denominator != 1 for c in comb):
+            lead = comb[k]
+            if any(c % lead for c in comb):
                 raise ArithmeticError("minimal polynomial must be integral")
-            return tuple(int(c) for c in reversed(comb[:k + 1]))
-        basis.append((pivot, vec, comb))
+            return tuple(c // lead for c in reversed(comb[:k + 1]))
+        g = math.gcd(*vec, *comb)
+        basis.append((pivot, [u // g for u in vec], [u // g for u in comb]))
         power = mat_mul(power, A)
     raise ArithmeticError("no dependence among I, A, ..., A^m")
 

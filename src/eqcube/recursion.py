@@ -340,9 +340,9 @@ def table_depth(max_level: int | None, n: int, m: int,
     check_dimension(n)
     if max_level is None:
         max_level = n
-    elif not 0 <= max_level <= n:
+    elif isinstance(max_level, (int, float)) and not 0 <= max_level <= n:
         raise ValueError(f"max_level must lie in [0, {n}], got {max_level}")
-    check_dimension(max_level)  # a bool or a float inside [0, n]
+    check_dimension(max_level)  # a bool, a float inside [0, n], a str
     entries = math.comb(max_level + 3, 3) * m ** 3
     if entries > MAX_TABLE_ENTRIES and not force:
         raise ValueError(

@@ -300,7 +300,9 @@ def test_poly_refuses_negative_dimension_before_any_route(capsys,
                                       route))
     assert main(["poly", "--r1", "40", "--r2", "0", "--r3", "0",
                  "--n", "-1"]) == 64
-    assert "negative dimension" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "negative dimension" in err
+    assert err == "error: negative dimension n = -1 (--n on the command line)\n"
 
 
 @pytest.mark.parametrize("method", ["recursion", "direct", "genfun", "all"])

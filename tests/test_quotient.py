@@ -53,6 +53,13 @@ def test_validate_refuses_a_negative_dimension():
         validate_quotient([[0]], -3)
 
 
+def test_a_negative_dimension_is_refused_without_naming_the_command_line():
+    # the CLI adds its own --n hint; the library speaks of n alone
+    with pytest.raises(ValueError) as info:
+        validate_quotient([[0]], -3)
+    assert str(info.value) == "negative dimension n = -3"
+
+
 def test_validate_rejects_a_matrix_without_rows():
     with pytest.raises(InvalidQuotient, match="matrix has no rows"):
         validate_quotient([], 3)

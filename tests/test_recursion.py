@@ -114,6 +114,7 @@ def test_a_table_over_the_cap_is_refused_before_any_step(monkeypatch, kind):
     (3, 4.5, "max_level must lie in"),
     (3.0, None, "not an integer: 3.0"),
     (True, 1, "not an integer: True"),
+    (3, "2", "not an integer: '2'"),
 ])
 @pytest.mark.parametrize("kind", [TRIANGLE, INTERWEIGHT])
 def test_a_level_or_dimension_that_is_not_an_int_is_refused_before_any_step(

@@ -89,6 +89,7 @@ def test_certify_refuses_level_outside_dimension(S, max_level):
     (True, None, "not an integer: True"),
     (3, 2.5, "not an integer: 2.5"),
     (3, True, "not an integer: True"),
+    (3, "2", "not an integer: '2'"),
 ])
 def test_certify_refuses_a_dimension_or_level_that_is_not_an_int(
         monkeypatch, n, max_level, message):
