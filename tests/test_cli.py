@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from eqcube import cli, recursion
+from eqcube import cli, krawtchouk, recursion
 from eqcube.cli import main, render_value
 from eqcube.oracle import (parity_partition, parse_rational,
                            singleton_partition)
@@ -1026,3 +1026,43 @@ def test_oracle_invariance_refuses_ten_cube(write_doc, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "n <= 9; got 10" in captured.err
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"n": 3, "m": 3, "cells": [[0, 7], [1, 2, 3, 4, 5, 6]]},
+     "expected 3 cells"),
+    ({"n": 3, "m": 2, "cells": [[0, 8], [1, 2, 3, 4, 5, 6, 7]]},
+     "vertex 8 outside the 3-cube"),
+])
+def test_malformed_partition_document_is_usage_error(write_doc, capsys, doc,
+                                                     message):
+    path = write_doc("partition.json", doc)
+    assert main(["oracle", "verify", "--partition", path]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("values, message", [
+    ("2 0 0 2", "values must be a list"),
+    ([[2, 0], [0], [2, 0], [0, 2]], "each value row must have 2 entries"),
+])
+def test_malformed_structure_document_is_usage_error(write_doc, capsys,
+                                                     values, message):
+    spath = write_doc("structure.json", {"n": 2, "m": 2, "values": values})
+    mpath = write_doc("all1.json", ALL1_MATRIX)
+    assert main(["oracle", "ps-verify", "--structure", spath,
+                 "--input", mpath]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_poly_all_exits_1_when_a_route_disagrees(capsys, monkeypatch):
+    monkeypatch.setitem(cli._POLY_METHODS, "genfun",
+                        lambda *r: krawtchouk.ZERO)
+    assert main(["poly", "--r1", "1", "--r2", "0", "--r3", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("method disagreement at (1, 0, 0): genfun "
+                            "differs from recursion\n")

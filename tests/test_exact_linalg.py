@@ -405,3 +405,18 @@ def test_compiled_step_source_holds_no_coefficient(monkeypatch):
     assert compiled[3] == compiled[4] == 3 * 3 + 3
     assert not any(str(value) in source for source in sources)
     assert value not in constants
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: kron_lift([[0, 3], [1]], 1), "matrix is not square"),
+    (lambda: kron_lift(S_PAIR, 4), "position must be 1, 2 or 3, got 4"),
+    (lambda: apply_lift(TensorVector.zero(1), kron_lift(S_PAIR, 1)),
+     "vector m=1, lift m=2"),
+    (lambda: commutes(kron_lift([[1]], 1), kron_lift(S_PAIR, 2)),
+     "m=1 vs m=2"),
+    (lambda: mat_mul([[1, 2]], [[1, 2]]), "inner dimensions do not match"),
+    (lambda: vec_mat([1, 2], [[1]]), "inner dimensions do not match"),
+])
+def test_linear_algebra_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

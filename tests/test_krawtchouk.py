@@ -357,3 +357,25 @@ def test_lift_evaluators_reject_unknown_mode():
         lift_image_is_zero(P, Q_PAIR, "bogus")
     with pytest.raises(ValueError):
         build_table(Q_PAIR, "bogus", initial=default_initial(Q_PAIR, TRIANGLE))
+
+
+def test_render_of_zero_and_of_a_monomial_with_unit_coefficient():
+    assert TriPoly().render() == "0"
+    assert (N * X).render() == "n*x"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: X ** -1, "negative power"),
+    (lambda: (X * Y).substitute_x(N), "in x alone"),
+    (lambda: (X + Z).substitute_x(N), "in x alone"),
+    (lambda: classical_krawtchouk(-1), "negative degree"),
+])
+def test_polynomial_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_zero_test_of_polynomials_with_no_term_at_n():
+    # n - 3 is the zero polynomial at Q_PAIR's n = 3
+    assert lift_image_is_zero(TriPoly(), Q_PAIR)
+    assert lift_image_is_zero(N - TriPoly.const(3), Q_PAIR)

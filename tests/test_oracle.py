@@ -397,3 +397,34 @@ def test_strong_invariance_refuses_n_above_bound_up_front():
     # anchor is counted
     with pytest.raises(ValueError, match="n <= 9"):
         strong_invariance_check(parity_partition(10))
+
+
+PS_PLAIN = PerfectStructure.from_rows(2, [[2, 0], [0, 2], [2, 0], [0, 2]])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: PartitionInstance.from_cells(3, [[0, 8], [1, 2, 3, 4, 5, 6, 7]]),
+     "vertex 8 outside the 3-cube"),
+    (lambda: distance_distribution([5]), "at least two vertices"),
+    (lambda: PerfectStructure.from_rows(2, [[1], [1], [1]]),
+     "expected 4 value rows, got 3"),
+    (lambda: PerfectStructure.from_rows(2, [[1], [1, 0], [1], [1]]),
+     "inconsistent lengths"),
+    (lambda: verify_perfect_structure(
+        PS_PLAIN, validate_quotient([[0, 3], [1, 2]], 3)),
+     "dimensions disagree"),
+    (lambda: ps_brute_interweight(PS_PLAIN, 4), "vertex 4 outside the 2-cube"),
+    (lambda: search_partitions(2, validate_quotient([[0, 3], [1, 2]], 3)),
+     "matrix is for n = 3, search asked for n = 2"),
+])
+def test_oracle_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_search_skips_colourings_that_leave_a_cell_empty():
+    # a disconnected support: only one-colour cubes keep every row, and
+    # each leaves a cell empty
+    result = search_partitions(3, [[3, 0], [0, 3]], limit=10)
+    assert result.partitions == []
+    assert result.complete
