@@ -27,12 +27,14 @@ oracle invariance reports are their dataclasses as `asdict` lists them.
 Exit codes: 0 success (for `screen`: candidate), 1 a check the command
 ran failed (cross-check, equitability, invariance, ps-verify, route
 agreement, a sweep candidate without a witness), 2 `screen` certified
-nonexistent, 64 any input the CLI or the library refuses (bad JSON,
-missing fields, malformed flags, a structure and matrix of different
-shapes, an --out that cannot be written, a brute-force cost cap, the
-table size cap, a polynomial degree above 200), 141 the reader of the
-output closed the pipe before it was written (`| head`), as a shell
-reports for SIGPIPE.
+nonexistent, 64 any input the CLI or the library refuses with
+ValueError (bad JSON, an integer of more than 4300 digits, missing
+fields, malformed flags, an S that is not a square matrix of
+nonnegative integers, `screen` included, a structure and matrix of
+different shapes, an --out that cannot be written, a brute-force cost
+cap, the table size cap, a polynomial degree above 200), 141 the reader
+of the output closed the pipe before it was written (`| head`), as a
+shell reports for SIGPIPE.
 """
 
 from __future__ import annotations
@@ -54,9 +56,8 @@ from .quotient import (QuotientError, QuotientMatrix, check_dimension,
 from .recursion import INTERWEIGHT, TRIANGLE, DistributionTable
 
 
-class InputError(ValueError):
-    """Unusable input file or value: maps to exit code 64, as does every
-    ValueError the library raises to refuse its arguments."""
+# the interpreter's default cap on int <-> str digits, which `main` lifts
+MAX_INPUT_DIGITS = 4300
 
 
 def render_value(v) -> str:
@@ -64,14 +65,20 @@ def render_value(v) -> str:
     return str(Fraction(v))
 
 
+def _parse_int(literal: str) -> int:
+    if len(literal.lstrip("-")) > MAX_INPUT_DIGITS:
+        raise ValueError(f"an integer of more than {MAX_INPUT_DIGITS} digits")
+    return int(literal)
+
+
 def _load_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=_parse_int)
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"bad JSON in {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:  # json.JSONDecodeError among them
+        raise ValueError(f"bad JSON in {path}: {exc}") from exc
 
 
 def _read_doc(path: str, *fields: str) -> list:
@@ -80,60 +87,52 @@ def _read_doc(path: str, *fields: str) -> list:
     fields = ("n",) + fields
     for field in fields:
         if not isinstance(doc, dict) or field not in doc:
-            raise InputError(f"{path}: missing field {field!r}")
+            raise ValueError(f"{path}: missing field {field!r}")
     n = doc["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InputError(f"{path}: n must be a positive integer")
+        raise ValueError(f"{path}: n must be a positive integer")
     return [doc[field] for field in fields]
 
 
-def load_matrix(path: str) -> tuple[int, list[list[int]]]:
+def load_matrix(path: str) -> tuple[int, list[list]]:
     n, S = _read_doc(path, "S")
     if (not isinstance(S, list) or not S
             or any(not isinstance(row, list) for row in S)):
-        raise InputError(f"{path}: S must be a list of rows")
-    if any(len(row) != len(S) for row in S):
-        raise InputError(f"{path}: S must be square: {len(S)} rows, "
-                         f"row lengths {[len(row) for row in S]}")
-    for i, row in enumerate(S):
-        for j, v in enumerate(row):
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise InputError(f"{path}: S entry ({i + 1},{j + 1}) = {v!r} "
-                                 f"is not an integer")
+        raise ValueError(f"{path}: S must be a list of rows")
     return n, S
 
 
 def _load_quotient(path: str) -> QuotientMatrix:
     """The quotient matrix in a matrix file; any other matrix is unusable
-    input (only `screen` gives it a verdict)."""
+    input (only `screen` gives some of them a verdict)."""
     n, S = load_matrix(path)
     try:
         return validate_quotient(S, n)
     except QuotientError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def load_partition(path: str) -> oracle.PartitionInstance:
     n, m, cells = _read_doc(path, "m", "cells")
     if not isinstance(cells, list) or len(cells) != m:
-        raise InputError(f"{path}: expected {m} cells")
+        raise ValueError(f"{path}: expected {m} cells")
     try:
         return oracle.PartitionInstance.from_cells(n, cells)
     except (TypeError, ValueError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def load_structure(path: str) -> oracle.PerfectStructure:
     n, m, values = _read_doc(path, "m", "values")
     if not isinstance(values, list):
-        raise InputError(f"{path}: values must be a list")
+        raise ValueError(f"{path}: values must be a list")
     for row in values:
         if not isinstance(row, list) or len(row) != m:
-            raise InputError(f"{path}: each value row must have {m} entries")
+            raise ValueError(f"{path}: each value row must have {m} entries")
     try:
         return oracle.PerfectStructure.from_rows(n, values)
     except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _load_structure_pair(args: argparse.Namespace
@@ -141,7 +140,7 @@ def _load_structure_pair(args: argparse.Namespace
     """A `ps-` command's structure and quotient matrix, of one shape."""
     PS, Q = load_structure(args.structure), _load_quotient(args.input)
     if (PS.n, PS.m) != (Q.n, Q.m):
-        raise InputError(f"{args.structure}: {PS.n}-cube with {PS.m} cells, "
+        raise ValueError(f"{args.structure}: {PS.n}-cube with {PS.m} cells, "
                          f"but {args.input}: {Q.n}-cube with {Q.m} cells")
     return PS, Q
 
@@ -185,7 +184,7 @@ def _open_out(path: str | None):
     try:
         fh = open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from exc
+        raise ValueError(f"cannot write {path}: {exc}") from exc
     with fh:
         yield fh
 
@@ -225,7 +224,7 @@ def cmd_poly(args: argparse.Namespace, out) -> int:
         try:
             check_dimension(args.n)  # before any route runs
         except ValueError as exc:
-            raise InputError(f"{exc} (--n on the command line)") from None
+            raise ValueError(f"{exc} (--n on the command line)") from None
     if args.method == "all":
         polys = {name: fn(*r) for name, fn in _POLY_METHODS.items()}
         first = polys["recursion"]
@@ -317,7 +316,7 @@ def _parse_pins(raw: list[str]) -> dict[int, int]:
         try:
             v, label = map(int, item.split(":"))
         except ValueError as exc:
-            raise InputError(f"bad pin {item!r}; expected VERTEX:CELL") from exc
+            raise ValueError(f"bad pin {item!r}; expected VERTEX:CELL") from exc
         pins[v] = label
     return pins
 
@@ -458,6 +457,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 64
+    # exact values print at any size; `_parse_int` bounds what is read
+    digit_cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         with _open_out(getattr(args, "out", None)) as out:
             return args.func(args, out)
@@ -471,6 +473,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         with open(os.devnull, "wb") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 141
+    finally:
+        sys.set_int_max_str_digits(digit_cap)
 
 
 if __name__ == "__main__":

@@ -58,7 +58,8 @@ from itertools import repeat
 from operator import add, mul
 
 from .exact_linalg import TensorVector, apply_lift, iter_index_triples
-from .quotient import QuotientMatrix, check_dimension, min_poly
+from .quotient import (QuotientMatrix, check_dimension, check_integer,
+                       min_poly)
 from .recursion import TRIANGLE, default_initial, lifts_for
 
 
@@ -240,11 +241,14 @@ def falling_factorial(p: TriPoly, length: int) -> TriPoly:
 
 
 def _check_parts(r1: int, r2: int, r3: int, bound: int = 200) -> None:
-    """Refuse a negative part, or a degree r1 + r2 + r3 above 200 or
-    above `bound`.  200 caps all three routes: route 1 recurses one level
-    per degree, two stack entries a level on Python 3.11, where it
-    overflows the default recursion limit near degree 500; at 200 it
-    takes about 19 s.  Routes 2 and 3 pass bound=12 for their cost."""
+    """Refuse a part that is not an int or is negative, or a degree
+    r1 + r2 + r3 above 200 or above `bound`.  200 caps all three routes:
+    route 1 recurses one level per degree, two stack entries a level on
+    Python 3.11, where it overflows the default recursion limit near
+    degree 500; at 200 it takes about 19 s.  Routes 2 and 3 pass
+    bound=12 for their cost."""
+    for part in (r1, r2, r3):
+        check_integer(part)
     if min(r1, r2, r3) < 0:
         raise ValueError(f"negative part in ({r1}, {r2}, {r3})")
     if r1 + r2 + r3 > 200:
@@ -443,12 +447,12 @@ def _cleared_terms(P: TriPoly, n_value: int) -> tuple[int, dict]:
     return D0 // g, {e: k // g for e, k in sums.items() if k}
 
 
-def _image_at_lifts(P: TriPoly, Q: QuotientMatrix, mode: str,
+def _image_at_lifts(P: TriPoly, Q: QuotientMatrix, kind: str,
                     v: TensorVector) -> TensorVector:
     """v P(L1, L2, L3): D v P(L1, L2, L3) is an integer combination of the
     lift powers of v, shared by the monomials, summed as flat tuples and
     divided by D once."""
-    lifts = lifts_for(Q, mode)
+    lifts = lifts_for(Q, kind)
     D, terms = _cleared_terms(P, Q.n)
     powers = {(0, 0, 0): v}
 
@@ -466,8 +470,8 @@ def _image_at_lifts(P: TriPoly, Q: QuotientMatrix, mode: str,
 
 
 def eval_at_lifts(P: TriPoly, Q: QuotientMatrix,
-                  mode: str = TRIANGLE) -> TensorVector:
-    """Apply P(L1, L2, L3) to the level-0 vector of the given mode.
+                  kind: str = TRIANGLE) -> TensorVector:
+    """Apply P(L1, L2, L3) to the level-0 vector of the given table kind.
 
     The lifts commute pairwise, so monomials are well defined.  P is
     taken at n = Q.n, so this reproduces the table entry at (r1, r2, r3)
@@ -475,22 +479,21 @@ def eval_at_lifts(P: TriPoly, Q: QuotientMatrix,
     vector even though P(L1, L2, L3) itself need not vanish as a matrix.
     Entries are ints where integral, as in `build_table`.
     """
-    return _image_at_lifts(P, Q, mode, default_initial(Q, mode))
+    return _image_at_lifts(P, Q, kind, default_initial(Q, kind))
 
 
-def lift_image_is_zero(P: TriPoly, Q: QuotientMatrix,
-                       mode: str = TRIANGLE) -> bool:
+def lift_image_is_zero(P: TriPoly, Q: QuotientMatrix) -> bool:
     """Whether P(L1, L2, L3) is the zero matrix, decided without the lifts.
 
     Each lift acts as S or S^T on one tensor slot.  Both have the minimal
-    polynomial mu of S, so the lifts generate
+    polynomial mu of S, so the verdict is the same for the lifts of
+    either table kind, and the lifts generate
     Q[x]/(mu) (x) Q[y]/(mu) (x) Q[z]/(mu), a tensor product of injective
     maps: P(L1, L2, L3) = 0 exactly when P, at n = Q.n, reduces to zero
     modulo mu(x), mu(y) and mu(z).  The coefficients are cleared by the
     lcm of their denominators and each monomial is replaced by the
     product of its residues x^e mod mu, all integers.
     """
-    lifts_for(Q, mode)  # rejects an unknown mode
     mu = min_poly(Q.rows)
     d = len(mu) - 1
     terms = _cleared_terms(P, Q.n)[1]
@@ -515,8 +518,8 @@ def lift_image_is_zero(P: TriPoly, Q: QuotientMatrix,
 
 
 def materialize_poly_at_lifts(P: TriPoly, Q: QuotientMatrix,
-                              mode: str = TRIANGLE) -> tuple[tuple, ...]:
+                              kind: str = TRIANGLE) -> tuple[tuple, ...]:
     """Dense m^3 x m^3 matrix P(L1, L2, L3).  Debug and test aid only."""
     return tuple(
-        _image_at_lifts(P, Q, mode, TensorVector.unit(Q.m, t)).entries
+        _image_at_lifts(P, Q, kind, TensorVector.unit(Q.m, t)).entries
         for t in iter_index_triples(Q.m))

@@ -25,7 +25,7 @@ from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .exact_linalg import TensorVector, flat_index
-from .quotient import QuotientMatrix, validate_quotient
+from .quotient import QuotientMatrix, check_integer, validate_quotient
 from .recursion import (INTERWEIGHT, TRIANGLE, DistributionTable, Triple,
                         iter_triples_of_level)
 
@@ -460,8 +460,10 @@ def search_partitions(n: int, S: Sequence[Sequence[int]] | QuotientMatrix,
     `max_nodes` the number of assignments tried (exceeding it returns
     the partial result with complete=False).  The search recurses once
     per vertex, so n is capped at 9: 2^9 frames stay inside Python's
-    default recursion limit.
+    default recursion limit.  n and limit must be ints.
     """
+    check_integer(n)
+    check_integer(limit)
     if not 1 <= n <= 9:
         raise ValueError(f"partition search runs for 1 <= n <= 9; got {n}")
     if limit < 1:

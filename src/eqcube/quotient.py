@@ -43,22 +43,24 @@ class QuotientMatrix:
         return len(self.rows)
 
 
+def check_integer(value: int) -> None:
+    """Refuse, with ValueError, a value that is not an int (a bool or a
+    float is refused too); callable before any work."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"not an integer: {value!r}")
+
+
 def check_dimension(n_value: int) -> None:
-    """Refuse, with ValueError, a dimension that is not an int (a bool
-    or a float is refused too) or is negative; callable before any work."""
-    if not isinstance(n_value, int) or isinstance(n_value, bool):
-        raise ValueError(f"not an integer: {n_value!r}")
+    """Refuse, with ValueError, a dimension that `check_integer` refuses
+    or that is negative; callable before any work."""
+    check_integer(n_value)
     if n_value < 0:
         raise ValueError(f"negative dimension n = {n_value}")
 
 
-def validate_quotient(S: Sequence[Sequence[int]], n: int) -> QuotientMatrix:
-    """Check shape, integrality, row sums and support symmetry.
-
-    Raises ValueError for an n that `check_dimension` refuses, and
-    InvalidQuotient naming the offending row or pair.
-    """
-    check_dimension(n)
+def matrix_rows(S: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The rows of S as tuples.  Raises InvalidQuotient unless S has rows,
+    is square and holds only nonnegative ints (no bool)."""
     rows = tuple(tuple(row) for row in S)
     m = len(rows)
     if m == 0:
@@ -71,6 +73,18 @@ def validate_quotient(S: Sequence[Sequence[int]], n: int) -> QuotientMatrix:
             if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise InvalidQuotient(
                     f"entry ({i + 1},{j + 1}) = {v!r} is not a nonnegative integer")
+    return rows
+
+
+def validate_quotient(S: Sequence[Sequence[int]], n: int) -> QuotientMatrix:
+    """Check shape and entries (`matrix_rows`), row sums and support.
+
+    Raises ValueError for an n that `check_dimension` refuses, and
+    InvalidQuotient naming the offending entry, row or pair.
+    """
+    check_dimension(n)
+    rows = matrix_rows(S)
+    m = len(rows)
     for i, row in enumerate(rows):
         s = sum(row)
         if s != n:

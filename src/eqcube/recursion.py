@@ -515,17 +515,19 @@ def cross_check(table: DistributionTable, Q: QuotientMatrix,
             raise ValueError(f"{name} has n={other.n}, m={other.m}; "
                              f"the table has n={n}, m={m}")
     lifts = lifts_for(Q, table.kind)
-    try:
-        sizes = cell_sizes(Q)
-    except QuotientError:  # then no triangle level 0 is standard
-        sizes = None
-    # f_i of each kind: the diagonal of its standard level 0 (see
-    # default_initial) and the factor of its marginals
-    factors = {TRIANGLE: sizes, INTERWEIGHT: (1,) * m}
+    standards = {}
+    for kind in (TRIANGLE, INTERWEIGHT):
+        try:
+            standards[kind] = default_initial(Q, kind)
+        except QuotientError:  # then no triangle level 0 is standard
+            pass
 
     def standard(t: DistributionTable) -> bool:
-        f = factors[t.kind]
-        return f is not None and t.entries[(0, 0, 0)] == initial_triangle(f)
+        return t.entries[(0, 0, 0)] == standards.get(t.kind)
+
+    def diagonal(kind: str) -> list:
+        # f_i of each kind, the factor of its marginals
+        return [standards[kind].get(i, i, i) for i in range(1, m + 1)]
 
     checks = ["derivations", "symmetry"]
     triples = table.triples()
@@ -573,7 +575,7 @@ def cross_check(table: DistributionTable, Q: QuotientMatrix,
         inter = companion if table.kind == TRIANGLE else table
         if standard(tri) and standard(inter):
             checks.append("pairing")
-            D = diag_lift(sizes)
+            D = diag_lift(diagonal(TRIANGLE))
             # the triples both tables hold, in the scan order
             for triple in triples:
                 T, W = tri.entries.get(triple), inter.entries.get(triple)
@@ -583,7 +585,7 @@ def cross_check(table: DistributionTable, Q: QuotientMatrix,
     marg: list[tuple[Triple, int]] = []
     if standard(table):
         checks.append("marginals")
-        f = factors[table.kind]
+        f = diagonal(table.kind)
         block = m * m  # the (i, *, *) entries are one contiguous block
         for triple in triples:
             r1, r2, r3 = triple

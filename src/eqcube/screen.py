@@ -24,8 +24,9 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .quotient import (FeasibilityReport, InvalidQuotient,
-                       feasibility_conditions, validate_quotient)
+from .quotient import (FeasibilityReport, InvalidQuotient, check_integer,
+                       feasibility_conditions, matrix_rows,
+                       validate_quotient)
 # scan_violations is not called here, but bench/spans.py wraps it at
 # this module's attribute too, so it stays imported
 from .recursion import (TRIANGLE, Violation, build_table, common_denominator,
@@ -62,14 +63,15 @@ def certify(S, n: int, max_level: int | None = None,
     `scan_violations`' rules but builds a `Violation` for the first
     violation only and counts the rest.  A matrix can fail
     feasibility and still get its table scanned; both findings end up in
-    the certificate.  A matrix that is no quotient matrix, or whose size
-    ratios contradict each other, gets only a validation error.  Raises
-    ValueError for max_level outside [0, n], and, unless force, for a
-    table of more than `recursion.MAX_TABLE_ENTRIES` entries, before
-    any work and whatever the matrix.
+    the certificate.  A matrix that `quotient.matrix_rows` accepts but
+    is no quotient matrix, or whose size ratios contradict each other,
+    gets only a validation error.  Raises ValueError for max_level
+    outside [0, n], and, unless force, for a table of more than
+    `recursion.MAX_TABLE_ENTRIES` entries, whatever the matrix; then
+    InvalidQuotient for a matrix that `matrix_rows` refuses.
     """
-    rows = tuple(tuple(r) for r in S)
-    max_level = table_depth(max_level, n, len(rows), force)
+    max_level = table_depth(max_level, n, len(S), force)
+    rows = matrix_rows(S)
     try:
         Q = validate_quotient(rows, n)
         report = feasibility_conditions(Q)
@@ -178,7 +180,9 @@ def hunt_witness(params: tuple[int, int, int, int, int]) -> SweepCandidate:
 
 def worker_count(jobs: int, tasks: int) -> int:
     """Processes to start for `tasks` independent tasks when `jobs` are
-    asked for: never more than the CPUs or the tasks.  Rejects jobs < 1."""
+    asked for: never more than the CPUs or the tasks.  Rejects jobs
+    that are not an int or are < 1."""
+    check_integer(jobs)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     return min(jobs, os.cpu_count() or 1, tasks)
@@ -192,8 +196,10 @@ def sweep_ci(n_max: int, jobs: int = 1) -> SweepReport:
     collected in enumeration order, so the report is identical for any
     job count.  The pool (and with it `multiprocessing`) is imported
     here on first use, only when more than one worker starts.  Rejects
-    n_max < 1 before any work, and jobs < 1 through `worker_count`.
+    n_max < 1, or not an int, before any work, and jobs through
+    `worker_count`.
     """
+    check_integer(n_max)
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     params = enumerate_ci_candidates(n_max)

@@ -8,6 +8,7 @@ external formats: JSON documents, CSV layout, exit codes.
 import hashlib
 import json
 import os
+import sys
 from fractions import Fraction
 
 import pytest
@@ -1066,3 +1067,58 @@ def test_poly_all_exits_1_when_a_route_disagrees(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err == ("method disagreement at (1, 0, 0): genfun "
                             "differs from recursion\n")
+
+
+@pytest.mark.parametrize("command", [["screen"], ["table"], ["oracle", "search"]])
+@pytest.mark.parametrize("S, message", [
+    ([[-1, 4], [1, 2]], "entry (1,1) = -1 is not a nonnegative integer"),
+    ([[0, 3, 0], [1, 2, 0]],
+     "matrix is not square: 2 rows, row lengths [3, 3]"),
+    ([[0, 3], [1, 2.5]], "entry (2,2) = 2.5 is not a nonnegative integer"),
+], ids=["negative", "non-square", "non-integer"])
+def test_malformed_matrix_gets_the_library_message_from_every_command(
+        write_doc, capsys, command, S, message):
+    # a negative count is refused like any malformed matrix, by `screen`
+    # too, where it used to get a "nonexistent" verdict
+    path = write_doc("malformed.json", {"n": 3, "S": S})
+    assert main(command + ["--input", path]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def _int_of_any_size(text):
+    """int(text) past the interpreter's cap on int <-> str digits."""
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return int(text)
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
+def test_exact_values_of_any_size_print(write_doc, capsys):
+    # each cell of [[0, n], [n, 0]] holds 2^(n-1) vertices, 4301 digits
+    # at n = 14286, one past the interpreter's default cap
+    n = 14286
+    path = write_doc("huge.json", {"n": n, "S": [[0, n], [n, 0]]})
+    cap = sys.get_int_max_str_digits()
+    assert main(["screen", "--input", path, "--max-level", "0"]) == 0
+    sizes = json.loads(capsys.readouterr().out)["feasibility"]["sizes"]
+    assert [_int_of_any_size(s) for s in sizes] == [2 ** (n - 1)] * 2
+    assert main(["table", "--input", path, "--max-level", "0"]) == 0
+    level0 = json.loads(capsys.readouterr().out)["entries"]["0,0,0"]
+    assert _int_of_any_size(level0[0]) == _int_of_any_size(level0[7]) \
+        == 2 ** (n - 1)
+    assert sys.get_int_max_str_digits() == cap
+
+
+def test_an_integer_of_more_than_4300_digits_is_not_read(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text('{"n": 1' + "0" * 4999 + ', "S": [[0]]}',
+                    encoding="utf-8")
+    assert main(["screen", "--input", str(path)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: bad JSON in {path}: an integer of "
+                            f"more than 4300 digits\n")

@@ -206,7 +206,7 @@ def test_vanishing_one_level_past_the_dimension():
         P = poly_recursive(*triple)
         assert eval_at_lifts(P, Q_PAIR, TRIANGLE).is_zero()
         assert eval_at_lifts(P, Q_PAIR, INTERWEIGHT).is_zero()
-        if not lift_image_is_zero(P, Q_PAIR, TRIANGLE):
+        if not lift_image_is_zero(P, Q_PAIR):
             nonzero_somewhere = True
     assert nonzero_somewhere
 
@@ -277,7 +277,7 @@ def test_lift_evaluators_match_dense_reference(Q, triples, n, mode):
         P = poly_recursive(*t)
         dense = _dense_poly_at_lifts(P, Q, mode)
         assert materialize_poly_at_lifts(P, Q, mode) == dense
-        assert lift_image_is_zero(P, Q, mode) == all(
+        assert lift_image_is_zero(P, Q) == all(
             v == 0 for row in dense for v in row)
         got = eval_at_lifts(P, Q, mode)
         assert got.entries == vec_mat(initial, dense)
@@ -302,7 +302,7 @@ def test_zero_test_keeps_repeated_root_of_minimal_polynomial(mode, var):
     short = (var - TriPoly.const(3)) * (var + ONE)
     full = short * (var + ONE)
     for P, zero in ((short, False), (full, True)):
-        assert lift_image_is_zero(P, Q_JORDAN, mode) is zero
+        assert lift_image_is_zero(P, Q_JORDAN) is zero
         assert _is_zero_matrix(
             materialize_poly_at_lifts(P, Q_JORDAN, mode)) is zero
 
@@ -343,7 +343,7 @@ def test_zero_test_matches_dense_reference_on_random_matrices():
                  (poly_recursive(*r[::-1]) * ideal, True)]
         mode = rng.choice((TRIANGLE, INTERWEIGHT))
         for P, expected in cases:
-            got = lift_image_is_zero(P, Q, mode)
+            got = lift_image_is_zero(P, Q)
             dense = materialize_poly_at_lifts(P, Q, mode)
             assert got == _is_zero_matrix(dense)
             assert expected is None or got is expected
@@ -352,9 +352,6 @@ def test_zero_test_matches_dense_reference_on_random_matrices():
 
 
 def test_lift_evaluators_reject_unknown_mode():
-    P = poly_recursive(0, 0, 1)
-    with pytest.raises(ValueError):
-        lift_image_is_zero(P, Q_PAIR, "bogus")
     with pytest.raises(ValueError):
         build_table(Q_PAIR, "bogus", initial=default_initial(Q_PAIR, TRIANGLE))
 
@@ -379,3 +376,20 @@ def test_zero_test_of_polynomials_with_no_term_at_n():
     # n - 3 is the zero polynomial at Q_PAIR's n = 3
     assert lift_image_is_zero(TriPoly(), Q_PAIR)
     assert lift_image_is_zero(N - TriPoly.const(3), Q_PAIR)
+
+
+def test_lift_evaluators_reject_an_unknown_kind():
+    P = poly_recursive(0, 0, 1)
+    with pytest.raises(ValueError, match="unknown table kind 'bogus'"):
+        eval_at_lifts(P, Q_PAIR, "bogus")
+    with pytest.raises(ValueError, match="unknown table kind 'bogus'"):
+        materialize_poly_at_lifts(P, Q_PAIR, "bogus")
+
+
+@pytest.mark.parametrize("route", [poly_recursive, poly_direct, genfun_coeff])
+@pytest.mark.parametrize("parts", [(2.0, 0, 0), (True, 0, 0), (0, 1.5, 0),
+                                   (0, 0, "1")])
+def test_routes_refuse_a_part_that_is_not_an_int(route, parts):
+    # refused alike by all three routes, before any work
+    with pytest.raises(ValueError, match="not an integer"):
+        route(*parts)

@@ -428,3 +428,11 @@ def test_search_skips_colourings_that_leave_a_cell_empty():
     result = search_partitions(3, [[3, 0], [0, 3]], limit=10)
     assert result.partitions == []
     assert result.complete
+
+
+@pytest.mark.parametrize("n, limit", [(3, 1.5), (3, True), (3.0, 1),
+                                      (True, 1)])
+def test_search_refuses_an_n_or_limit_that_is_not_an_int(n, limit):
+    with pytest.raises(ValueError, match="not an integer"):
+        search_partitions(n, validate_quotient([[0, 3], [1, 2]], 3),
+                          limit=limit)

@@ -9,8 +9,8 @@ import pytest
 from eqcube.exact_linalg import exact_quotient
 from eqcube.oracle import singleton_partition, verify_equitable
 from eqcube.quotient import (InvalidQuotient, SizesUndetermined, cell_sizes,
-                             char_poly, feasibility_conditions, min_poly,
-                             spectrum_check, validate_quotient)
+                             char_poly, feasibility_conditions, matrix_rows,
+                             min_poly, spectrum_check, validate_quotient)
 
 S22 = [[0, 22, 0], [5, 6, 11], [0, 10, 12]]
 
@@ -417,3 +417,14 @@ def test_inconsistent_cycle_message_is_pinned():
         feasibility_conditions(Q)
     assert str(exc.value) == ("inconsistent size ratios around cells 3 "
                               "and 2: 1/2 vs 9/2")
+
+
+def test_matrix_rows_checks_shape_and_entries_but_not_row_sums():
+    # any square matrix of nonnegative ints passes; validate_quotient
+    # checks the row sums and the support on top
+    assert matrix_rows([[1, 2], [1, 1]]) == ((1, 2), (1, 1))
+    assert matrix_rows(([0, 5], (0, 0))) == ((0, 5), (0, 0))
+    for S, message in (([], "no rows"), ([[0, 3], [1]], "not square"),
+                       ([[0, -3], [1, 2]], "entry \\(1,2\\) = -3")):
+        with pytest.raises(InvalidQuotient, match=message):
+            matrix_rows(S)

@@ -11,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from eqcube import recursion, screen
-from eqcube.quotient import cell_sizes, validate_quotient
+from eqcube import oracle, recursion, screen
+from eqcube.quotient import InvalidQuotient, cell_sizes, validate_quotient
 from eqcube.screen import (Certificate, SweepCandidate, SweepReport, certify,
                            enumerate_ci_candidates, hunt_witness, sweep_ci,
                            worker_count)
@@ -287,3 +287,44 @@ def test_cold_import_loads_no_process_pool(tmp_path):
     cold = loaded_pool_modules(tmp_path, "-c", COLD_SCRIPT,
                                str(SRC), str(matrix))
     assert sorted(cold - baseline) == []
+
+
+@pytest.mark.parametrize("S, message", [
+    ([[0, 3], [1]], "matrix is not square: 2 rows, row lengths [2, 1]"),
+    ([[0, 3], [1, 2.0]], "entry (2,2) = 2.0 is not a nonnegative integer"),
+    ([[0, 3], [True, 2]], "entry (2,1) = True is not a nonnegative integer"),
+    ([[0, "3"], [1, 2]], "entry (1,2) = '3' is not a nonnegative integer"),
+    ([[-1, 4], [1, 2]], "entry (1,1) = -1 is not a nonnegative integer"),
+    ([], "matrix has no rows"),
+], ids=["ragged", "float", "bool", "string", "negative", "empty"])
+def test_certify_refuses_a_malformed_matrix_without_a_verdict(monkeypatch, S,
+                                                              message):
+    # a matrix that is not a square matrix of nonnegative integers is no
+    # candidate at all: refused before validation or any step
+    def idle(*args, **kwargs):
+        raise AssertionError("work done before the refusal")
+    for module, name in ((screen, "validate_quotient"),
+                         (recursion, "derive_entry")):
+        monkeypatch.setattr(module, name, idle)
+    with pytest.raises(InvalidQuotient) as excinfo:
+        certify(S, 3)
+    assert str(excinfo.value) == message
+
+
+def test_certify_refuses_the_level_before_the_malformed_matrix():
+    with pytest.raises(ValueError, match="max_level"):
+        certify([[0, 3], [1]], 3, max_level=99)
+
+
+@pytest.mark.parametrize("value", [2.5, True, "2"])
+def test_sweep_refuses_n_max_and_jobs_that_are_not_ints_before_any_work(
+        monkeypatch, value):
+    def idle(*args, **kwargs):
+        raise AssertionError("work done before the refusal")
+    monkeypatch.setattr(screen, "hunt_witness", idle)
+    with pytest.raises(ValueError, match="not an integer"):
+        sweep_ci(value)
+    with pytest.raises(ValueError, match="not an integer"):
+        sweep_ci(5, jobs=value)
+    with pytest.raises(ValueError, match="not an integer"):
+        worker_count(value, 5)
