@@ -246,7 +246,10 @@ def cmd_poly(args: argparse.Namespace, out) -> int:
 
 def cmd_screen(args: argparse.Namespace, out) -> int:
     n, S = load_matrix(args.input)
-    cert = screen.certify(S, n, max_level=args.max_level, force=args.force)
+    try:
+        cert = screen.certify(S, n, max_level=args.max_level, force=args.force)
+    except QuotientError as exc:  # a malformed matrix gets no verdict
+        raise ValueError(f"{args.input}: {exc}") from exc
     doc = asdict(cert)
     if cert.feasibility is not None:
         feasibility = doc["feasibility"]

@@ -163,7 +163,7 @@ def _slot_getter(m: int, order: tuple[int, int, int]) -> Callable:
 def _as_rows(S: Sequence[Sequence]) -> tuple[tuple, ...]:
     rows = tuple(tuple(row) for row in S)
     if any(len(row) != len(rows) for row in rows):
-        raise ValueError("matrix is not square")
+        raise ValueError("lift base is not square")
     return rows
 
 

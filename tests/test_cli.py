@@ -1084,7 +1084,7 @@ def test_malformed_matrix_gets_the_library_message_from_every_command(
     assert main(command + ["--input", path]) == 64
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert message in captured.err
+    assert captured.err == f"error: {path}: {message}\n"
 
 
 def _int_of_any_size(text):

@@ -408,7 +408,7 @@ def test_compiled_step_source_holds_no_coefficient(monkeypatch):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: kron_lift([[0, 3], [1]], 1), "matrix is not square"),
+    (lambda: kron_lift([[0, 3], [1]], 1), "lift base is not square"),
     (lambda: kron_lift(S_PAIR, 4), "position must be 1, 2 or 3, got 4"),
     (lambda: apply_lift(TensorVector.zero(1), kron_lift(S_PAIR, 1)),
      "vector m=1, lift m=2"),
