@@ -694,6 +694,47 @@ def test_cross_check_symmetric_tamper_lists_are_pinned(kind, orbit,
         derivations, [], [], marginals)
 
 
+def per_triple_symmetry(table):
+    """The symmetry findings of a triple-by-triple audit: at each index
+    of each triple, in scan order, every generator of the kind whose
+    image of the table disagrees there."""
+    generators = {TRIANGLE: (("swap", (1, 0, 2)), ("cyclic", (1, 2, 0))),
+                  INTERWEIGHT: (("exchange", (0, 2, 1)),)}[table.kind]
+    found = []
+    for t in table.triples():
+        images = [(label, table.entries[(t[o[0]], t[o[1]], t[o[2]])]
+                   .permuted(o)) for label, o in generators]
+        for index in iter_index_triples(table.m):
+            found += [(t, index, label) for label, image in images
+                      if table.entries[t].get(*index) != image.get(*index)]
+    return found
+
+
+# A tied representative whose vector lacks its stabilizer's symmetry,
+# with every other triple of its orbit filled from it as the climb fills
+# them: each non-representative is then its representative permuted by
+# its order, so only the stabilizer test tells this table from a
+# symmetric one.  (a, b, b) needs (0, 2, 1), which is no generator of the
+# triangle kind.
+@pytest.mark.parametrize("kind, rep, index", [
+    (TRIANGLE, (2, 0, 0), (1, 1, 2)),
+    (TRIANGLE, (1, 1, 0), (1, 2, 1)),
+    (INTERWEIGHT, (0, 1, 1), (1, 1, 2)),
+], ids=["triangle-abb", "triangle-aab", "interweight-legs"])
+def test_cross_check_finds_a_broken_stabilizer_as_the_per_triple_audit(
+        kind, rep, index):
+    bad = dict(build_table(Q_PAIR, kind).entries)
+    bad[rep] = bad[rep] + TensorVector.unit(2, index)
+    _, plan = recursion._orbits(kind, iter_triples_of_level(sum(rep)))
+    for triple, of, order in plan:
+        if of == rep:
+            bad[triple] = bad[rep].permuted(order)
+    table = DistributionTable(kind=kind, n=3, m=2, entries=bad)
+    want = per_triple_symmetry(table)
+    assert want
+    assert cross_check(table, Q_PAIR).symmetry_mismatches == want
+
+
 def test_scan_violations_negative_list_is_pinned():
     Q = validate_quotient([[0, 5], [3, 2]], 5)
     by_triple = {

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from dataclasses import fields
@@ -16,7 +17,7 @@ from eqcube.quotient import InvalidQuotient, cell_sizes, validate_quotient
 from eqcube.screen import (Certificate, SweepCandidate, SweepReport, certify,
                            enumerate_ci_candidates, hunt_witness, sweep_ci,
                            worker_count)
-from eqcube.recursion import TRIANGLE, build_table
+from eqcube.recursion import TRIANGLE, build_table, scan_violations
 
 
 def test_certify_survivor_stays_candidate():
@@ -144,6 +145,55 @@ def _scan_refetch(cert: Certificate):
     Q = validate_quotient(cert.matrix, cert.n)
     table = build_table(Q, TRIANGLE, max_level=cert.levels_scanned)
     return scan_violations(table, sizes=cell_sizes(Q))
+
+
+def seeded_quotients(rng, m, count):
+    """`count` seeded m-cell quotient matrices with n <= 8: rows drawn
+    as compositions of n, kept when `validate_quotient` accepts them."""
+    found = []
+    while len(found) < count:
+        n = rng.randint(1, 8)
+        rows = []
+        for _ in range(m):
+            cuts = sorted(rng.randint(0, n) for _ in range(m - 1))
+            rows.append([b - a for a, b in zip([0] + cuts, cuts + [n])])
+        try:
+            found.append(validate_quotient(rows, n))
+        except InvalidQuotient:
+            pass
+    return found
+
+
+def test_certify_matches_the_scan_of_the_built_table_on_seeded_matrices():
+    rng = random.Random("certify:orbit-scan")
+    fixed = [validate_quotient(S, n) for S, n in (
+        ([[0, 3], [2, 1]], 3),             # sizes 16/5 and 24/5
+        ([[1, 3], [2, 2]], 4),             # sizes 32/5 and 48/5
+        ([[0, 5], [3, 2]], 5),             # 48 negative entries
+        ([[3, 0], [0, 3]], 3),             # disconnected: no scan
+        ([[2, 1, 0], [1, 2, 0], [0, 0, 3]], 3),
+    )]
+    seen = {"fractional": 0, "disconnected": 0, "violated": 0, "clean": 0}
+    for Q in fixed + seeded_quotients(rng, 2, 24) + seeded_quotients(rng, 3,
+                                                                     16):
+        cert = certify(Q.rows, Q.n)
+        try:
+            sizes = cell_sizes(Q)
+        except InvalidQuotient:
+            assert cert.validation_error is not None, Q
+            continue
+        except ValueError:  # undetermined sizes get no table scan
+            seen["disconnected"] += 1
+            assert (cert.first_violation, cert.violations_found,
+                    cert.levels_scanned) == (None, 0, -1), Q
+            continue
+        found = scan_violations(build_table(Q, TRIANGLE), sizes)
+        assert cert.first_violation == (found[0] if found else None), Q
+        assert cert.violations_found == len(found), Q
+        assert cert.levels_scanned == Q.n
+        seen["fractional"] += any(type(s) is Fraction for s in sizes)
+        seen["violated" if found else "clean"] += 1
+    assert all(seen.values()), seen
 
 
 def test_enumerate_ci_candidates_small():
