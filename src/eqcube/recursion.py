@@ -59,21 +59,38 @@ positions in place of a step, before it climbs the next level.
 It refuses with ValueError a level-0 vector without the symmetries of
 its kind; every standard one (the size and unit diagonals,
 `oracle.ps_initial_triangle`, a sum of tensor cubes) has them.  Every
-triple of an orbit has the same scale, so `build_table` divides only
-the representatives too, by the orbit plan the climb used.
+triple of an orbit has the same scale, so only the representatives are
+divided: each level the climb yields carries its orbit plan, and its
+`quotients` are the representatives' T vectors.  `build_table` fills
+the rest of each orbit from them by permutation; `screen.certify`
+scans them without filling (`violations`, below).
 
 Any triple with two or three positive parts is reachable by several
 routes; `cross_check` verifies that all of them agree and checks the
-index symmetries, the T = W * D' relation and exact multinomial
-marginals on top.  By the equivariance of the step, on a table with
-its symmetries the routes of the representatives speak for all
-triples.
+index symmetries, the T = W * D' relation (entry by entry) and exact
+multinomial marginals on top.  By the equivariance of the step, on a
+table with its symmetries the routes of the representatives speak for
+all triples.  The symmetries themselves are tested by orbit first:
+every other triple must hold its representative's vector permuted by
+its order, and every representative with tied parts must be invariant
+under its stabilizer, the swap when r1 = r2 (triangle) and (0, 2, 1)
+when r2 = r3.  That suffices: two orders taking a triple to its
+representative differ by an element of the stabilizer, which fixes the
+representative's vector, so every symmetry image of every triple
+agrees.  The generators alone would not do, since (a, b, b) is fixed
+by (0, 2, 1), which is no generator of the triangle kind.  Only a table
+that fails this test is walked triple by triple, which lists the
+findings, so the lists are those of the walk either way.
 
 For a partition that actually exists every T entry is a count
 divisible by the anchor cell size, so a negative or non-integral entry
 refutes existence (`scan_violations`).  The scan tests a whole vector
 with `min` and a `map` of `%` first, and walks the entries only of a
-vector that holds a violation.
+vector that holds a violation.  A level scanned by orbit tests each
+triple on its representative's vector against the anchor sizes
+permuted by the triple's order (the anchor of a permuted vector sits in
+slot o.index(0)), counts with whole-vector passes, and permutes and
+walks only the first violating triple's vector.
 """
 
 from __future__ import annotations
@@ -82,10 +99,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mod
+from itertools import repeat
+from operator import lt, mod, mul, or_, truth
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .exact_linalg import (LiftedMatrix, TensorVector, apply_lift, diag_lift,
+# apply_lift is not called here, but bench/spans.py wraps it at this
+# module's attribute too, so it stays imported
+from .exact_linalg import (LiftedMatrix, TensorVector, apply_lift,
                            flat_index, iter_index_triples, kron_lift,
                            lift_step)
 from .quotient import (QuotientError, QuotientMatrix, cell_sizes,
@@ -256,6 +276,17 @@ def _orbits(kind: str, triples: Iterable[Triple]
     return [triple for triple, _, o in plan if o == _IDENTITY], plan
 
 
+def _stabilizer(kind: str, rep: Triple) -> tuple[tuple[int, int, int], ...]:
+    """Orders generating the symmetries of a kind that fix the
+    representative `rep`: the exchange of two equal parts.  A triangle
+    (a, a, b) is fixed by the swap, (a, b, b) by (0, 2, 1), which is no
+    generator of the kind, and (a, a, a) by both; an interweight
+    (a, b, b) by the exchange."""
+    a, b, c = rep
+    ties = ((0, 2, 1),) if b == c else ()
+    return ties + ((1, 0, 2),) if kind == TRIANGLE and a == b else ties
+
+
 def _fill(plan, reps: Mapping[Triple, TensorVector]
           ) -> dict[Triple, TensorVector]:
     """Every triple of an orbit plan from its representatives' vectors:
@@ -267,15 +298,56 @@ def _fill(plan, reps: Mapping[Triple, TensorVector]
 
 
 class _Level(dict):
-    """One level of the scaled table climbed by orbits, holding the
-    (representatives, plan) pair of `_orbits` it was climbed by, so that
-    `build_table` divides by the same plan."""
+    """One level of the scaled table climbed by orbits, and the view of
+    it by orbits that every consumer shares: the representatives and
+    plan of `_orbits` it was climbed by, and the D of its scale."""
 
-    __slots__ = ("orbits",)
+    __slots__ = ("reps", "plan", "D")
 
-    def __init__(self, entries: Mapping[Triple, TensorVector], orbits):
+    def __init__(self, entries: Mapping[Triple, TensorVector], orbits,
+                 D: int):
         super().__init__(entries)
-        self.orbits = orbits
+        self.reps, self.plan = orbits
+        self.D = D
+
+    def quotients(self) -> dict[Triple, TensorVector]:
+        """T^t = U^t / (t1! t2! t3! D) of each representative t, by
+        `TensorVector.__truediv__`: an int where the quotient is exact
+        and a Fraction otherwise."""
+        return {t: self[t] / entry_scale(t, self.D) for t in self.reps}
+
+    def violations(self, sizes: Sequence
+                   ) -> tuple[int, tuple[Triple, tuple[int, int, int],
+                                         int | Fraction, str] | None]:
+        """How many entries of the level's T vectors break the scan rule
+        of `violation_sites`, with sizes[i] the size of anchor cell i
+        (a triangle table's cell sizes), and the first of them in scan
+        order as (triple, index, value, reason), or None.
+
+        Only the representatives are divided.  A triple of the plan has
+        its representative's vector permuted by its order o, so it is
+        tested on that vector against the anchor sizes permuted alike:
+        at each position, the size of the cell in slot o.index(0).  The
+        count of each (representative, slot) pair serves every triple
+        that shares it, and only the first violating triple's vector is
+        permuted and walked.
+        """
+        quotients = self.quotients()
+        by_slot = _anchor_sizes(tuple(sizes))
+        counts: dict[tuple[Triple, int], int] = {}
+        total, first = 0, None
+        for triple, rep, order in self.plan:
+            key = (rep, order.index(0))
+            found = counts.get(key)
+            if found is None:
+                found = counts[key] = _count_violations(
+                    quotients[rep].entries, by_slot[key[1]])
+            if found and first is None:
+                entries = quotients[rep].permuted(order).entries
+                first = _vector_sites(triple, entries, by_slot[0],
+                                      list(iter_index_triples(len(sizes))))[0]
+            total += found
+        return total, first
 
 
 def iter_table_levels(Q: QuotientMatrix, kind: str,
@@ -319,7 +391,7 @@ def iter_table_levels(Q: QuotientMatrix, kind: str,
                                           canonical_via(triple))
                      for triple in (triples if orbits is None else orbits[0])}
         prev, cur = cur, (steps if orbits is None
-                          else _Level(_fill(orbits[1], steps), orbits))
+                          else _Level(_fill(orbits[1], steps), orbits, D))
         yield cur
 
 
@@ -373,13 +445,9 @@ def build_table(Q: QuotientMatrix, kind: str = TRIANGLE,
         initial = default_initial(Q, kind)
     elif initial.m != Q.m:
         raise ValueError(f"initial vector has m={initial.m}, matrix m={Q.m}")
-    D = common_denominator(initial)
     entries: dict[Triple, TensorVector] = {}
     for level in iter_table_levels(Q, kind, initial, max_level):
-        reps, plan = level.orbits
-        entries.update(_fill(plan, {
-            triple: level[triple] / entry_scale(triple, D)
-            for triple in reps}))
+        entries.update(_fill(level.plan, level.quotients()))
     return DistributionTable(kind=kind, n=n, m=Q.m, entries=entries)
 
 
@@ -412,6 +480,58 @@ class Violation:
     reason: str  # "negative" or "non-integer"
 
 
+# The scan rule.  A triangle entry counts triples summed over the first
+# vertex's cell, so for a partition that exists it is a nonnegative
+# multiple of that anchor cell's size; an interweight entry is itself a
+# count.  The rule comes in the three forms the scans need, each over one
+# flat vector `entries` and `size_at`, the anchor size of each position
+# (None where only negativity is tested).  The whole-vector forms run as
+# C-level passes; v / size is an integer exactly when v % size == 0, for
+# int and Fraction values alike.
+
+@lru_cache(maxsize=64)
+def _anchor_sizes(sizes: tuple) -> tuple[tuple, ...]:
+    """Per slot s, the size of the cell in slot s of each flat
+    position's index.  Entry 0 is the anchor size of each position; a
+    vector that `permuted` by an order o takes to a triple's is anchored,
+    at each of its own positions, by entry o.index(0)."""
+    indices = list(iter_index_triples(len(sizes)))
+    return tuple(tuple(sizes[index[s] - 1] for index in indices)
+                 for s in range(3))
+
+
+def _holds_violation(entries: tuple, size_at: tuple | None) -> bool:
+    """Whether any entry breaks the scan rule."""
+    return min(entries) < 0 or (size_at is not None
+                                and any(map(mod, entries, size_at)))
+
+
+def _count_violations(entries: tuple, size_at: tuple | None) -> int:
+    """How many entries break the scan rule."""
+    if not _holds_violation(entries, size_at):
+        return 0
+    negative = map(lt, entries, repeat(0))
+    if size_at is None:
+        return sum(negative)
+    return sum(map(or_, negative, map(truth, map(mod, entries, size_at))))
+
+
+def _vector_sites(triple: Triple, entries: tuple, size_at: tuple | None,
+                  indices: Sequence[tuple[int, int, int]]
+                  ) -> Sequence[tuple[Triple, tuple[int, int, int],
+                                      int | Fraction, str]]:
+    """(triple, index, value, reason) of each entry of triple's vector
+    that breaks the scan rule, in index order.  Most vectors hold none:
+    the whole vector is tested first, and its entries are walked only
+    when it holds one."""
+    if not _holds_violation(entries, size_at):
+        return ()
+    return [(triple, index, v, "negative" if v < 0 else "non-integer")
+            for index, v, size in zip(indices, entries,
+                                      size_at or repeat(None))
+            if v < 0 or size is not None and v % size]
+
+
 def violation_sites(table: DistributionTable, sizes: Sequence | None = None
                     ) -> Iterator[tuple[Triple, tuple[int, int, int],
                                         int | Fraction, str]]:
@@ -425,24 +545,10 @@ def violation_sites(table: DistributionTable, sizes: Sequence | None = None
         raise ValueError(f"{len(sizes)} cell sizes for a table with m={table.m}")
     indices = list(iter_index_triples(table.m))
     anchor = sizes if table.kind == TRIANGLE else (1,) * table.m
-    # per flat position: its anchor cell's size, or None where only
-    # negativity is tested
-    size_at = [None if anchor is None else anchor[i - 1]
-               for i, _, _ in indices]
+    size_at = None if anchor is None else _anchor_sizes(tuple(anchor))[0]
     for triple in table.triples():
-        entries = table.entries[triple].entries
-        # most vectors hold no violation: test the whole vector at C
-        # speed first and walk its entries only when it holds one
-        if min(entries) >= 0 and (anchor is None
-                                  or not any(map(mod, entries, size_at))):
-            continue
-        for index, v, size in zip(indices, entries, size_at):
-            if v < 0:
-                yield triple, index, v, "negative"
-            # v / size is an integer exactly when v % size == 0, for int
-            # and Fraction values alike
-            elif size is not None and v % size:
-                yield triple, index, v, "non-integer"
+        yield from _vector_sites(triple, table.entries[triple].entries,
+                                 size_at, indices)
 
 
 def scan_violations(table: DistributionTable,
@@ -494,7 +600,9 @@ def cross_check(table: DistributionTable, Q: QuotientMatrix,
         X^{r1,r2,r3}_{ijk} = X^{r2,r1,r3}_{jik} = X^{r2,r3,r1}_{jki}.
         Interweight tables are anchored in the first slot; the anchor
         cannot trade places with a leg, and the only valid symmetry is
-        the exchange of the two legs: X^{r1,r2,r3}_{ijk} = X^{r1,r3,r2}_{ikj};
+        the exchange of the two legs: X^{r1,r2,r3}_{ijk} = X^{r1,r3,r2}_{ikj}.
+        They are tested by orbit (see the module docstring); only a
+        table that fails is walked triple by triple for the list;
     (c) T = W * D' entrywise, when the companion table of the other
         kind is supplied (both must have the standard level 0);
     (d) multinomial marginals, for the standard level 0 only:
@@ -531,32 +639,43 @@ def cross_check(table: DistributionTable, Q: QuotientMatrix,
 
     checks = ["derivations", "symmetry"]
     triples = table.triples()
+    entries = table.entries
+    reps, plan = _orbits(table.kind, triples)
 
+    # the orbit plan's test first: each triple is its representative
+    # permuted by its order, and each representative is invariant under
+    # its stabilizer; then the table has every symmetry of its kind and
+    # the triple-by-triple walk below, which lists the findings, would
+    # find none
     sym: list[tuple[Triple, tuple[int, int, int], str]] = []
-    indices = list(iter_index_triples(m))
-    orders = _SYMMETRIES[table.kind]
-    for triple in triples:
-        vec = table.entries[triple].entries
-        images = [(label, table.entries[
-            (triple[order[0]], triple[order[1]], triple[order[2]])
-        ].permuted(order).entries) for label, order in orders]
-        if all(image == vec for _, image in images):
-            continue
-        for p, index in enumerate(indices):
-            for label, image in images:
-                if vec[p] != image[p]:
-                    sym.append((triple, index, label))
+    if not (all(entries[t] == entries[rep].permuted(o)
+                for t, rep, o in plan if o != _IDENTITY)
+            and all(entries[t].permuted(o) == entries[t]
+                    for t in reps for o in _stabilizer(table.kind, t))):
+        indices = list(iter_index_triples(m))
+        orders = _SYMMETRIES[table.kind]
+        for triple in triples:
+            vec = entries[triple].entries
+            images = [(label, entries[
+                (triple[order[0]], triple[order[1]], triple[order[2]])
+            ].permuted(order).entries) for label, order in orders]
+            if all(image == vec for _, image in images):
+                continue
+            for p, index in enumerate(indices):
+                for label, image in images:
+                    if vec[p] != image[p]:
+                        sym.append((triple, index, label))
 
     # on a symmetric table every triple of an orbit has its
     # representative's scale, vector and routes, permuted, so the
     # representatives are scaled and audited for their orbits
-    audited, plan = (triples, None) if sym else _orbits(table.kind, triples)
-    D = common_denominator(table.entries[(0, 0, 0)])
+    audited = triples if sym else reps
+    D = common_denominator(entries[(0, 0, 0)])
     # / 1 applies the number rule: the scale clears every denominator of
     # a table's vector, so the scaled entries are ints
-    scaled = {triple: table.entries[triple] * entry_scale(triple, D) / 1
+    scaled = {triple: entries[triple] * entry_scale(triple, D) / 1
               for triple in audited}
-    if plan is not None:
+    if not sym:
         scaled = _fill(plan, scaled)
 
     def route_mismatches(over: list[Triple]) -> list[tuple[Triple, int]]:
@@ -566,7 +685,7 @@ def cross_check(table: DistributionTable, Q: QuotientMatrix,
                 != scaled[triple]]
 
     deriv = route_mismatches(audited)
-    if deriv and plan is not None:
+    if deriv and not sym:
         deriv = route_mismatches(triples)
 
     pairing: list[Triple] = []
@@ -575,25 +694,27 @@ def cross_check(table: DistributionTable, Q: QuotientMatrix,
         inter = companion if table.kind == TRIANGLE else table
         if standard(tri) and standard(inter):
             checks.append("pairing")
-            D = diag_lift(diagonal(TRIANGLE))
+            # T = W * D': each W entry times its anchor cell's size
+            size_at = _anchor_sizes(tuple(diagonal(TRIANGLE)))[0]
             # the triples both tables hold, in the scan order
             for triple in triples:
                 T, W = tri.entries.get(triple), inter.entries.get(triple)
-                if T is not None and W is not None and T != apply_lift(W, D):
+                if (T is not None and W is not None
+                        and T.entries != tuple(map(mul, W.entries, size_at))):
                     pairing.append(triple)
 
     marg: list[tuple[Triple, int]] = []
     if standard(table):
         checks.append("marginals")
         f = diagonal(table.kind)
+        factorial = [math.factorial(k) for k in range(n + 1)]
         block = m * m  # the (i, *, *) entries are one contiguous block
         for triple in triples:
             r1, r2, r3 = triple
-            count = (math.factorial(n)
-                     // (math.factorial(r1) * math.factorial(r2)
-                         * math.factorial(r3)
-                         * math.factorial(n - r1 - r2 - r3)))
-            vec = table.entries[triple].entries
+            count = factorial[n] // (factorial[r1] * factorial[r2]
+                                     * factorial[r3]
+                                     * factorial[n - r1 - r2 - r3])
+            vec = entries[triple].entries
             for i in range(m):
                 if sum(vec[i * block:(i + 1) * block]) != f[i] * count:
                     marg.append((triple, i + 1))

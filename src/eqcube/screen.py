@@ -1,10 +1,13 @@
 """Nonexistence certification and a systematic two-cell sweep.
 
 `certify` runs every arithmetic screen on a candidate quotient matrix
-and then builds its triangle table, scanning for an entry no actual
-partition could produce (negative, or not divisible by the anchor cell
-size).  The first such entry in the fixed scan order is the certificate
-witness.
+and then climbs its triangle table level by level, scanning for an
+entry no actual partition could produce (negative, or not divisible by
+the anchor cell size).  The first such entry in the fixed scan order is
+the certificate witness.  The table is scanned by orbit and never
+filled out: each level divides only its orbit representatives, and
+every other triple is tested on its representative's vector against
+the anchor sizes permuted by the triple's order.
 
 `sweep_ci` walks all two-cell candidates [[a, b], [c, d]] that pass the
 row-sum and size-divisibility screens but violate the correlation-
@@ -27,11 +30,11 @@ from fractions import Fraction
 from .quotient import (FeasibilityReport, InvalidQuotient, check_integer,
                        feasibility_conditions, matrix_rows,
                        validate_quotient)
-# scan_violations is not called here, but bench/spans.py wraps it at
-# this module's attribute too, so it stays imported
+# build_table and scan_violations are not called here, but bench/spans.py
+# wraps them at this module's attributes too, so they stay imported
 from .recursion import (TRIANGLE, Violation, build_table, common_denominator,
                         default_initial, entry_scale, iter_table_levels,
-                        scan_violations, table_depth, violation_sites)
+                        scan_violations, table_depth)
 
 
 @dataclass(frozen=True)
@@ -60,8 +63,10 @@ def certify(S, n: int, max_level: int | None = None,
     The table is scanned to max_level (default n) in deterministic order
     (level, then lexicographic triple, then lexicographic index), so the
     reported first violation is reproducible.  The scan follows
-    `scan_violations`' rules but builds a `Violation` for the first
-    violation only and counts the rest.  A matrix can fail
+    `scan_violations`' rules, level by level and by orbit (see the
+    module docstring): it counts the violations and builds a `Violation`
+    for the first only, with the value as `scan_violations` gives it.
+    The shape of S is checked once, by `matrix_rows`.  A matrix can fail
     feasibility and still get its table scanned; both findings end up in
     the certificate.  A matrix that `quotient.matrix_rows` accepts but
     is no quotient matrix, or whose size ratios contradict each other,
@@ -73,7 +78,7 @@ def certify(S, n: int, max_level: int | None = None,
     max_level = table_depth(max_level, n, len(S), force)
     rows = matrix_rows(S)
     try:
-        Q = validate_quotient(rows, n)
+        Q = validate_quotient(rows, n, shape_checked=True)
         report = feasibility_conditions(Q)
     except InvalidQuotient as exc:
         return Certificate(n=n, matrix=rows, verdict="nonexistent",
@@ -84,13 +89,13 @@ def certify(S, n: int, max_level: int | None = None,
     total = 0
     levels = -1
     if report.sizes is not None:
-        table = build_table(Q, TRIANGLE, max_level=max_level, force=force)
-        sites = violation_sites(table, sizes=report.sizes)
-        site = next(sites, None)
-        if site is not None:
-            triple, index, value, reason = site
-            first = Violation(triple, index, Fraction(value), reason)
-            total = 1 + sum(1 for _ in sites)
+        initial = default_initial(Q, TRIANGLE)
+        for level in iter_table_levels(Q, TRIANGLE, initial, max_level):
+            found, site = level.violations(report.sizes)
+            total += found
+            if first is None and site is not None:
+                triple, index, value, reason = site
+                first = Violation(triple, index, Fraction(value), reason)
         levels = max_level
     verdict = ("nonexistent"
                if first is not None or report.verdict == "rejected"
@@ -188,6 +193,14 @@ def worker_count(jobs: int, tasks: int) -> int:
     return min(jobs, os.cpu_count() or 1, tasks)
 
 
+# The largest n_max a sweep takes.  Enumerating the candidates alone,
+# before any hunt, took 0.61-0.65 s at n_max = 200 (4634 candidates),
+# 6.6 s at 400 and 83 s at 800 (96926 candidates) in one process on a
+# shared 2-vCPU VM (Python 3.11), and each candidate's hunt costs more
+# than its enumeration; ROADMAP item 5 sweeps to 200.
+MAX_SWEEP_N = 200
+
+
 def sweep_ci(n_max: int, jobs: int = 1) -> SweepReport:
     """Hunt witnesses for every qualifying two-cell candidate up to n_max.
 
@@ -196,12 +209,14 @@ def sweep_ci(n_max: int, jobs: int = 1) -> SweepReport:
     collected in enumeration order, so the report is identical for any
     job count.  The pool (and with it `multiprocessing`) is imported
     here on first use, only when more than one worker starts.  Rejects
-    n_max < 1, or not an int, before any work, and jobs through
-    `worker_count`.
+    n_max < 1, n_max > MAX_SWEEP_N, or not an int, before any work, and
+    jobs through `worker_count`.
     """
     check_integer(n_max)
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
+    if n_max > MAX_SWEEP_N:
+        raise ValueError(f"n_max must be at most {MAX_SWEEP_N}, got {n_max}")
     params = enumerate_ci_candidates(n_max)
     workers = worker_count(jobs, len(params))
     if workers > 1:

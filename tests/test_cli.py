@@ -610,6 +610,13 @@ def test_sweep_rejects_n_max_below_one(capsys, n_max):
     assert capsys.readouterr().out == ""
 
 
+def test_sweep_refuses_n_max_above_the_bound(capsys):
+    assert main(["sweep", "--n-max", "201"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n_max must be at most 200, got 201\n"
+
+
 def test_sweep_rejects_jobs_below_one(capsys):
     assert main(["sweep", "--n-max", "5", "--jobs", "0"]) == 64
     assert capsys.readouterr().out == ""

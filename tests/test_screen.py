@@ -12,8 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from eqcube import oracle, recursion, screen
-from eqcube.quotient import InvalidQuotient, cell_sizes, validate_quotient
+from eqcube import oracle, quotient, recursion, screen
+from eqcube.quotient import (InvalidQuotient, cell_sizes, matrix_rows,
+                            validate_quotient)
 from eqcube.screen import (Certificate, SweepCandidate, SweepReport, certify,
                            enumerate_ci_candidates, hunt_witness, sweep_ci,
                            worker_count)
@@ -286,6 +287,27 @@ def test_sweep_refuses_n_max_below_one_before_enumerating(monkeypatch, n_max):
         sweep_ci(n_max)
 
 
+@pytest.mark.parametrize("n_max", [201, 800, 10 ** 5])
+def test_sweep_refuses_n_max_above_the_bound_before_enumerating(monkeypatch,
+                                                               n_max):
+    def enumerate_ci_candidates(n_max):
+        raise AssertionError("enumerated before refusing n_max")
+    monkeypatch.setattr(screen, "enumerate_ci_candidates",
+                        enumerate_ci_candidates)
+    with pytest.raises(ValueError,
+                       match=f"n_max must be at most 200, got {n_max}"):
+        sweep_ci(n_max)
+
+
+def test_sweep_takes_n_max_up_to_the_bound(monkeypatch):
+    asked = []
+    monkeypatch.setattr(screen, "enumerate_ci_candidates",
+                        lambda n_max: asked.append(n_max) or [])
+    assert screen.MAX_SWEEP_N == 200
+    assert sweep_ci(200) == SweepReport(n_max=200, candidates=())
+    assert asked == [200]
+
+
 def test_sweep_empty_range():
     report = sweep_ci(2)
     assert report.total == 0
@@ -359,6 +381,28 @@ def test_certify_refuses_a_malformed_matrix_without_a_verdict(monkeypatch, S,
     with pytest.raises(InvalidQuotient) as excinfo:
         certify(S, 3)
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("S, n", [
+    ([[0, 3], [1, 2]], 3),                      # a candidate
+    ([[0, 5], [3, 2]], 5),                      # table violations
+    ([[1, 2], [1, 1]], 3),                      # row sums
+    ([[0, 1, 2], [1, 0, 2], [1, 2, 0]], 3),     # contradictory ratios
+    ([[0, 3], [1]], 3),                         # malformed
+])
+def test_certify_checks_the_shape_once(monkeypatch, S, n):
+    calls = []
+
+    def counted(S):
+        calls.append(S)
+        return matrix_rows(S)
+    for module in (quotient, screen):
+        monkeypatch.setattr(module, "matrix_rows", counted)
+    try:
+        certify(S, n)
+    except InvalidQuotient:
+        pass
+    assert calls == [S]
 
 
 def test_certify_refuses_the_level_before_the_malformed_matrix():
