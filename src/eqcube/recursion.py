@@ -343,9 +343,9 @@ class _Level(dict):
                 found = counts[key] = _count_violations(
                     quotients[rep].entries, by_slot[key[1]])
             if found and first is None:
-                entries = quotients[rep].permuted(order).entries
-                first = _vector_sites(triple, entries, by_slot[0],
-                                      list(iter_index_triples(len(sizes))))[0]
+                vector = (triple, quotients[rep].permuted(order).entries)
+                first = next(_sites([vector], by_slot[0],
+                                    list(iter_index_triples(len(sizes)))))
             total += found
         return total, first
 
@@ -506,30 +506,31 @@ def _holds_violation(entries: tuple, size_at: tuple | None) -> bool:
                                 and any(map(mod, entries, size_at)))
 
 
-def _count_violations(entries: tuple, size_at: tuple | None) -> int:
-    """How many entries break the scan rule."""
+def _count_violations(entries: tuple, size_at: tuple) -> int:
+    """How many entries break the scan rule, divisibility included."""
     if not _holds_violation(entries, size_at):
         return 0
-    negative = map(lt, entries, repeat(0))
-    if size_at is None:
-        return sum(negative)
-    return sum(map(or_, negative, map(truth, map(mod, entries, size_at))))
+    return sum(map(or_, map(lt, entries, repeat(0)),
+                   map(truth, map(mod, entries, size_at))))
 
 
-def _vector_sites(triple: Triple, entries: tuple, size_at: tuple | None,
-                  indices: Sequence[tuple[int, int, int]]
-                  ) -> Sequence[tuple[Triple, tuple[int, int, int],
-                                      int | Fraction, str]]:
-    """(triple, index, value, reason) of each entry of triple's vector
-    that breaks the scan rule, in index order.  Most vectors hold none:
-    the whole vector is tested first, and its entries are walked only
-    when it holds one."""
-    if not _holds_violation(entries, size_at):
-        return ()
-    return [(triple, index, v, "negative" if v < 0 else "non-integer")
+def _sites(vectors: Iterable[tuple[Triple, tuple]], size_at: tuple | None,
+           indices: Sequence[tuple[int, int, int]]
+           ) -> Iterator[tuple[Triple, tuple[int, int, int],
+                               int | Fraction, str]]:
+    """(triple, index, value, reason) of each entry that breaks the scan
+    rule, over (triple, entries) pairs in the order given and each
+    vector's entries in index order.  Most vectors hold none: each is
+    tested whole first, and its entries are walked only when it holds
+    one."""
+    for triple, entries in vectors:
+        if _holds_violation(entries, size_at):
             for index, v, size in zip(indices, entries,
-                                      size_at or repeat(None))
-            if v < 0 or size is not None and v % size]
+                                      size_at or repeat(None)):
+                if v < 0:
+                    yield triple, index, v, "negative"
+                elif size is not None and v % size:
+                    yield triple, index, v, "non-integer"
 
 
 def violation_sites(table: DistributionTable, sizes: Sequence | None = None
@@ -546,9 +547,8 @@ def violation_sites(table: DistributionTable, sizes: Sequence | None = None
     indices = list(iter_index_triples(table.m))
     anchor = sizes if table.kind == TRIANGLE else (1,) * table.m
     size_at = None if anchor is None else _anchor_sizes(tuple(anchor))[0]
-    for triple in table.triples():
-        yield from _vector_sites(triple, table.entries[triple].entries,
-                                 size_at, indices)
+    yield from _sites(((triple, table.entries[triple].entries)
+                       for triple in table.triples()), size_at, indices)
 
 
 def scan_violations(table: DistributionTable,
@@ -708,12 +708,13 @@ def cross_check(table: DistributionTable, Q: QuotientMatrix,
         checks.append("marginals")
         f = diagonal(table.kind)
         factorial = [math.factorial(k) for k in range(n + 1)]
+        # n! / (n - s)! at each level s <= n
+        falling = [factorial[n] // factorial[n - s] for s in range(n + 1)]
         block = m * m  # the (i, *, *) entries are one contiguous block
         for triple in triples:
             r1, r2, r3 = triple
-            count = factorial[n] // (factorial[r1] * factorial[r2]
-                                     * factorial[r3]
-                                     * factorial[n - r1 - r2 - r3])
+            count = falling[r1 + r2 + r3] // (
+                factorial[r1] * factorial[r2] * factorial[r3])
             vec = entries[triple].entries
             for i in range(m):
                 if sum(vec[i * block:(i + 1) * block]) != f[i] * count:

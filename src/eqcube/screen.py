@@ -196,8 +196,8 @@ def worker_count(jobs: int, tasks: int) -> int:
 # The largest n_max a sweep takes.  Enumerating the candidates alone,
 # before any hunt, took 0.61-0.65 s at n_max = 200 (4634 candidates),
 # 6.6 s at 400 and 83 s at 800 (96926 candidates) in one process on a
-# shared 2-vCPU VM (Python 3.11), and each candidate's hunt costs more
-# than its enumeration; ROADMAP item 5 sweeps to 200.
+# shared 2-vCPU VM (Python 3.11), and one hunt at n = 40 already takes
+# about 0.06 s.  ROADMAP item 5 sweeps to 200.
 MAX_SWEEP_N = 200
 
 

@@ -362,6 +362,15 @@ def test_violation_sites_match_a_naive_scan(kind):
                     (t, index, type(v), v, reason)
                     for t, index, v, reason in want], (Q, sizes)
                 reasons |= {reason for *_, reason in want}
+            # the orbit scan's count of each vector agrees with the walk
+            anchor = (cell_sizes(Q) if kind == TRIANGLE
+                      else (1,) * table.m)
+            size_at = recursion._anchor_sizes(tuple(anchor))[0]
+            assert [recursion._count_violations(vec.entries, size_at)
+                    for vec in tampered.entries.values()] == [
+                len(naive_sites(replace(tampered, entries={t: vec}),
+                                cell_sizes(Q)))
+                for t, vec in tampered.entries.items()], Q
         assert reasons == {"negative", "non-integer"}, Q
 
 
