@@ -278,10 +278,9 @@ def _orbits(kind: str, triples: Iterable[Triple]
 
 def _stabilizer(kind: str, rep: Triple) -> tuple[tuple[int, int, int], ...]:
     """Orders generating the symmetries of a kind that fix the
-    representative `rep`: the exchange of two equal parts.  A triangle
-    (a, a, b) is fixed by the swap, (a, b, b) by (0, 2, 1), which is no
-    generator of the kind, and (a, a, a) by both; an interweight
-    (a, b, b) by the exchange."""
+    representative `rep`: the exchange of two equal parts that the kind
+    permutes, the swap for r1 = r2 (triangle) and (0, 2, 1) for
+    r2 = r3."""
     a, b, c = rep
     ties = ((0, 2, 1),) if b == c else ()
     return ties + ((1, 0, 2),) if kind == TRIANGLE and a == b else ties
@@ -322,16 +321,10 @@ class _Level(dict):
         """How many entries of the level's T vectors break the scan rule
         of `violation_sites`, with sizes[i] the size of anchor cell i
         (a triangle table's cell sizes), and the first of them in scan
-        order as (triple, index, value, reason), or None.
-
-        Only the representatives are divided.  A triple of the plan has
-        its representative's vector permuted by its order o, so it is
-        tested on that vector against the anchor sizes permuted alike:
-        at each position, the size of the cell in slot o.index(0).  The
-        count of each (representative, slot) pair serves every triple
-        that shares it, and only the first violating triple's vector is
-        permuted and walked.
-        """
+        order as (triple, index, value, reason), or None.  The level is
+        scanned by orbit (see the module docstring); the count of each
+        (representative, anchor slot) pair serves every triple that
+        shares it."""
         quotients = self.quotients()
         by_slot = _anchor_sizes(tuple(sizes))
         counts: dict[tuple[Triple, int], int] = {}
@@ -483,11 +476,11 @@ class Violation:
 # The scan rule.  A triangle entry counts triples summed over the first
 # vertex's cell, so for a partition that exists it is a nonnegative
 # multiple of that anchor cell's size; an interweight entry is itself a
-# count.  The rule comes in the three forms the scans need, each over one
-# flat vector `entries` and `size_at`, the anchor size of each position
-# (None where only negativity is tested).  The whole-vector forms run as
-# C-level passes; v / size is an integer exactly when v % size == 0, for
-# int and Fraction values alike.
+# count.  The rule comes in the two forms the scans need, how many
+# entries break it and which, each over flat vectors with `size_at`, the
+# anchor size of each position (None where only negativity is tested).
+# Both test a whole vector with C-level passes first; v / size is an
+# integer exactly when v % size == 0, for int and Fraction values alike.
 
 @lru_cache(maxsize=64)
 def _anchor_sizes(sizes: tuple) -> tuple[tuple, ...]:
@@ -500,15 +493,9 @@ def _anchor_sizes(sizes: tuple) -> tuple[tuple, ...]:
                  for s in range(3))
 
 
-def _holds_violation(entries: tuple, size_at: tuple | None) -> bool:
-    """Whether any entry breaks the scan rule."""
-    return min(entries) < 0 or (size_at is not None
-                                and any(map(mod, entries, size_at)))
-
-
 def _count_violations(entries: tuple, size_at: tuple) -> int:
     """How many entries break the scan rule, divisibility included."""
-    if not _holds_violation(entries, size_at):
+    if min(entries) >= 0 and not any(map(mod, entries, size_at)):
         return 0
     return sum(map(or_, map(lt, entries, repeat(0)),
                    map(truth, map(mod, entries, size_at))))
@@ -524,13 +511,14 @@ def _sites(vectors: Iterable[tuple[Triple, tuple]], size_at: tuple | None,
     tested whole first, and its entries are walked only when it holds
     one."""
     for triple, entries in vectors:
-        if _holds_violation(entries, size_at):
-            for index, v, size in zip(indices, entries,
-                                      size_at or repeat(None)):
-                if v < 0:
-                    yield triple, index, v, "negative"
-                elif size is not None and v % size:
-                    yield triple, index, v, "non-integer"
+        if min(entries) >= 0 and (size_at is None
+                                  or not any(map(mod, entries, size_at))):
+            continue
+        for index, v, size in zip(indices, entries, size_at or repeat(None)):
+            if v < 0:
+                yield triple, index, v, "negative"
+            elif size is not None and v % size:
+                yield triple, index, v, "non-integer"
 
 
 def violation_sites(table: DistributionTable, sizes: Sequence | None = None
