@@ -76,16 +76,14 @@ def matrix_rows(S: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     return rows
 
 
-def validate_quotient(S: Sequence[Sequence[int]], n: int, *,
-                      shape_checked: bool = False) -> QuotientMatrix:
+def validate_quotient(S: Sequence[Sequence[int]], n: int) -> QuotientMatrix:
     """Check shape and entries (`matrix_rows`), row sums and support.
 
-    With shape_checked, S is rows that `matrix_rows` returned and is not
-    checked again.  Raises ValueError for an n that `check_dimension`
-    refuses, and InvalidQuotient naming the offending entry, row or pair.
+    Raises ValueError for an n that `check_dimension` refuses, and
+    InvalidQuotient naming the offending entry, row or pair.
     """
     check_dimension(n)
-    rows = S if shape_checked else matrix_rows(S)
+    rows = matrix_rows(S)
     m = len(rows)
     for i, row in enumerate(rows):
         s = sum(row)

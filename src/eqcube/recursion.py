@@ -319,7 +319,7 @@ class _Level(dict):
                    ) -> tuple[int, tuple[Triple, tuple[int, int, int],
                                          int | Fraction, str] | None]:
         """How many entries of the level's T vectors break the scan rule
-        of `violation_sites`, with sizes[i] the size of anchor cell i
+        of `scan_violations`, with sizes[i] the size of anchor cell i
         (a triangle table's cell sizes), and the first of them in scan
         order as (triple, index, value, reason), or None.  The level is
         scanned by orbit (see the module docstring); the count of each
@@ -521,24 +521,6 @@ def _sites(vectors: Iterable[tuple[Triple, tuple]], size_at: tuple | None,
                 yield triple, index, v, "non-integer"
 
 
-def violation_sites(table: DistributionTable, sizes: Sequence | None = None
-                    ) -> Iterator[tuple[Triple, tuple[int, int, int],
-                                        int | Fraction, str]]:
-    """(triple, index, value, reason) of each violating entry, in
-    `scan_violations`' order and under its rules, with the value as the
-    table holds it.  A caller that needs only the first violation and the
-    count builds no `Violation` for the rest.  Raises ValueError for
-    sizes of another length than m.
-    """
-    if sizes is not None and len(sizes) != table.m:
-        raise ValueError(f"{len(sizes)} cell sizes for a table with m={table.m}")
-    indices = list(iter_index_triples(table.m))
-    anchor = sizes if table.kind == TRIANGLE else (1,) * table.m
-    size_at = None if anchor is None else _anchor_sizes(tuple(anchor))[0]
-    yield from _sites(((triple, table.entries[triple].entries)
-                       for triple in table.triples()), size_at, indices)
-
-
 def scan_violations(table: DistributionTable,
                     sizes: Sequence | None = None) -> list[Violation]:
     """All violating entries in deterministic order.
@@ -549,8 +531,15 @@ def scan_violations(table: DistributionTable,
     on the entry itself for interweight tables.  Raises ValueError for
     sizes of another length than m.
     """
+    if sizes is not None and len(sizes) != table.m:
+        raise ValueError(f"{len(sizes)} cell sizes for a table with m={table.m}")
+    anchor = sizes if table.kind == TRIANGLE else (1,) * table.m
+    size_at = None if anchor is None else _anchor_sizes(tuple(anchor))[0]
+    vectors = ((triple, table.entries[triple].entries)
+               for triple in table.triples())
     return [Violation(triple, index, Fraction(v), reason)
-            for triple, index, v, reason in violation_sites(table, sizes)]
+            for triple, index, v, reason in _sites(
+                vectors, size_at, list(iter_index_triples(table.m)))]
 
 
 @dataclass

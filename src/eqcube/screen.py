@@ -66,7 +66,8 @@ def certify(S, n: int, max_level: int | None = None,
     `scan_violations`' rules, level by level and by orbit (see the
     module docstring): it counts the violations and builds a `Violation`
     for the first only, with the value as `scan_violations` gives it.
-    The shape of S is checked once, by `matrix_rows`.  A matrix can fail
+    `matrix_rows` checks the shape of S outside the validation, so a
+    malformed S is refused, never given a verdict.  A matrix can fail
     feasibility and still get its table scanned; both findings end up in
     the certificate.  A matrix that `quotient.matrix_rows` accepts but
     is no quotient matrix, or whose size ratios contradict each other,
@@ -78,7 +79,7 @@ def certify(S, n: int, max_level: int | None = None,
     max_level = table_depth(max_level, n, len(S), force)
     rows = matrix_rows(S)
     try:
-        Q = validate_quotient(rows, n, shape_checked=True)
+        Q = validate_quotient(rows, n)
         report = feasibility_conditions(Q)
     except InvalidQuotient as exc:
         return Certificate(n=n, matrix=rows, verdict="nonexistent",

@@ -19,8 +19,7 @@ from eqcube.recursion import (INTERWEIGHT, TRIANGLE, DistributionTable,
                               default_initial, derive_entry, entry_scale,
                               initial_interweight, initial_triangle,
                               iter_table_levels, iter_triples_of_level,
-                              lifts_for, scan_violations, violation_sites,
-                              weight_distribution)
+                              lifts_for, scan_violations, weight_distribution)
 
 Q_PAIR = validate_quotient([[0, 3], [1, 2]], 3)
 Q22 = validate_quotient([[0, 22, 0], [5, 6, 11], [0, 10, 12]], 22)
@@ -310,7 +309,7 @@ def test_scan_divisibility_matches_fraction_division():
 
 
 def naive_sites(table, sizes):
-    """violation_sites' findings by one test per entry, in scan order."""
+    """scan_violations' findings by one test per entry, in scan order."""
     anchor = sizes if table.kind == TRIANGLE else (1,) * table.m
     sites = []
     for t in table.triples():
@@ -356,11 +355,9 @@ def test_violation_sites_match_a_naive_scan(kind):
             tampered = planted(rng, table)
             for sizes in (None, cell_sizes(Q)):
                 want = naive_sites(tampered, sizes)
-                got = list(violation_sites(tampered, sizes))
-                assert [(t, index, type(v), v, reason)
-                        for t, index, v, reason in got] == [
-                    (t, index, type(v), v, reason)
-                    for t, index, v, reason in want], (Q, sizes)
+                got = scan_violations(tampered, sizes)
+                assert [(x.triple, x.index, x.value, x.reason)
+                        for x in got] == want, (Q, sizes)
                 reasons |= {reason for *_, reason in want}
             # the orbit scan's count of each vector agrees with the walk
             anchor = (cell_sizes(Q) if kind == TRIANGLE

@@ -12,9 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from eqcube import oracle, quotient, recursion, screen
-from eqcube.quotient import (InvalidQuotient, cell_sizes, matrix_rows,
-                            validate_quotient)
+from eqcube import oracle, recursion, screen
+from eqcube.quotient import InvalidQuotient, cell_sizes, validate_quotient
 from eqcube.screen import (Certificate, SweepCandidate, SweepReport, certify,
                            enumerate_ci_candidates, hunt_witness, sweep_ci,
                            worker_count)
@@ -381,28 +380,6 @@ def test_certify_refuses_a_malformed_matrix_without_a_verdict(monkeypatch, S,
     with pytest.raises(InvalidQuotient) as excinfo:
         certify(S, 3)
     assert str(excinfo.value) == message
-
-
-@pytest.mark.parametrize("S, n", [
-    ([[0, 3], [1, 2]], 3),                      # a candidate
-    ([[0, 5], [3, 2]], 5),                      # table violations
-    ([[1, 2], [1, 1]], 3),                      # row sums
-    ([[0, 1, 2], [1, 0, 2], [1, 2, 0]], 3),     # contradictory ratios
-    ([[0, 3], [1]], 3),                         # malformed
-])
-def test_certify_checks_the_shape_once(monkeypatch, S, n):
-    calls = []
-
-    def counted(S):
-        calls.append(S)
-        return matrix_rows(S)
-    for module in (quotient, screen):
-        monkeypatch.setattr(module, "matrix_rows", counted)
-    try:
-        certify(S, n)
-    except InvalidQuotient:
-        pass
-    assert calls == [S]
 
 
 def test_certify_refuses_the_level_before_the_malformed_matrix():
