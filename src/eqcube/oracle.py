@@ -25,7 +25,8 @@ from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .exact_linalg import TensorVector, flat_index
-from .quotient import QuotientMatrix, check_integer, validate_quotient
+from .quotient import (QuotientMatrix, check_dimension, check_integer,
+                       validate_quotient)
 from .recursion import (INTERWEIGHT, TRIANGLE, DistributionTable, Triple,
                         iter_triples_of_level)
 
@@ -47,6 +48,22 @@ def _triple_index(v: int, x: int, y: int) -> Triple:
             ((y ^ v) & (y ^ x)).bit_count())
 
 
+def _check_vertex(v: int, n: int) -> None:
+    """Refuse, with ValueError, a vertex that `check_integer` refuses or
+    that lies outside the n-cube."""
+    check_integer(v)
+    if not 0 <= v < 1 << n:
+        raise ValueError(f"vertex {v} outside the {n}-cube")
+
+
+def _check_stored_dimension(n: int, what: str) -> None:
+    """Refuse, with ValueError, an n that `check_integer` refuses or that
+    lies outside [1, 14]: `what` holds one value per vertex, 2^n of them."""
+    check_integer(n)
+    if not 1 <= n <= 14:
+        raise ValueError(f"{what} are stored for n <= 14; got {n}")
+
+
 @dataclass(frozen=True)
 class PartitionInstance:
     """An explicit partition of the n-cube into m labeled cells.
@@ -60,16 +77,19 @@ class PartitionInstance:
 
     @classmethod
     def from_cells(cls, n: int, cells: Sequence[Iterable[int]]) -> "PartitionInstance":
-        if not 1 <= n <= 14:
-            raise ValueError(f"explicit partitions are stored for n <= 14; got {n}")
+        """The partition whose cell i (1-based) holds the i-th list of
+        vertices.  Raises ValueError for an n that is no int or lies
+        outside [1, 14], a vertex that is no int or lies outside the
+        cube, a vertex in two cells, an empty cell or an uncovered
+        vertex."""
+        _check_stored_dimension(n, "explicit partitions")
         size = 1 << n
         color = [0] * size
         m = len(cells)
         for label, cell in enumerate(cells, start=1):
             empty = True
             for v in cell:
-                if not 0 <= v < size:
-                    raise ValueError(f"vertex {v} outside the {n}-cube")
+                _check_vertex(v, n)
                 if color[v]:
                     raise ValueError(f"vertex {v} assigned to two cells")
                 color[v] = label
@@ -95,14 +115,19 @@ class PartitionInstance:
 
 
 def singleton_partition(n: int) -> PartitionInstance:
-    """Every vertex its own cell; the quotient is the cube's adjacency matrix."""
+    """Every vertex its own cell; the quotient is the cube's adjacency
+    matrix.  Raises ValueError for n as `PartitionInstance.from_cells`
+    does."""
+    _check_stored_dimension(n, "explicit partitions")
     size = 1 << n
     return PartitionInstance(n=n, m=size,
                              color=tuple(range(1, size + 1)))
 
 
 def parity_partition(n: int) -> PartitionInstance:
-    """Two cells by coordinate-sum parity (even weight = cell 1)."""
+    """Two cells by coordinate-sum parity (even weight = cell 1).  Raises
+    ValueError for n as `PartitionInstance.from_cells` does."""
+    _check_stored_dimension(n, "explicit partitions")
     color = tuple(1 if v.bit_count() % 2 == 0 else 2 for v in range(1 << n))
     return PartitionInstance(n=n, m=2, color=color)
 
@@ -151,10 +176,14 @@ def multi_neighborhood(X: "Mapping[int, int] | Iterable[int]",
     """Multiset of neighbors of a multiset of vertices.
 
     Accepts a plain iterable (multiplicities 1 each occurrence) or a
-    vertex -> multiplicity mapping; returns the latter form.
+    vertex -> multiplicity mapping; returns the latter form.  Raises
+    ValueError for an n that `quotient.check_dimension` refuses and for
+    a vertex that is no int or lies outside the n-cube.
     """
+    check_dimension(n)
     out: dict[int, int] = {}
     for v, mult in _multiplicities(X).items():
+        _check_vertex(v, n)
         for u in neighbors(v, n):
             out[u] = out.get(u, 0) + mult
     return {v: c for v, c in out.items() if c}
@@ -163,9 +192,11 @@ def multi_neighborhood(X: "Mapping[int, int] | Iterable[int]",
 def spectrum_of_multiset(X: "Mapping[int, int] | Iterable[int]",
                          P: PartitionInstance) -> tuple[int, ...]:
     """Cell-wise totals of a vertex multiset: component i sums the
-    multiplicities over C_i."""
+    multiplicities over C_i.  Raises ValueError for a vertex that is no
+    int or lies outside P's cube."""
     out = [0] * P.m
     for v, mult in _multiplicities(X).items():
+        _check_vertex(v, P.n)
         out[P.color[v] - 1] += mult
     return tuple(out)
 
@@ -250,14 +281,15 @@ def brute_interweight(P: PartitionInstance, v: int,
     standard one: no marginal or pairing identity holds for it.  The slice
     equals the engine's row i, but a via-1 derivation reads the empty
     rows through the slot-1 lift, so `cross_check` lists every via-1
-    route (10 on the 3-cube pair partition).  Capped at n <= 7 unless force.
+    route (10 on the 3-cube pair partition).  Capped at n <= 7 unless
+    force.  Raises ValueError for a v that is no int or lies outside the
+    cube.
     """
     if P.n > 7 and not force:
         raise ValueError(f"n = {P.n} exceeds the brute-force cap of 7; "
                          f"pass --force (force=True in Python) to run anyway")
     n, m = P.n, P.m
-    if not 0 <= v < 1 << n:
-        raise ValueError(f"vertex {v} outside the {n}-cube")
+    _check_vertex(v, n)
     counts = _empty_counts(n, m)
     _count_anchored(P, v, counts)
     entries = {t: TensorVector(m, vec) for t, vec in counts.items()}
@@ -320,13 +352,15 @@ def set_triangle_multiset(X: Sequence[int], n: int) -> list[Triple]:
     A 3-subset {u, v, w} of the n-cube has index parts the numbers of
     coordinates where u, v and w stand alone (`_triple_index`); the
     parts are reported in ascending order per subset, and the list of
-    triples is sorted.
+    triples is sorted.  Raises ValueError for fewer than three vertices,
+    an n that `quotient.check_dimension` refuses and a vertex that is no
+    int or lies outside the n-cube.
     """
     if len(X) < 3:
         raise ValueError("need at least three vertices")
+    check_dimension(n)
     for v in X:
-        if not 0 <= v < 1 << n:
-            raise ValueError(f"vertex {v} outside the {n}-cube")
+        _check_vertex(v, n)
     return sorted(tuple(sorted(_triple_index(u, v, w)))
                   for u, v, w in itertools.combinations(X, 3))
 
@@ -358,12 +392,10 @@ class PerfectStructure:
     @classmethod
     def from_rows(cls, n: int, rows: Sequence[Sequence]) -> "PerfectStructure":
         """The structure with these value rows, one per vertex, each
-        value read by `parse_rational`.  Raises ValueError for n outside
-        [1, 14], a row count other than 2^n, rows of unequal lengths or a
-        value that is not exact."""
-        if not 1 <= n <= 14:
-            raise ValueError(f"perfect structures are stored for n <= 14; "
-                             f"got {n}")
+        value read by `parse_rational`.  Raises ValueError for an n that
+        is no int or lies outside [1, 14], a row count other than 2^n,
+        rows of unequal lengths or a value that is not exact."""
+        _check_stored_dimension(n, "perfect structures")
         size = 1 << n
         if len(rows) != size:
             raise ValueError(f"expected {size} value rows, got {len(rows)}")
@@ -422,11 +454,11 @@ def ps_initial_triangle(PS: PerfectStructure) -> TensorVector:
 def ps_brute_interweight(PS: PerfectStructure, v: int) -> dict[Triple, TensorVector]:
     """Anchored pair sums for a perfect structure: at index (r1, r2, r3),
     entry (i, j, k) is value(v)_i * sum over pairs (x, y) at the matching
-    distances of value(x)_j * value(y)_k."""
+    distances of value(x)_j * value(y)_k.  Raises ValueError for a v
+    that is no int or lies outside the cube."""
     n, m = PS.n, PS.m
     size = 1 << n
-    if not 0 <= v < size:
-        raise ValueError(f"vertex {v} outside the {n}-cube")
+    _check_vertex(v, n)
     counts: dict[Triple, list] = {
         t: [Fraction(0)] * m ** 3 for t in _table_triples(n)}
     anchor = PS.values[v]
@@ -460,7 +492,9 @@ def search_partitions(n: int, S: Sequence[Sequence[int]] | QuotientMatrix,
     `max_nodes` the number of assignments tried (exceeding it returns
     the partial result with complete=False).  The search recurses once
     per vertex, so n is capped at 9: 2^9 frames stay inside Python's
-    default recursion limit.  n and limit must be ints.
+    default recursion limit.  n, limit and every pinned vertex and label
+    must be ints; a pinned vertex must lie in the cube and a label in
+    1..m.
     """
     check_integer(n)
     check_integer(limit)
@@ -480,8 +514,8 @@ def search_partitions(n: int, S: Sequence[Sequence[int]] | QuotientMatrix,
     nbrs = [neighbors(v, n) for v in range(size)]
     pins = dict(pins or {})
     for v, label in pins.items():
-        if not 0 <= v < size:
-            raise ValueError(f"pinned vertex {v} outside the {n}-cube")
+        _check_vertex(v, n)
+        check_integer(label)
         if not 1 <= label <= m:
             raise ValueError(f"pinned label {label} outside 1..{m}")
 

@@ -1,4 +1,5 @@
-"""Smoke runs of the scripts in demos/: each exits 0 and prints something."""
+"""Smoke runs of the scripts in demos/: each exits 0 under -X dev -W error
+and prints something."""
 
 import os
 import subprocess
@@ -18,7 +19,9 @@ def test_demos_are_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    # under -X dev -W error a warning or an unclosed file fails the demo
+    done = subprocess.run([sys.executable, "-X", "dev", "-W", "error",
+                           str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()

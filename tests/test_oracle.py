@@ -1,22 +1,29 @@
 """Ground truth by enumeration: partitions, spectra, anchored tables."""
 
+import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from eqcube import oracle
+from eqcube.cli import main
 from eqcube.exact_linalg import (TensorVector, flat_index,
                                  iter_index_triples)
-from eqcube.oracle import (NotEquitable, PartitionInstance, PerfectStructure,
-                           _triple_index, brute_interweight, brute_triangle,
-                           distance_distribution, hamming, multi_neighborhood,
-                           neighbors, parity_partition, ps_brute_interweight,
-                           ps_initial_triangle, search_partitions,
+from eqcube.oracle import (InvarianceResult, NotEquitable, PartitionInstance,
+                           PerfectStructure, _triple_index, brute_interweight,
+                           brute_triangle, distance_distribution, hamming,
+                           multi_neighborhood, neighbors, parity_partition,
+                           ps_brute_interweight, ps_initial_triangle,
+                           search_partitions,
                            set_triangle_multiset, singleton_partition,
                            spectrum_of_multiset, strong_invariance_check,
                            verify_equitable, verify_perfect_structure)
-from eqcube.quotient import validate_quotient
+from eqcube.quotient import (InvalidQuotient, feasibility_conditions,
+                             validate_quotient)
 from eqcube.recursion import INTERWEIGHT, TRIANGLE, build_table, cross_check
+from eqcube.screen import certify
 
 PAIR = PartitionInstance.from_cells(3, [[0, 7], [1, 2, 3, 4, 5, 6]])
 
@@ -436,3 +443,138 @@ def test_search_refuses_an_n_or_limit_that_is_not_an_int(n, limit):
     with pytest.raises(ValueError, match="not an integer"):
         search_partitions(n, validate_quotient([[0, 3], [1, 2]], 3),
                           limit=limit)
+
+
+def test_strong_invariance_names_the_anchors_that_disagree(monkeypatch,
+                                                           tmp_path, capsys):
+    # the anchored table of vertex 7, the second anchor of cell 1 of the
+    # pair partition, gains a unit at index (1, 2, 2) of triple (1, 0, 1)
+    honest = oracle.brute_interweight
+
+    def tampered(P, v, force=False):
+        table = honest(P, v, force)
+        if v == 7:
+            table.entries[(1, 0, 1)] += TensorVector.unit(P.m, (1, 2, 2))
+        return table
+    monkeypatch.setattr(oracle, "brute_interweight", tampered)
+    detail = "cell 1: anchors 0 and 7 disagree at (1, 0, 1)"
+    assert strong_invariance_check(PAIR) == InvarianceResult(
+        status="fails", witness=(1, 0, 7, (1, 0, 1)), detail=detail)
+    path = tmp_path / "pair-partition.json"
+    path.write_text(json.dumps({"n": 3, "m": 2, "cells": PAIR.cells()}),
+                    encoding="utf-8")
+    assert main(["oracle", "invariance", "--partition", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "status": "fails", "witness": [1, 0, 7, [1, 0, 1]], "detail": detail}
+
+
+Q_PAIR = validate_quotient([[0, 3], [1, 2]], 3)
+
+
+@pytest.mark.parametrize("call, message", [
+    # a pin the search used to ignore or fail on with a TypeError
+    (lambda: search_partitions(3, Q_PAIR, limit=10, pins={1.5: 2}),
+     "not an integer: 1.5"),
+    (lambda: search_partitions(3, Q_PAIR, pins={0: 1.5}),
+     "not an integer: 1.5"),
+    (lambda: search_partitions(3, Q_PAIR, pins={0: True}),
+     "not an integer: True"),
+    # vertices that used to wrap around or land outside the cube
+    (lambda: spectrum_of_multiset({-1: 2}, parity_partition(3)),
+     "vertex -1 outside the 3-cube"),
+    (lambda: spectrum_of_multiset([8], parity_partition(3)),
+     "vertex 8 outside the 3-cube"),
+    (lambda: spectrum_of_multiset([1.0], parity_partition(3)),
+     "not an integer: 1.0"),
+    (lambda: multi_neighborhood([99], 3), "vertex 99 outside the 3-cube"),
+    (lambda: multi_neighborhood({-1: 1}, 3), "vertex -1 outside the 3-cube"),
+    (lambda: multi_neighborhood([1.0], 3), "not an integer: 1.0"),
+    (lambda: multi_neighborhood([0], 3.0), "not an integer: 3.0"),
+    (lambda: multi_neighborhood([0], -1), "negative dimension n = -1"),
+    # stored dimensions that used to build an object or raise TypeError
+    (lambda: PartitionInstance.from_cells(True, [[0], [1]]),
+     "not an integer: True"),
+    (lambda: PartitionInstance.from_cells(1.0, [[0], [1]]),
+     "not an integer: 1.0"),
+    (lambda: PerfectStructure.from_rows(True, [[1], [1]]),
+     "not an integer: True"),
+    (lambda: PerfectStructure.from_rows(1.0, [[1], [1]]),
+     "not an integer: 1.0"),
+    (lambda: parity_partition(True), "not an integer: True"),
+    (lambda: parity_partition(15), "n <= 14; got 15"),
+    (lambda: singleton_partition(True), "not an integer: True"),
+    (lambda: singleton_partition(0), "n <= 14; got 0"),
+    # float vertices that used to raise TypeError
+    (lambda: PartitionInstance.from_cells(1, [[0], [1.0]]),
+     "not an integer: 1.0"),
+    (lambda: PartitionInstance.from_cells(1, [[0], [True]]),
+     "not an integer: True"),
+    (lambda: brute_interweight(PAIR, 1.0), "not an integer: 1.0"),
+    (lambda: set_triangle_multiset([0, 1, 2.0], 3), "not an integer: 2.0"),
+    (lambda: set_triangle_multiset([0, 1, 3], 3.0), "not an integer: 3.0"),
+    (lambda: ps_brute_interweight(PS_PLAIN, 1.0), "not an integer: 1.0"),
+])
+def test_oracle_refuses_bad_vertices_and_dimensions(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def _compositions(n, m):
+    """Every m-tuple of nonnegative ints that sums to n."""
+    if m == 1:
+        return [(n,)]
+    return [(a,) + rest for a in range(n + 1)
+            for rest in _compositions(n - a, m - 1)]
+
+
+def _screened(n):
+    """Every 2- and 3-cell S for the n-cube that `validate_quotient` and
+    `feasibility_conditions` pass."""
+    found = []
+    for m in (2, 3):
+        for rows in itertools.product(_compositions(n, m), repeat=m):
+            try:
+                Q = validate_quotient(rows, n)
+                report = feasibility_conditions(Q)
+            except InvalidQuotient:
+                continue
+            if report.verdict == "candidate":
+                found.append(Q)
+    return found
+
+
+def _relabelled(P, perm, shift):
+    """P's image under the cube automorphism v -> perm(v) XOR shift, where
+    perm moves coordinate i to coordinate perm[i]."""
+    def image(v):
+        return sum(1 << perm[i] for i in range(P.n) if v >> i & 1) ^ shift
+    return PartitionInstance.from_cells(
+        P.n, [[image(v) for v in cell] for cell in P.cells()])
+
+
+def test_every_screened_small_matrix_is_realized_and_agrees_with_the_oracle():
+    # every S with two or three cells and n <= 5 that the screens pass
+    # has a partition; under a seeded cube automorphism it still has
+    # quotient S, its brute-force tables equal the engine's, and
+    # certify never calls it nonexistent
+    rng = random.Random("screened-small-matrices")
+    screened = {n: _screened(n) for n in range(1, 6)}
+    assert [len(screened[n]) for n in range(1, 6)] == [1, 5, 11, 24, 37]
+    for n, matrices in screened.items():
+        for Q in matrices:
+            found = search_partitions(n, Q).partitions
+            assert found, Q
+            P = _relabelled(found[0], rng.sample(range(n), n),
+                            rng.randrange(1 << n))
+            assert verify_equitable(P) == Q
+            assert (brute_triangle(P).entries
+                    == build_table(Q, TRIANGLE).entries), Q
+            v = rng.randrange(1 << n)
+            engine = build_table(Q, INTERWEIGHT)
+            for t, vec in brute_interweight(P, v).entries.items():
+                assert list(vec.entries) == [
+                    engine.entries[t].get(*index)
+                    if index[0] == P.color[v] else 0
+                    for index in iter_index_triples(Q.m)], (Q, v, t)
+            cert = certify(Q.rows, n)
+            assert (cert.verdict, cert.violations_found) == ("candidate", 0), Q
