@@ -315,16 +315,13 @@ class _Level(dict):
         and a Fraction otherwise."""
         return {t: self[t] / entry_scale(t, self.D) for t in self.reps}
 
-    def violations(self, sizes: Sequence
-                   ) -> tuple[int, tuple[Triple, tuple[int, int, int],
-                                         int | Fraction, str] | None]:
+    def violations(self, sizes: Sequence) -> tuple[int, Violation | None]:
         """How many entries of the level's T vectors break the scan rule
         of `scan_violations`, with sizes[i] the size of anchor cell i
-        (a triangle table's cell sizes), and the first of them in scan
-        order as (triple, index, value, reason), or None.  The level is
-        scanned by orbit (see the module docstring); the count of each
-        (representative, anchor slot) pair serves every triple that
-        shares it."""
+        (a triangle table's cell sizes), and the `Violation` of the first
+        of them in scan order, or None.  The level is scanned by orbit
+        (see the module docstring); the count of each (representative,
+        anchor slot) pair serves every triple that shares it."""
         quotients = self.quotients()
         by_slot = _anchor_sizes(tuple(sizes))
         counts: dict[tuple[Triple, int], int] = {}
@@ -478,7 +475,7 @@ class Violation:
 # multiple of that anchor cell's size; an interweight entry is itself a
 # count.  The rule comes in the two forms the scans need, how many
 # entries break it and which, each over flat vectors with `size_at`, the
-# anchor size of each position (None where only negativity is tested).
+# anchor size of each position (1 throughout an interweight vector).
 # Both test a whole vector with C-level passes first; v / size is an
 # integer exactly when v % size == 0, for int and Fraction values alike.
 
@@ -494,52 +491,46 @@ def _anchor_sizes(sizes: tuple) -> tuple[tuple, ...]:
 
 
 def _count_violations(entries: tuple, size_at: tuple) -> int:
-    """How many entries break the scan rule, divisibility included."""
+    """How many entries break the scan rule."""
     if min(entries) >= 0 and not any(map(mod, entries, size_at)):
         return 0
     return sum(map(or_, map(lt, entries, repeat(0)),
                    map(truth, map(mod, entries, size_at))))
 
 
-def _sites(vectors: Iterable[tuple[Triple, tuple]], size_at: tuple | None,
-           indices: Sequence[tuple[int, int, int]]
-           ) -> Iterator[tuple[Triple, tuple[int, int, int],
-                               int | Fraction, str]]:
-    """(triple, index, value, reason) of each entry that breaks the scan
-    rule, over (triple, entries) pairs in the order given and each
+def _sites(vectors: Iterable[tuple[Triple, tuple]], size_at: tuple,
+           indices: Sequence[tuple[int, int, int]]) -> Iterator[Violation]:
+    """The `Violation` of each entry that breaks the scan rule, its value
+    a Fraction, over (triple, entries) pairs in the order given and each
     vector's entries in index order.  Most vectors hold none: each is
     tested whole first, and its entries are walked only when it holds
     one."""
     for triple, entries in vectors:
-        if min(entries) >= 0 and (size_at is None
-                                  or not any(map(mod, entries, size_at))):
+        if min(entries) >= 0 and not any(map(mod, entries, size_at)):
             continue
-        for index, v, size in zip(indices, entries, size_at or repeat(None)):
-            if v < 0:
-                yield triple, index, v, "negative"
-            elif size is not None and v % size:
-                yield triple, index, v, "non-integer"
+        for index, v, size in zip(indices, entries, size_at):
+            if v < 0 or v % size:
+                yield Violation(triple, index, Fraction(v),
+                                "negative" if v < 0 else "non-integer")
 
 
 def scan_violations(table: DistributionTable,
-                    sizes: Sequence | None = None) -> list[Violation]:
+                    sizes: Sequence) -> list[Violation]:
     """All violating entries in deterministic order.
 
     Order: level, then lexicographic triple, then lexicographic index.
     Negative entries always violate.  Integrality is tested on
     entry / sizes[i] for triangle tables (counts per anchor vertex) and
-    on the entry itself for interweight tables.  Raises ValueError for
-    sizes of another length than m.
+    on the entry itself for interweight tables, which read no size.
+    Raises ValueError for sizes of another length than m.
     """
-    if sizes is not None and len(sizes) != table.m:
+    if len(sizes) != table.m:
         raise ValueError(f"{len(sizes)} cell sizes for a table with m={table.m}")
     anchor = sizes if table.kind == TRIANGLE else (1,) * table.m
-    size_at = None if anchor is None else _anchor_sizes(tuple(anchor))[0]
     vectors = ((triple, table.entries[triple].entries)
                for triple in table.triples())
-    return [Violation(triple, index, Fraction(v), reason)
-            for triple, index, v, reason in _sites(
-                vectors, size_at, list(iter_index_triples(table.m)))]
+    return list(_sites(vectors, _anchor_sizes(tuple(anchor))[0],
+                       list(iter_index_triples(table.m))))
 
 
 @dataclass

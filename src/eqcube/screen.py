@@ -64,8 +64,8 @@ def certify(S, n: int, max_level: int | None = None,
     (level, then lexicographic triple, then lexicographic index), so the
     reported first violation is reproducible.  The scan follows
     `scan_violations`' rules, level by level and by orbit (see the
-    module docstring): it counts the violations and builds a `Violation`
-    for the first only, with the value as `scan_violations` gives it.
+    module docstring): it counts the violations and keeps the first,
+    the `Violation` record that `scan_violations` gives.
     `matrix_rows` checks the shape of S outside the validation, so a
     malformed S is refused, never given a verdict.  A matrix can fail
     feasibility and still get its table scanned; both findings end up in
@@ -94,9 +94,7 @@ def certify(S, n: int, max_level: int | None = None,
         for level in iter_table_levels(Q, TRIANGLE, initial, max_level):
             found, site = level.violations(report.sizes)
             total += found
-            if first is None and site is not None:
-                triple, index, value, reason = site
-                first = Violation(triple, index, Fraction(value), reason)
+            first = first or site
         levels = max_level
     verdict = ("nonexistent"
                if first is not None or report.verdict == "rejected"

@@ -255,23 +255,14 @@ def test_scan_violations_non_integer_entries():
 
 def test_scan_violations_interweight_tests_the_entry_itself():
     t = build_table(Q_FIFTHS, INTERWEIGHT)
-    v = scan_violations(t)
+    v = scan_violations(t, sizes=cell_sizes(Q_FIFTHS))
     ni = [x for x in v if x.reason == "non-integer"]
     assert ni
     assert (ni[0].triple, ni[0].index, ni[0].value) == ((0, 0, 2), (1, 1, 1),
                                                         Fraction(3, 2))
     assert all(x.value.denominator != 1 for x in ni)
     # cell sizes only scale triangle entries: an interweight scan ignores them
-    assert scan_violations(t, sizes=cell_sizes(Q_FIFTHS)) == v
-
-
-def test_scan_violations_triangle_without_sizes_counts_negatives_only():
-    t = build_table(Q_FIFTHS, TRIANGLE)
-    sized = scan_violations(t, sizes=cell_sizes(Q_FIFTHS))
-    assert any(x.reason == "non-integer" for x in sized)
-    unsized = scan_violations(t)
-    assert unsized
-    assert unsized == [x for x in sized if x.reason == "negative"]
+    assert scan_violations(t, sizes=(7, Fraction(1, 3))) == v
 
 
 @pytest.mark.parametrize("sizes", [(2,), (2, 6, 1)], ids=["fewer", "more"])
@@ -317,8 +308,7 @@ def naive_sites(table, sizes):
                             table.entries[t].entries):
             if v < 0:
                 sites.append((t, index, v, "negative"))
-            elif (anchor is not None
-                  and (Fraction(v) / anchor[index[0] - 1]).denominator != 1):
+            elif (Fraction(v) / anchor[index[0] - 1]).denominator != 1:
                 sites.append((t, index, v, "non-integer"))
     return sites
 
@@ -344,7 +334,7 @@ def planted(rng, table):
 def test_violation_sites_match_a_naive_scan(kind):
     # seeded plants on tables with integral cell sizes (the pair
     # partition, the 22-cube to level 6) and fractional ones (32/5 and
-    # 48/5 for [[1, 3], [2, 2]]), scanned with and without sizes
+    # 48/5 for [[1, 3], [2, 2]])
     rng = random.Random(f"violation_sites:{kind}")
     tables = [(Q_PAIR, None), (Q22, 6),
               (validate_quotient([[1, 3], [2, 2]], 4), None)]
@@ -353,12 +343,11 @@ def test_violation_sites_match_a_naive_scan(kind):
         reasons = set()
         for _ in range(4):
             tampered = planted(rng, table)
-            for sizes in (None, cell_sizes(Q)):
-                want = naive_sites(tampered, sizes)
-                got = scan_violations(tampered, sizes)
-                assert [(x.triple, x.index, x.value, x.reason)
-                        for x in got] == want, (Q, sizes)
-                reasons |= {reason for *_, reason in want}
+            want = naive_sites(tampered, cell_sizes(Q))
+            got = scan_violations(tampered, cell_sizes(Q))
+            assert [(x.triple, x.index, x.value, x.reason)
+                    for x in got] == want, Q
+            reasons |= {reason for *_, reason in want}
             # the orbit scan's count of each vector agrees with the walk
             anchor = (cell_sizes(Q) if kind == TRIANGLE
                       else (1,) * table.m)

@@ -114,8 +114,8 @@ EDGE = {
                       "TriPoly.specialize_n"},
     "oracle.py": {"parse_rational", "ps_initial_triangle",
                   "verify_perfect_structure", "ps_brute_interweight"},
-    "recursion.py": {"scan_violations"},
-    "screen.py": {"certify", "hunt_witness"},
+    "recursion.py": {"_sites"},
+    "screen.py": {"hunt_witness"},
 }
 
 
