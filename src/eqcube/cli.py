@@ -118,7 +118,7 @@ def load_partition(path: str) -> oracle.PartitionInstance:
         raise ValueError(f"{path}: expected {m} cells")
     try:
         return oracle.PartitionInstance.from_cells(n, cells)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 

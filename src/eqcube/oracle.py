@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exact_linalg import TensorVector, flat_index
 from .quotient import (QuotientMatrix, check_dimension, check_integer,
@@ -79,14 +79,17 @@ class PartitionInstance:
     def from_cells(cls, n: int, cells: Sequence[Iterable[int]]) -> "PartitionInstance":
         """The partition whose cell i (1-based) holds the i-th list of
         vertices.  Raises ValueError for an n that is no int or lies
-        outside [1, 14], a vertex that is no int or lies outside the
-        cube, a vertex in two cells, an empty cell or an uncovered
-        vertex."""
+        outside [1, 14], a cell that is no iterable, a vertex that is no
+        int or lies outside the cube, a vertex in two cells, an empty
+        cell or an uncovered vertex."""
         _check_stored_dimension(n, "explicit partitions")
         size = 1 << n
         color = [0] * size
         m = len(cells)
         for label, cell in enumerate(cells, start=1):
+            if not isinstance(cell, Iterable):
+                raise ValueError(
+                    f"cell {label} is no list of vertices: {cell!r}")
             empty = True
             for v in cell:
                 _check_vertex(v, n)
@@ -166,9 +169,15 @@ def verify_equitable(P: PartitionInstance) -> QuotientMatrix:
     return validate_quotient(S, P.n)
 
 
-def _multiplicities(X: "Mapping[int, int] | Iterable[int]") -> Mapping:
-    """X as vertex -> multiplicity, counting a plain iterable's vertices."""
-    return X if isinstance(X, Mapping) else Counter(X)
+def _multiplicities(X: "Mapping[int, int] | Iterable[int]",
+                    n: int) -> Iterator[tuple[int, int]]:
+    """X's (vertex, multiplicity) pairs, counting a plain iterable's
+    vertices.  Raises ValueError for a vertex that is no int or lies
+    outside the n-cube, and for a multiplicity that is no int."""
+    for v, mult in (X if isinstance(X, Mapping) else Counter(X)).items():
+        _check_vertex(v, n)
+        check_integer(mult)
+        yield v, mult
 
 
 def multi_neighborhood(X: "Mapping[int, int] | Iterable[int]",
@@ -178,12 +187,11 @@ def multi_neighborhood(X: "Mapping[int, int] | Iterable[int]",
     Accepts a plain iterable (multiplicities 1 each occurrence) or a
     vertex -> multiplicity mapping; returns the latter form.  Raises
     ValueError for an n that `quotient.check_dimension` refuses and for
-    a vertex that is no int or lies outside the n-cube.
+    the vertices and multiplicities that `_multiplicities` refuses.
     """
     check_dimension(n)
     out: dict[int, int] = {}
-    for v, mult in _multiplicities(X).items():
-        _check_vertex(v, n)
+    for v, mult in _multiplicities(X, n):
         for u in neighbors(v, n):
             out[u] = out.get(u, 0) + mult
     return {v: c for v, c in out.items() if c}
@@ -192,11 +200,10 @@ def multi_neighborhood(X: "Mapping[int, int] | Iterable[int]",
 def spectrum_of_multiset(X: "Mapping[int, int] | Iterable[int]",
                          P: PartitionInstance) -> tuple[int, ...]:
     """Cell-wise totals of a vertex multiset: component i sums the
-    multiplicities over C_i.  Raises ValueError for a vertex that is no
-    int or lies outside P's cube."""
+    multiplicities over C_i.  Raises ValueError for the vertices and
+    multiplicities that `_multiplicities` refuses, on P's cube."""
     out = [0] * P.m
-    for v, mult in _multiplicities(X).items():
-        _check_vertex(v, P.n)
+    for v, mult in _multiplicities(X, P.n):
         out[P.color[v] - 1] += mult
     return tuple(out)
 
@@ -394,13 +401,16 @@ class PerfectStructure:
         """The structure with these value rows, one per vertex, each
         value read by `parse_rational`.  Raises ValueError for an n that
         is no int or lies outside [1, 14], a row count other than 2^n,
-        rows of unequal lengths or a value that is not exact."""
+        rows with no entries or of unequal lengths, or a value that is
+        not exact."""
         _check_stored_dimension(n, "perfect structures")
         size = 1 << n
         if len(rows) != size:
             raise ValueError(f"expected {size} value rows, got {len(rows)}")
         vals = tuple(tuple(map(parse_rational, row)) for row in rows)
         m = len(vals[0])
+        if not m:
+            raise ValueError("value rows have no entries")
         if any(len(row) != m for row in vals):
             raise ValueError("value rows have inconsistent lengths")
         return cls(n=n, m=m, values=vals)
@@ -492,16 +502,19 @@ def search_partitions(n: int, S: Sequence[Sequence[int]] | QuotientMatrix,
     `max_nodes` the number of assignments tried (exceeding it returns
     the partial result with complete=False).  The search recurses once
     per vertex, so n is capped at 9: 2^9 frames stay inside Python's
-    default recursion limit.  n, limit and every pinned vertex and label
-    must be ints; a pinned vertex must lie in the cube and a label in
-    1..m.
+    default recursion limit.  n, limit, max_nodes and every pinned
+    vertex and label must be ints, limit and max_nodes at least 1; a
+    pinned vertex must lie in the cube and a label in 1..m.
     """
     check_integer(n)
     check_integer(limit)
+    check_integer(max_nodes)
     if not 1 <= n <= 9:
         raise ValueError(f"partition search runs for 1 <= n <= 9; got {n}")
     if limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
+    if max_nodes < 1:
+        raise ValueError(f"max_nodes must be at least 1, got {max_nodes}")
     Q = S if isinstance(S, QuotientMatrix) else validate_quotient(S, n)
     if Q.n != n:
         raise ValueError(f"matrix is for n = {Q.n}, search asked for n = {n}")

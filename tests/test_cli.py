@@ -1041,6 +1041,8 @@ def test_oracle_invariance_refuses_ten_cube(write_doc, capsys):
      "expected 3 cells"),
     ({"n": 3, "m": 2, "cells": [[0, 8], [1, 2, 3, 4, 5, 6, 7]]},
      "vertex 8 outside the 3-cube"),
+    ({"n": 3, "m": 2, "cells": [[0, 7], 5]},
+     "cell 2 is no list of vertices: 5"),
 ])
 def test_malformed_partition_document_is_usage_error(write_doc, capsys, doc,
                                                      message):
@@ -1064,6 +1066,16 @@ def test_malformed_structure_document_is_usage_error(write_doc, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+def test_structure_document_without_entries_is_usage_error(write_doc, capsys):
+    spath = write_doc("structure.json", {"n": 2, "m": 0, "values": [[]] * 4})
+    mpath = write_doc("all1.json", ALL1_MATRIX)
+    assert main(["oracle", "ps-verify", "--structure", spath,
+                 "--input", mpath]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "value rows have no entries" in captured.err
 
 
 def test_poly_all_exits_1_when_a_route_disagrees(capsys, monkeypatch):

@@ -519,6 +519,41 @@ def test_oracle_refuses_bad_vertices_and_dimensions(call, message):
         call()
 
 
+@pytest.mark.parametrize("call, message", [
+    # multiplicities that used to come back out as floats or bools
+    (lambda: multi_neighborhood({0: 1.5}, 2), "not an integer: 1.5"),
+    (lambda: multi_neighborhood({0: True}, 2), "not an integer: True"),
+    (lambda: spectrum_of_multiset({0: 0.5}, parity_partition(2)),
+     "not an integer: 0.5"),
+    (lambda: spectrum_of_multiset({0: False}, parity_partition(2)),
+     "not an integer: False"),
+    # a node budget that used to run as 1 or fail inside the search
+    (lambda: search_partitions(3, Q_PAIR, max_nodes=True),
+     "not an integer: True"),
+    (lambda: search_partitions(3, Q_PAIR, max_nodes="9"),
+     "not an integer: '9'"),
+    (lambda: search_partitions(3, Q_PAIR, max_nodes=0),
+     "max_nodes must be at least 1, got 0"),
+    (lambda: search_partitions(3, Q_PAIR, max_nodes=-5),
+     "max_nodes must be at least 1, got -5"),
+    # shapes that used to build m = 0 or raise TypeError
+    (lambda: PerfectStructure.from_rows(1, [[], []]),
+     "value rows have no entries"),
+    (lambda: PartitionInstance.from_cells(2, [[0, 3], 5]),
+     "cell 2 is no list of vertices: 5"),
+    (lambda: PartitionInstance.from_cells(2, [None, [0, 1, 2, 3]]),
+     "cell 1 is no list of vertices: None"),
+])
+def test_oracle_refuses_bad_multiplicities_budgets_and_shapes(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_signed_multiplicities_pass_through():
+    assert multi_neighborhood({0: -2, 3: 1}, 2) == {1: -1, 2: -1}
+    assert spectrum_of_multiset({0: -1, 1: 3}, parity_partition(2)) == (-1, 3)
+
+
 def _compositions(n, m):
     """Every m-tuple of nonnegative ints that sums to n."""
     if m == 1:
