@@ -52,3 +52,13 @@ def test_each_rule_names_a_planted_violation(capsys, rule, module, line,
     assert found.pop(rule) == [f"{path}:{lineno}: {site}"]
     # the other rules still pass on the planted module
     assert not any(found.values())
+
+
+def test_an_edge_function_that_builds_no_fraction_is_named():
+    path = "src/eqcube/cli.py"
+    source = (ROOT / path).read_text()
+    assert source.count("return str(Fraction(v))") == 1
+    tree = ast.parse(source.replace("return str(Fraction(v))",
+                                    "return str(v)"))
+    assert source_rules.fraction_edge(path, tree) == [
+        f"{path}: render_value is in EDGE but builds no Fraction"]

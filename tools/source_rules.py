@@ -11,7 +11,8 @@ otherwise, and 2 for an unknown rule.
   generated-code   only exact_linalg._compiled runs generated code
   no-floats        every value the package computes is an int or a
                    Fraction
-  fraction-edge    Fractions are built only in the edge functions
+  fraction-edge    Fractions are built only in the edge functions, and
+                   each edge function builds one
 """
 
 from __future__ import annotations
@@ -136,17 +137,21 @@ def _fraction_sites(node, names, scope=()):
 def fraction_edge(path: str, tree: ast.Module) -> list[str]:
     """Every call that builds a Fraction (as Fraction, an alias of it,
     or fractions.Fraction), listed by its enclosing function; the ones
-    outside EDGE are violations."""
+    outside EDGE are violations, and so is each EDGE entry of the module
+    that builds none, so the allowlist never outgrows the code."""
     names = {alias.asname or alias.name for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom)
              and node.module == "fractions"
              for alias in node.names if alias.name == "Fraction"}
-    bad = []
+    edge = EDGE.get(pathlib.PurePath(path).name, set())
+    bad, built = [], set()
     for lineno, name in _fraction_sites(tree, names):
         print(f"{path}:{lineno}: Fraction built in {name}")
-        if name not in EDGE.get(pathlib.PurePath(path).name, ()):
+        built.add(name)
+        if name not in edge:
             bad.append(f"{path}:{lineno}: {name}")
-    return bad
+    return bad + [f"{path}: {name} is in EDGE but builds no Fraction"
+                  for name in sorted(edge - built)]
 
 
 RULES = {
