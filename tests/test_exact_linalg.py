@@ -420,3 +420,9 @@ def test_compiled_step_source_holds_no_coefficient(monkeypatch):
 def test_linear_algebra_refusals(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_tensor_vector_is_unequal_to_a_tuple_and_repr_shows_its_entries():
+    v = TensorVector(1, [Fraction(-1, 2)])
+    assert v != v.entries and v.entries != v
+    assert repr(v) == "TensorVector(m=1, [Fraction(-1, 2)])"

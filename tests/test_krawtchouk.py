@@ -393,3 +393,15 @@ def test_routes_refuse_a_part_that_is_not_an_int(route, parts):
     # refused alike by all three routes, before any work
     with pytest.raises(ValueError, match="not an integer"):
         route(*parts)
+
+
+def test_tripoly_is_unequal_to_a_tuple_and_repr_shows_its_text():
+    p = TriPoly({(1, 0, 0, 0): 2, (0, 0, 0, 1): Fraction(-1, 3)})
+    assert p != (2,) and (2,) != p
+    assert repr(p) == "TriPoly('(6*x - n)/3')"
+    assert repr(TriPoly()) == "TriPoly('0')"
+
+
+def test_zero_tripoly_has_total_degree_zero():
+    assert TriPoly().total_degree_xyz() == 0
+    assert ZERO.total_degree_xyz() == 0
