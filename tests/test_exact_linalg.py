@@ -78,6 +78,10 @@ def test_tensor_vector_arithmetic():
     assert TensorVector.zero(2) is TensorVector.zero(2)
     with pytest.raises(ValueError):
         u + TensorVector.zero(3)
+    # another type is never equal, and repr shows the entries
+    half = TensorVector(1, [Fraction(-1, 2)])
+    assert half != half.entries and half.entries != half
+    assert repr(half) == "TensorVector(m=1, [Fraction(-1, 2)])"
 
 
 @pytest.mark.parametrize("entries", [(0,) * 7, (0,) * 9, ()])
@@ -421,8 +425,3 @@ def test_linear_algebra_refusals(call, message):
     with pytest.raises(ValueError, match=message):
         call()
 
-
-def test_tensor_vector_is_unequal_to_a_tuple_and_repr_shows_its_entries():
-    v = TensorVector(1, [Fraction(-1, 2)])
-    assert v != v.entries and v.entries != v
-    assert repr(v) == "TensorVector(m=1, [Fraction(-1, 2)])"

@@ -102,6 +102,7 @@ def test_cyclic_symmetry():
 def test_degree_bound():
     for t in _triples_with_sum_at_most(5):
         assert poly_recursive(*t).total_degree_xyz() <= sum(t)
+    assert TriPoly().total_degree_xyz() == 0
 
 
 def test_tri_poly_ring_basics():
@@ -112,6 +113,9 @@ def test_tri_poly_ring_basics():
     assert X ** 3 == X * X * X
     q = TriPoly({(1, 0, 0, 0): Fraction(1, 2)})
     assert q + q == X
+    # another type is never equal, and repr shows the rendered text
+    assert q != (Fraction(1, 2),) and (Fraction(1, 2),) != q
+    assert repr(2 * X - N / 3) == "TriPoly('(6*x - n)/3')"
 
 
 def test_rotated_moves_each_variable():
@@ -394,14 +398,3 @@ def test_routes_refuse_a_part_that_is_not_an_int(route, parts):
     with pytest.raises(ValueError, match="not an integer"):
         route(*parts)
 
-
-def test_tripoly_is_unequal_to_a_tuple_and_repr_shows_its_text():
-    p = TriPoly({(1, 0, 0, 0): 2, (0, 0, 0, 1): Fraction(-1, 3)})
-    assert p != (2,) and (2,) != p
-    assert repr(p) == "TriPoly('(6*x - n)/3')"
-    assert repr(TriPoly()) == "TriPoly('0')"
-
-
-def test_zero_tripoly_has_total_degree_zero():
-    assert TriPoly().total_degree_xyz() == 0
-    assert ZERO.total_degree_xyz() == 0

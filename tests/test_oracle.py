@@ -101,13 +101,15 @@ def test_multi_neighborhood():
     assert multi_neighborhood([0, 0b110], 3) == {
         0b001: 1, 0b010: 2, 0b100: 2, 0b111: 1}
     assert multi_neighborhood([], 3) == {}
-    # multiplicities pass through
+    # multiplicities pass through, signed ones too
     assert multi_neighborhood({0: 2}, 2) == {1: 2, 2: 2}
+    assert multi_neighborhood({0: -2, 3: 1}, 2) == {1: -1, 2: -1}
 
 
 def test_spectrum_of_multiset():
     assert spectrum_of_multiset([0], PAIR) == (1, 0)
     assert spectrum_of_multiset(range(8), PAIR) == (2, 6)
+    assert spectrum_of_multiset({0: -1, 1: 3}, PAIR) == (-1, 3)
 
 
 @pytest.mark.parametrize("P,S", [
@@ -548,10 +550,6 @@ def test_oracle_refuses_bad_multiplicities_budgets_and_shapes(call, message):
     with pytest.raises(ValueError, match=message):
         call()
 
-
-def test_signed_multiplicities_pass_through():
-    assert multi_neighborhood({0: -2, 3: 1}, 2) == {1: -1, 2: -1}
-    assert spectrum_of_multiset({0: -1, 1: 3}, parity_partition(2)) == (-1, 3)
 
 
 def _compositions(n, m):
