@@ -424,4 +424,3 @@ def test_compiled_step_source_holds_no_coefficient(monkeypatch):
 def test_linear_algebra_refusals(call, message):
     with pytest.raises(ValueError, match=message):
         call()
-

@@ -397,4 +397,3 @@ def test_routes_refuse_a_part_that_is_not_an_int(route, parts):
     # refused alike by all three routes, before any work
     with pytest.raises(ValueError, match="not an integer"):
         route(*parts)
-

@@ -551,7 +551,6 @@ def test_oracle_refuses_bad_multiplicities_budgets_and_shapes(call, message):
         call()
 
 
-
 def _compositions(n, m):
     """Every m-tuple of nonnegative ints that sums to n."""
     if m == 1:
