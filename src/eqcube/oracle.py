@@ -494,23 +494,24 @@ def search_partitions(n: int, S: Sequence[Sequence[int]] | QuotientMatrix,
                       max_nodes: int = 50_000_000) -> SearchResult:
     """Backtracking search for explicit partitions realizing S.
 
-    Vertices are assigned in index order, cells tried in label order, so
-    results are deterministic.  `pins` forces vertex -> cell choices
-    before the search starts.  Pruning: a vertex's assigned-neighbor
-    counts may never exceed its row of S.  No symmetry reduction is
-    attempted; `limit` bounds the number of partitions returned and
-    `max_nodes` the number of assignments tried (exceeding it returns
-    the partial result with complete=False).  The search recurses once
-    per vertex, so n is capped at 9: 2^9 frames stay inside Python's
-    default recursion limit.  n, limit, max_nodes and every pinned
-    vertex and label must be ints, limit and max_nodes at least 1; a
-    pinned vertex must lie in the cube and a label in 1..m.
+    One loop over the vertices, with no recursion, assigns them in index
+    order and tries cells in label order, so results are deterministic.
+    `pins` forces vertex -> cell choices.  Pruning: a vertex's
+    assigned-neighbor counts may never exceed its row of S; every vertex
+    has n neighbors and every row sums to n, so a complete colouring
+    that uses all m cells is equitable with quotient S.  No symmetry
+    reduction is attempted; `limit` bounds the number of partitions
+    returned and `max_nodes` the number of assignments tried (exceeding
+    it returns the partial result with complete=False).  The working
+    state is 2^n (n + m) counts, plus up to `limit` colourings of 2^n
+    labels.  n must pass `_check_stored_dimension` (1 <= n <= 14);
+    limit, max_nodes and every pinned vertex and label must be ints,
+    limit and max_nodes at least 1; a pinned vertex must lie in the cube
+    and a label in 1..m.
     """
-    check_integer(n)
+    _check_stored_dimension(n, "explicit partitions")
     check_integer(limit)
     check_integer(max_nodes)
-    if not 1 <= n <= 9:
-        raise ValueError(f"partition search runs for 1 <= n <= 9; got {n}")
     if limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
     if max_nodes < 1:
@@ -532,10 +533,6 @@ def search_partitions(n: int, S: Sequence[Sequence[int]] | QuotientMatrix,
         if not 1 <= label <= m:
             raise ValueError(f"pinned label {label} outside 1..{m}")
 
-    found: list[PartitionInstance] = []
-    nodes = 0
-    budget_ok = True
-
     def feasible(v: int, label: int) -> bool:
         row = rows[label - 1]
         # v's already-assigned neighbors must not overflow row `label`
@@ -550,47 +547,36 @@ def search_partitions(n: int, S: Sequence[Sequence[int]] | QuotientMatrix,
                 return False
         return True
 
-    def place(v: int, label: int) -> None:
-        color[v] = label
-        for u in nbrs[v]:
-            counts[u][label] += 1
-
-    def unplace(v: int, label: int) -> None:
-        color[v] = 0
-        for u in nbrs[v]:
-            counts[u][label] -= 1
-
-    def extend(v: int) -> bool:
-        """Depth-first over vertices; returns False to stop the search."""
-        nonlocal nodes, budget_ok
+    found: list[PartitionInstance] = []
+    nodes = 0
+    v = 0
+    while v >= 0:
         if v == size:
-            if len(set(color)) < m:
-                return True  # some cell empty; not a partition into m cells
-            inst = PartitionInstance(n=n, m=m, color=tuple(color))
-            try:
-                got = verify_equitable(inst)
-            except NotEquitable:
-                return True
-            if got.rows == rows:
-                found.append(inst)
+            if len(set(color)) == m:  # else some cell is empty
+                found.append(PartitionInstance(n=n, m=m, color=tuple(color)))
                 if len(found) >= limit:
-                    return False
-            return True
+                    break
+            v -= 1
+            continue
+        # take back v's label, if it has one, and try the next
+        last = color[v]
+        if last:
+            color[v] = 0
+            for u in nbrs[v]:
+                counts[u][last] -= 1
         pinned = pins.get(v)
-        labels = (pinned,) if pinned is not None else range(1, m + 1)
+        labels = (range(last + 1, m + 1) if pinned is None
+                  else () if last else (pinned,))
         for label in labels:
             nodes += 1
             if nodes > max_nodes:
-                budget_ok = False
-                return False
-            if not feasible(v, label):
-                continue
-            place(v, label)
-            keep_going = extend(v + 1)
-            unplace(v, label)
-            if not keep_going:
-                return False
-        return True
-
-    extend(0)
-    return SearchResult(partitions=found, complete=budget_ok)
+                return SearchResult(partitions=found, complete=False)
+            if feasible(v, label):
+                color[v] = label
+                for u in nbrs[v]:
+                    counts[u][label] += 1
+                v += 1
+                break
+        else:
+            v -= 1
+    return SearchResult(partitions=found, complete=True)

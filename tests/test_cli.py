@@ -467,8 +467,8 @@ def test_brute_force_cap_message_names_the_flag(write_doc, capsys, argv, n):
     (["table", "--input", "DOC"],
      {"n": 3, "S": [[0, 1, 2], [1, 0, 2], [1, 2, 0]]},
      "inconsistent size ratios"),
-    (["oracle", "search", "--input", "DOC"], {"n": 10, "S": [[10]]},
-     "n <= 9"),
+    (["oracle", "search", "--input", "DOC"], {"n": 15, "S": [[15]]},
+     "n <= 14"),
 ])
 def test_library_refusal_is_usage_error(write_doc, capsys, argv, doc,
                                         message):

@@ -363,11 +363,12 @@ def test_search_rejects_limit_below_one(limit):
         search_partitions(3, [[0, 3], [1, 2]], limit=limit)
 
 
-@pytest.mark.parametrize("n", [0, 10])
+@pytest.mark.parametrize("n", [0, 15])
 def test_search_refuses_n_outside_bound_up_front(n):
-    # one recursion frame per vertex: 2^10 frames pass Python's default
-    # limit, so n = 10 is refused before any list of 2^n entries is made
-    with pytest.raises(ValueError, match="n <= 9"):
+    # the stored-dimension rule: n = 15 is refused before any list of
+    # 2^n entries is made
+    with pytest.raises(ValueError,
+                       match="explicit partitions are stored for n <= 14"):
         search_partitions(n, [[n]])
 
 
@@ -379,6 +380,109 @@ def test_search_with_contradictory_pins_is_empty():
 def test_search_node_cap_flags_incomplete():
     res = search_partitions(3, [[0, 3], [1, 2]], limit=10, max_nodes=3)
     assert not res.complete
+
+
+def _valid_matrices(n, m):
+    """Every m x m matrix that `validate_quotient` accepts for n."""
+    rows = [r for r in itertools.product(range(n + 1), repeat=m)
+            if sum(r) == n]
+    out = []
+    for S in itertools.product(rows, repeat=m):
+        try:
+            out.append(validate_quotient(S, n))
+        except InvalidQuotient:
+            pass
+    return out
+
+
+def _reference_search(Q, pins):
+    """Every colouring of the cube in lexicographic order that uses all
+    m cells, honours the pins and is equitable with quotient Q."""
+    out = []
+    for color in itertools.product(range(1, Q.m + 1), repeat=1 << Q.n):
+        if (len(set(color)) < Q.m
+                or any(color[v] != label for v, label in pins.items())):
+            continue
+        P = PartitionInstance(n=Q.n, m=Q.m, color=color)
+        try:
+            if verify_equitable(P) == Q:
+                out.append(P)
+        except NotEquitable:
+            pass
+    return out
+
+
+def test_search_lists_what_a_lexicographic_enumeration_lists():
+    # every valid matrix with n <= 3 and m <= 2 or n <= 2 and m = 3,
+    # unpinned and under a seeded pin: the search records a complete
+    # colouring without checking it, so the enumeration checks each one
+    rng = random.Random("search-reference")
+    matrices = [Q for n, m in [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2),
+                               (3, 2), (1, 3), (2, 3)]
+                for Q in _valid_matrices(n, m)]
+    assert len(matrices) == 50
+    unpinned = 0
+    for Q in matrices:
+        for pins in ({}, {rng.randrange(1 << Q.n): rng.randint(1, Q.m)}):
+            want = _reference_search(Q, pins)
+            got = search_partitions(Q.n, Q, limit=10 ** 6, pins=pins)
+            assert got.complete and got.partitions == want, (Q, pins)
+            unpinned += 0 if pins else len(want)
+    assert unpinned == 45
+    # and, unpinned, the 6 of the 136 with n = 3 and m = 3 that pass
+    # every screen: 12 partitions each
+    screened = []
+    for Q in _valid_matrices(3, 3):
+        try:
+            if feasibility_conditions(Q).failures:
+                continue
+        except InvalidQuotient:
+            continue
+        want = _reference_search(Q, {})
+        assert search_partitions(3, Q, limit=10 ** 6).partitions == want, Q
+        screened.append(len(want))
+    assert screened == [12] * 6
+
+
+# (n, S, keyword arguments, complete, cell 1 of each partition found)
+SEARCH_RUNS = [
+    (4, [[1, 3], [1, 3]], {"limit": 10 ** 6}, True,
+     [[0, 1, 14, 15], [0, 2, 13, 15], [0, 4, 11, 15], [0, 7, 8, 15],
+      [1, 3, 12, 14], [1, 5, 10, 14], [1, 6, 9, 14], [2, 3, 12, 13],
+      [2, 5, 10, 13], [2, 6, 9, 13], [3, 4, 11, 12], [3, 7, 8, 12],
+      [4, 5, 10, 11], [4, 6, 9, 11], [5, 7, 8, 10], [6, 7, 8, 9]]),
+    (5, [[1, 4], [4, 1]], {"limit": 10 ** 6, "pins": {0: 2, 3: 1}}, True,
+     [[1, 3, 4, 6, 8, 10, 13, 15, 16, 18, 21, 23, 25, 27, 28, 30],
+      [2, 3, 4, 5, 8, 9, 14, 15, 16, 17, 22, 23, 26, 27, 28, 29]]),
+    (6, [[2, 4], [4, 2]], {"limit": 2, "pins": {0: 2, 63: 2}}, True,
+     [[1, 2, 3, 4, 8, 13, 14, 15, 17, 20, 22, 23, 24, 26, 27, 29, 34, 36,
+       37, 39, 40, 41, 43, 46, 48, 49, 50, 55, 59, 60, 61, 62],
+      [1, 2, 3, 4, 8, 13, 14, 15, 18, 20, 21, 23, 24, 25, 27, 30, 33, 36,
+       38, 39, 40, 42, 43, 45, 48, 49, 50, 55, 59, 60, 61, 62]]),
+    (5, [[1, 4], [4, 1]], {"limit": 10 ** 6, "max_nodes": 200}, False,
+     [[0, 1, 6, 7, 10, 11, 12, 13, 18, 19, 20, 21, 24, 25, 30, 31],
+      [0, 2, 5, 7, 9, 11, 12, 14, 17, 19, 20, 22, 24, 26, 29, 31],
+      [0, 3, 4, 7, 9, 10, 13, 14, 17, 18, 21, 22, 24, 27, 28, 31]]),
+]
+
+
+@pytest.mark.parametrize("n, S, kwargs, complete, cells", SEARCH_RUNS,
+                         ids=["all", "pinned", "pinned-limit", "budget"])
+def test_search_pinned_runs(n, S, kwargs, complete, cells):
+    # the partitions, their order and the complete flag of a full run, a
+    # pinned run, a pinned run cut by its limit and one cut by its budget
+    result = search_partitions(n, S, **kwargs)
+    assert result.complete is complete
+    assert [P.cells()[0] for P in result.partitions] == cells
+
+
+def test_search_reaches_the_stored_dimension_bound():
+    # no recursion: at n = 14 (16384 vertices) the first partition of
+    # the bipartite matrix is the parity partition, and it is equitable
+    result = search_partitions(14, [[0, 14], [14, 0]])
+    assert result.complete
+    assert result.partitions == [parity_partition(14)]
+    assert verify_equitable(result.partitions[0]).rows == ((0, 14), (14, 0))
 
 
 def test_brute_interweight_is_a_nonstandard_slice_of_the_engine_row():
