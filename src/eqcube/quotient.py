@@ -76,13 +76,25 @@ def matrix_rows(S: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     return rows
 
 
+# The largest n a quotient matrix may have.  Cell sizes are n-bit
+# integers, the spectrum screen tries all n + 1 eigenvalues, and the CLI
+# renders each size in decimal: on [[0, n], [n, 0]], `screen --max-level
+# 0` took 0.08 s and `table --max-level 1` 0.11 s at n = 10^5, and 3.1 s
+# and 10.5 s at n = 10^6, in one process on a shared 2-vCPU VM (Python
+# 3.11).  A table to level n stays far below this under its entry cap.
+MAX_DIMENSION = 100_000
+
+
 def validate_quotient(S: Sequence[Sequence[int]], n: int) -> QuotientMatrix:
     """Check shape and entries (`matrix_rows`), row sums and support.
 
-    Raises ValueError for an n that `check_dimension` refuses, and
-    InvalidQuotient naming the offending entry, row or pair.
+    Raises ValueError for an n that `check_dimension` refuses or that
+    exceeds MAX_DIMENSION, and InvalidQuotient naming the offending
+    entry, row or pair.
     """
     check_dimension(n)
+    if n > MAX_DIMENSION:
+        raise ValueError(f"n must be at most {MAX_DIMENSION}, got {n}")
     rows = matrix_rows(S)
     m = len(rows)
     for i, row in enumerate(rows):

@@ -74,7 +74,8 @@ def certify(S, n: int, max_level: int | None = None,
     gets only a validation error.  Raises ValueError for max_level
     outside [0, n], and, unless force, for a table of more than
     `recursion.MAX_TABLE_ENTRIES` entries, whatever the matrix; then
-    InvalidQuotient for a matrix that `matrix_rows` refuses.
+    InvalidQuotient for a matrix that `matrix_rows` refuses, and
+    ValueError for an n above `quotient.MAX_DIMENSION`.
     """
     max_level = table_depth(max_level, n, len(S), force)
     rows = matrix_rows(S)

@@ -469,6 +469,11 @@ def test_brute_force_cap_message_names_the_flag(write_doc, capsys, argv, n):
      "inconsistent size ratios"),
     (["oracle", "search", "--input", "DOC"], {"n": 15, "S": [[15]]},
      "n <= 14"),
+    (["screen", "--input", "DOC", "--max-level", "0"],
+     {"n": 100001, "S": [[100001]]}, "n must be at most 100000"),
+    (["table", "--input", "DOC", "--max-level", "1"],
+     {"n": 100001, "S": [[0, 100001], [100001, 0]]},
+     "n must be at most 100000"),
 ])
 def test_library_refusal_is_usage_error(write_doc, capsys, argv, doc,
                                         message):

@@ -8,9 +8,11 @@ import pytest
 
 from eqcube.exact_linalg import exact_quotient
 from eqcube.oracle import singleton_partition, verify_equitable
-from eqcube.quotient import (InvalidQuotient, SizesUndetermined, cell_sizes,
-                             char_poly, feasibility_conditions, matrix_rows,
-                             min_poly, spectrum_check, validate_quotient)
+from eqcube.quotient import (MAX_DIMENSION, InvalidQuotient,
+                             SizesUndetermined, cell_sizes, char_poly,
+                             feasibility_conditions, matrix_rows, min_poly,
+                             spectrum_check, validate_quotient)
+from eqcube.screen import certify
 
 S22 = [[0, 22, 0], [5, 6, 11], [0, 10, 12]]
 
@@ -58,6 +60,19 @@ def test_a_negative_dimension_is_refused_without_naming_the_command_line():
     with pytest.raises(ValueError) as info:
         validate_quotient([[0]], -3)
     assert str(info.value) == "negative dimension n = -3"
+
+
+def test_validate_refuses_a_dimension_above_the_bound():
+    # n-bit cell sizes and n + 1 eigenvalues to try: a larger n is
+    # unusable input, so certify gives it no verdict
+    n = MAX_DIMENSION
+    assert validate_quotient([[0, n], [n, 0]], n).n == n
+    for refuse in (lambda: validate_quotient([[0, n + 1], [n + 1, 0]], n + 1),
+                   lambda: certify([[n + 1]], n + 1, max_level=0)):
+        with pytest.raises(ValueError,
+                           match=f"n must be at most {n}, got {n + 1}") as info:
+            refuse()
+        assert not isinstance(info.value, InvalidQuotient)
 
 
 def test_validate_rejects_a_matrix_without_rows():

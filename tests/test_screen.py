@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from eqcube import oracle, recursion, screen
-from eqcube.quotient import InvalidQuotient, cell_sizes, validate_quotient
+from eqcube.quotient import (InvalidQuotient, cell_sizes,
+                             feasibility_conditions, validate_quotient)
 from eqcube.screen import (Certificate, SweepCandidate, SweepReport, certify,
                            enumerate_ci_candidates, hunt_witness, sweep_ci,
                            worker_count)
@@ -206,6 +207,21 @@ def test_enumerate_ci_candidates_small():
         assert b > c >= 1
         assert (2 ** n) % ((b + c) // math.gcd(b, c)) == 0
         assert 3 * (c - a) > n
+
+
+def test_enumeration_lists_what_only_the_ci_screen_rejects():
+    # every [[a, b], [c, d]] with b > c >= 1 up to n = 24: the sweep
+    # lists it exactly when correlation immunity is the one failure
+    # `feasibility_conditions` reports, so the two restated rules agree
+    only_ci = []
+    for n in range(1, 25):
+        for c in range(1, n):
+            for b in range(c + 1, n + 1):
+                report = feasibility_conditions(
+                    validate_quotient([[n - b, b], [c, n - c]], n))
+                if report.ci_bound_ok is False and len(report.failures) == 1:
+                    only_ci.append((n, n - b, b, c, n - c))
+    assert enumerate_ci_candidates(24) == sorted(only_ci)
 
 
 def test_enumerate_is_prefix_monotone():
