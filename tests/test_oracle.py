@@ -468,12 +468,25 @@ SEARCH_RUNS = [
 
 @pytest.mark.parametrize("n, S, kwargs, complete, cells", SEARCH_RUNS,
                          ids=["all", "pinned", "pinned-limit", "budget"])
-def test_search_pinned_runs(n, S, kwargs, complete, cells):
+def test_search_runs_keep_their_partitions_and_flag(n, S, kwargs, complete, cells):
     # the partitions, their order and the complete flag of a full run, a
     # pinned run, a pinned run cut by its limit and one cut by its budget
     result = search_partitions(n, S, **kwargs)
     assert result.complete is complete
     assert [P.cells()[0] for P in result.partitions] == cells
+
+
+@pytest.mark.parametrize("n, S, kwargs, nodes", [
+    (3, [[0, 3], [1, 2]], {"limit": 10}, 56),
+    (4, [[1, 3], [1, 3]], {"limit": 3}, 82),
+    (5, [[1, 4], [4, 1]], {"limit": 10 ** 6, "pins": {0: 2, 3: 1}}, 122),
+])
+def test_search_counts_one_node_per_label_tried(n, S, kwargs, nodes):
+    # a run that tries `nodes` labels in all, to its end or to its
+    # limit, completes on that budget and is cut one node short of it
+    assert search_partitions(n, S, max_nodes=nodes, **kwargs).complete
+    assert not search_partitions(n, S, max_nodes=nodes - 1,
+                                 **kwargs).complete
 
 
 def test_search_reaches_the_stored_dimension_bound():
