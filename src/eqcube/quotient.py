@@ -81,7 +81,8 @@ def matrix_rows(S: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
 # renders each size in decimal: on [[0, n], [n, 0]], `screen --max-level
 # 0` took 0.08 s and `table --max-level 1` 0.11 s at n = 10^5, and 3.1 s
 # and 10.5 s at n = 10^6, in one process on a shared 2-vCPU VM (Python
-# 3.11).  A table to level n stays far below this under its entry cap.
+# 3.11).  Without a small max_level, a table's entry cap refuses a far
+# smaller n.
 MAX_DIMENSION = 100_000
 
 
