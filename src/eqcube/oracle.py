@@ -64,45 +64,53 @@ def _check_stored_dimension(n: int, what: str) -> None:
         raise ValueError(f"{what} are stored for n <= 14; got {n}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PartitionInstance:
     """An explicit partition of the n-cube into m labeled cells.
 
-    `color[v]` is the 1-based cell label of vertex v.
-    """
+    `color[v]` is the 1-based cell label of vertex v.  Raises ValueError
+    for an n that is no int or lies outside [1, 14], an m or a label
+    that is no int, other than 2^n labels, an empty cell and a vertex
+    that no cell covers (its label lies outside 1..m)."""
 
     n: int
     m: int
     color: tuple[int, ...]
 
+    def __init__(self, n: int, m: int, color: Sequence[int]) -> None:
+        _check_stored_dimension(n, "explicit partitions")
+        check_integer(m)
+        color = tuple(color)
+        if len(color) != 1 << n:
+            raise ValueError(f"expected {1 << n} labels, got {len(color)}")
+        for label in color:
+            check_integer(label)
+        used = set(color)
+        for label in range(1, m + 1):
+            if label not in used:
+                raise ValueError(f"cell {label} is empty")
+        if len(used) > m:
+            missing = [v for v, c in enumerate(color) if not 1 <= c <= m]
+            raise ValueError(f"vertices not covered: {missing[:8]}")
+        self.__dict__.update(n=n, m=m, color=color)
+
     @classmethod
     def from_cells(cls, n: int, cells: Sequence[Iterable[int]]) -> "PartitionInstance":
         """The partition whose cell i (1-based) holds the i-th list of
-        vertices.  Raises ValueError for an n that is no int or lies
-        outside [1, 14], a cell that is no iterable, a vertex that is no
-        int or lies outside the cube, a vertex in two cells, an empty
-        cell or an uncovered vertex."""
+        vertices.  Raises ValueError as the record does, and for a cell that
+        is no iterable and a vertex `_check_vertex` refuses or in two cells."""
         _check_stored_dimension(n, "explicit partitions")
-        size = 1 << n
-        color = [0] * size
-        m = len(cells)
+        color = [0] * (1 << n)
         for label, cell in enumerate(cells, start=1):
             if not isinstance(cell, Iterable):
                 raise ValueError(
                     f"cell {label} is no list of vertices: {cell!r}")
-            empty = True
             for v in cell:
                 _check_vertex(v, n)
                 if color[v]:
                     raise ValueError(f"vertex {v} assigned to two cells")
                 color[v] = label
-                empty = False
-            if empty:
-                raise ValueError(f"cell {label} is empty")
-        missing = [v for v in range(size) if color[v] == 0]
-        if missing:
-            raise ValueError(f"vertices not covered: {missing[:8]}")
-        return cls(n=n, m=m, color=tuple(color))
+        return cls(n=n, m=len(cells), color=color)
 
     def cells(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(self.m)]
@@ -387,33 +395,39 @@ def parse_rational(v) -> Fraction:
         raise ValueError(f"not an exact value: {v!r}") from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PerfectStructure:
     """A function from vertices to rational m-vectors such that the
-    neighbor sum at every vertex equals the vertex's own value times S."""
+    neighbor sum at every vertex equals the vertex's own value times S.
+    Raises ValueError for an n that is no int or lies outside [1, 14],
+    other than 2^n rows, an m that is no int or is below 1, a row whose
+    length is not m, and a value that is no int or Fraction."""
 
     n: int
     m: int
     values: tuple[tuple[Fraction, ...], ...]
 
+    def __init__(self, n: int, m: int, values: Sequence[Sequence]) -> None:
+        _check_stored_dimension(n, "perfect structures")
+        values = tuple(map(tuple, values))
+        if len(values) != 1 << n:
+            raise ValueError(f"expected {1 << n} value rows, got {len(values)}")
+        check_integer(m)
+        if m < 1:
+            raise ValueError("value rows have no entries")
+        if any(len(row) != m for row in values):
+            raise ValueError("value rows have inconsistent lengths")
+        for v in itertools.chain.from_iterable(values):
+            if not isinstance(v, (int, Fraction)) or isinstance(v, bool):
+                raise ValueError(f"not an exact value: {v!r}")
+        self.__dict__.update(n=n, m=m, values=values)
+
     @classmethod
     def from_rows(cls, n: int, rows: Sequence[Sequence]) -> "PerfectStructure":
         """The structure with these value rows, one per vertex, each
-        value read by `parse_rational`.  Raises ValueError for an n that
-        is no int or lies outside [1, 14], a row count other than 2^n,
-        rows with no entries or of unequal lengths, or a value that is
-        not exact."""
-        _check_stored_dimension(n, "perfect structures")
-        size = 1 << n
-        if len(rows) != size:
-            raise ValueError(f"expected {size} value rows, got {len(rows)}")
+        value read by `parse_rational`, which refuses inexact ones."""
         vals = tuple(tuple(map(parse_rational, row)) for row in rows)
-        m = len(vals[0])
-        if not m:
-            raise ValueError("value rows have no entries")
-        if any(len(row) != m for row in vals):
-            raise ValueError("value rows have inconsistent lengths")
-        return cls(n=n, m=m, values=vals)
+        return cls(n=n, m=len(vals[0]) if vals else 0, values=vals)
 
 
 def verify_perfect_structure(PS: PerfectStructure,

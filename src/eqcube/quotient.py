@@ -31,18 +31,6 @@ class SizesUndetermined(QuotientError):
     """Support graph is disconnected, so relative cell sizes are free."""
 
 
-@dataclass(frozen=True)
-class QuotientMatrix:
-    """A validated m x m candidate quotient matrix for the n-cube."""
-
-    n: int
-    rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.rows)
-
-
 def check_integer(value: int) -> None:
     """Refuse, with ValueError, a value that is not an int (a bool or a
     float is refused too); callable before any work."""
@@ -86,29 +74,42 @@ def matrix_rows(S: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
 MAX_DIMENSION = 100_000
 
 
-def validate_quotient(S: Sequence[Sequence[int]], n: int) -> QuotientMatrix:
-    """Check shape and entries (`matrix_rows`), row sums and support.
+@dataclass(frozen=True, init=False)
+class QuotientMatrix:
+    """An m x m candidate quotient matrix for the n-cube, checked when
+    built: raises ValueError for an n that `check_dimension` refuses or
+    above MAX_DIMENSION, then InvalidQuotient naming the first entry
+    (`matrix_rows`), row sum or support pair that is wrong."""
 
-    Raises ValueError for an n that `check_dimension` refuses or that
-    exceeds MAX_DIMENSION, and InvalidQuotient naming the offending
-    entry, row or pair.
-    """
-    check_dimension(n)
-    if n > MAX_DIMENSION:
-        raise ValueError(f"n must be at most {MAX_DIMENSION}, got {n}")
-    rows = matrix_rows(S)
-    m = len(rows)
-    for i, row in enumerate(rows):
-        s = sum(row)
-        if s != n:
-            raise InvalidQuotient(f"row {i + 1} sums to {s}, expected n = {n}")
-    for i in range(m):
-        for j in range(i + 1, m):
-            if (rows[i][j] > 0) != (rows[j][i] > 0):
-                raise InvalidQuotient(
-                    f"support asymmetry at pair ({i + 1},{j + 1}): "
-                    f"S_ij = {rows[i][j]}, S_ji = {rows[j][i]}")
-    return QuotientMatrix(n=n, rows=rows)
+    n: int
+    rows: tuple[tuple[int, ...], ...]
+
+    def __init__(self, n: int, rows: Sequence[Sequence[int]]) -> None:
+        check_dimension(n)
+        if n > MAX_DIMENSION:
+            raise ValueError(f"n must be at most {MAX_DIMENSION}, got {n}")
+        rows = matrix_rows(rows)
+        m = len(rows)
+        for i, row in enumerate(rows):
+            s = sum(row)
+            if s != n:
+                raise InvalidQuotient(f"row {i + 1} sums to {s}, expected n = {n}")
+        for i in range(m):
+            for j in range(i + 1, m):
+                if (rows[i][j] > 0) != (rows[j][i] > 0):
+                    raise InvalidQuotient(
+                        f"support asymmetry at pair ({i + 1},{j + 1}): "
+                        f"S_ij = {rows[i][j]}, S_ji = {rows[j][i]}")
+        self.__dict__.update(n=n, rows=rows)
+
+    @property
+    def m(self) -> int:
+        return len(self.rows)
+
+
+def validate_quotient(S: Sequence[Sequence[int]], n: int) -> QuotientMatrix:
+    """`QuotientMatrix(n, S)`: S if it is a quotient matrix of the n-cube."""
+    return QuotientMatrix(n, S)
 
 
 def _ratio_text(num: int, den: int) -> str:

@@ -20,8 +20,8 @@ from eqcube.oracle import (InvarianceResult, NotEquitable, PartitionInstance,
                            set_triangle_multiset, singleton_partition,
                            spectrum_of_multiset, strong_invariance_check,
                            verify_equitable, verify_perfect_structure)
-from eqcube.quotient import (InvalidQuotient, feasibility_conditions,
-                             validate_quotient)
+from eqcube.quotient import (InvalidQuotient, QuotientMatrix,
+                             feasibility_conditions, validate_quotient)
 from eqcube.recursion import INTERWEIGHT, TRIANGLE, build_table, cross_check
 from eqcube.screen import certify
 
@@ -333,6 +333,44 @@ def test_ps_propagation_matches_anchored_sums():
         for v in range(4):
             for triple, vec in ps_brute_interweight(PS, v).items():
                 sums[triple] = sums.get(triple, TensorVector.zero(2)) + vec
+        for triple, vec in sums.items():
+            assert table.entries[triple] == vec, triple
+
+
+def _rational_structures(rng, P, count):
+    """`count` structures v -> e_{color(v)} p(S) on P, for seeded random
+    polynomials p of degree at most 2 with rational coefficients; each
+    is perfect for P's quotient S, since p(S) commutes with S."""
+    Q = verify_equitable(P)
+    S = [[Fraction(x) for x in row] for row in Q.rows]
+    eye = [[Fraction(int(i == j)) for j in range(Q.m)] for i in range(Q.m)]
+    S2 = [[sum(S[i][t] * S[t][j] for t in range(Q.m)) for j in range(Q.m)]
+          for i in range(Q.m)]
+    out = []
+    for _ in range(count):
+        c = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in "012"]
+        pS = [[c[0] * eye[i][j] + c[1] * S[i][j] + c[2] * S2[i][j]
+               for j in range(Q.m)] for i in range(Q.m)]
+        values = tuple(tuple(pS[label - 1]) for label in P.color)
+        out.append(PerfectStructure(n=P.n, m=P.m, values=values))
+    return Q, out
+
+
+@pytest.mark.parametrize("P", [parity_partition(3), parity_partition(4),
+                               PAIR], ids=["parity3", "parity4", "pair3"])
+def test_seeded_rational_structures_are_perfect_and_propagate(P):
+    # the triangle recursion seeded with a structure's level-0 tensor
+    # gives the sum of its anchored brute tables at every triple
+    rng = random.Random(20261020 + P.n)
+    Q, structures = _rational_structures(rng, P, 3)
+    for PS in structures:
+        assert verify_perfect_structure(PS, Q) == (True, None)
+        table = build_table(Q, TRIANGLE, initial=ps_initial_triangle(PS))
+        sums = {}
+        for v in range(1 << P.n):
+            for triple, vec in ps_brute_interweight(PS, v).items():
+                sums[triple] = sums.get(triple, TensorVector.zero(P.m)) + vec
+        assert set(sums) == set(table.entries)
         for triple, vec in sums.items():
             assert table.entries[triple] == vec, triple
 
@@ -662,6 +700,44 @@ def test_oracle_refuses_bad_vertices_and_dimensions(call, message):
      "cell 2 is no list of vertices: 5"),
     (lambda: PartitionInstance.from_cells(2, [None, [0, 1, 2, 3]]),
      "cell 1 is no list of vertices: None"),
+    # records built by hand, which used to be stored unchecked and given
+    # verdicts: an equitable colouring with unlabelled vertices, a
+    # perfect structure computed in floats, partitions of another S
+    (lambda: verify_equitable(PartitionInstance(n=2, m=1,
+                                                color=(1, 0, 0, 1))),
+     r"vertices not covered: \[1, 2\]"),
+    (lambda: verify_perfect_structure(
+        PerfectStructure(n=1, m=1, values=((0.5,), (0.5,))),
+        validate_quotient([[1]], 1)),
+     "not an exact value: 0.5"),
+    (lambda: search_partitions(2, QuotientMatrix(n=2, rows=((1, 2), (2, 1))),
+                               limit=10 ** 6),
+     "row 1 sums to 3, expected n = 2"),
+    (lambda: PartitionInstance(n=15, m=1, color=()), "n <= 14; got 15"),
+    (lambda: PartitionInstance(n=2, m=2.0, color=(1, 2, 1, 2)),
+     "not an integer: 2.0"),
+    (lambda: PartitionInstance(n=2, m=2, color=(1, 2, 1)),
+     "expected 4 labels, got 3"),
+    (lambda: PartitionInstance(n=2, m=2, color=(1, 2, 1, 2.0)),
+     "not an integer: 2.0"),
+    (lambda: PartitionInstance(n=2, m=2, color=(1, 2, True, 2)),
+     "not an integer: True"),
+    (lambda: PartitionInstance(n=2, m=3, color=(1, 2, 1, 2)),
+     "cell 3 is empty"),
+    (lambda: PartitionInstance(n=2, m=2, color=(1, 2, 3, 2)),
+     r"vertices not covered: \[2\]"),
+    (lambda: PerfectStructure(n=2, m=1, values=((1,),) * 3),
+     "expected 4 value rows, got 3"),
+    (lambda: PerfectStructure(n=1, m=True, values=((1,), (1,))),
+     "not an integer: True"),
+    (lambda: PerfectStructure(n=1, m=0, values=((), ())),
+     "value rows have no entries"),
+    (lambda: PerfectStructure(n=1, m=2, values=((1, 0), (1,))),
+     "value rows have inconsistent lengths"),
+    (lambda: PerfectStructure(n=1, m=1, values=(("1/2",), (1,))),
+     "not an exact value: '1/2'"),
+    (lambda: PerfectStructure(n=1, m=1, values=((False,), (1,))),
+     "not an exact value: False"),
 ])
 def test_oracle_refuses_bad_multiplicities_budgets_and_shapes(call, message):
     with pytest.raises(ValueError, match=message):

@@ -8,10 +8,11 @@ import pytest
 
 from eqcube.exact_linalg import exact_quotient
 from eqcube.oracle import singleton_partition, verify_equitable
-from eqcube.quotient import (MAX_DIMENSION, InvalidQuotient,
+from eqcube.quotient import (MAX_DIMENSION, InvalidQuotient, QuotientMatrix,
                              SizesUndetermined, cell_sizes, char_poly,
                              feasibility_conditions, matrix_rows, min_poly,
                              spectrum_check, validate_quotient)
+from eqcube.recursion import build_table
 from eqcube.screen import certify
 
 S22 = [[0, 22, 0], [5, 6, 11], [0, 10, 12]]
@@ -78,6 +79,35 @@ def test_validate_refuses_a_dimension_above_the_bound():
 def test_validate_rejects_a_matrix_without_rows():
     with pytest.raises(InvalidQuotient, match="matrix has no rows"):
         validate_quotient([], 3)
+
+
+def test_a_hand_built_matrix_is_checked_and_converted():
+    # rows summing to 3 on the 2-cube used to be stored as given, and a
+    # partition search on them listed colourings of another quotient
+    with pytest.raises(InvalidQuotient,
+                       match="row 1 sums to 3, expected n = 2"):
+        QuotientMatrix(n=2, rows=((1, 2), (2, 1)))
+    # list rows used to be stored as lists, which build_table could not
+    # hash
+    Q = QuotientMatrix(3, [[0, 3], [1, 2]])
+    assert Q == validate_quotient([[0, 3], [1, 2]], 3)
+    assert Q.rows == ((0, 3), (1, 2))
+    assert build_table(Q).entries[(0, 0, 1)].entries == (0, 6, 0, 0,
+                                                         0, 0, 6, 12)
+
+
+@pytest.mark.parametrize("n, S", [
+    (3.0, [[0, 3], [1, 2]]), (True, [[1]]), (-1, [[0]]),
+    (MAX_DIMENSION + 1, [[MAX_DIMENSION + 1]]), (3, []), (3, [[0, 3], [1]]),
+    (3, [[0, 3.0], [1, 2]]), (3, [[0, 3], [True, 2]]), (3, [[0, 3], [-1, 4]]),
+    (3, [[1, 2], [1, 1]]), (3, [[2, 1, 0], [1, 1, 1], [0, 0, 3]])])
+def test_the_constructor_refuses_what_validate_quotient_refuses(n, S):
+    with pytest.raises(ValueError) as parsed:
+        validate_quotient(S, n)
+    with pytest.raises(ValueError) as by_hand:
+        QuotientMatrix(n, S)
+    assert (type(by_hand.value), str(by_hand.value)) == (
+        type(parsed.value), str(parsed.value))
 
 
 def test_cell_sizes_examples():

@@ -118,14 +118,18 @@ def test_a_table_over_the_cap_is_refused_before_any_step(monkeypatch, kind):
 @pytest.mark.parametrize("kind", [TRIANGLE, INTERWEIGHT])
 def test_a_level_or_dimension_that_is_not_an_int_is_refused_before_any_step(
         monkeypatch, kind, n, max_level, message):
-    # the matrix object is built by hand: validate_quotient refuses a
-    # float or bool n itself
     steps = []
     monkeypatch.setattr(recursion, "derive_entry",
                         lambda *args: steps.append(args))
-    Q = replace(Q_PAIR, n=n)
-    with pytest.raises(ValueError, match=message):
-        build_table(Q, kind, max_level=max_level)
+    if type(n) is int:
+        Q = replace(Q_PAIR, n=n)
+        with pytest.raises(ValueError, match=message):
+            build_table(Q, kind, max_level=max_level)
+    else:
+        # a float or bool n is refused when the matrix is built, by hand
+        # too, so no table can be asked for
+        with pytest.raises(ValueError, match=message):
+            replace(Q_PAIR, n=n)
     assert steps == []
 
 
