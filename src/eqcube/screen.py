@@ -33,8 +33,8 @@ from .quotient import (FeasibilityReport, InvalidQuotient, check_integer,
 # build_table and scan_violations are not called here, but bench/spans.py
 # wraps them at this module's attributes too, so they stay imported
 from .recursion import (TRIANGLE, Violation, build_table, common_denominator,
-                        default_initial, entry_scale, iter_table_levels,
-                        scan_violations, table_depth)
+                        default_initial, entry_scale, initial_triangle,
+                        iter_table_levels, scan_violations, table_depth)
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def certify(S, n: int, max_level: int | None = None,
     total = 0
     levels = -1
     if report.sizes is not None:
-        initial = default_initial(Q, TRIANGLE)
+        initial = initial_triangle(report.sizes)
         for level in iter_table_levels(Q, TRIANGLE, initial, max_level):
             found, site = level.violations(report.sizes)
             total += found
