@@ -97,8 +97,8 @@ class PartitionInstance:
     @classmethod
     def from_cells(cls, n: int, cells: Sequence[Iterable[int]]) -> "PartitionInstance":
         """The partition whose cell i (1-based) holds the i-th list of
-        vertices.  Raises ValueError as the record does, and for a cell that
-        is no iterable and a vertex `_check_vertex` refuses or in two cells."""
+        vertices.  Raises ValueError as the record does, for a non-iterable
+        cell, and for a vertex `_check_vertex` refuses or two cells hold."""
         _check_stored_dimension(n, "explicit partitions")
         color = [0] * (1 << n)
         for label, cell in enumerate(cells, start=1):
