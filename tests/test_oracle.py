@@ -324,17 +324,22 @@ def test_ps_structures_share_matrix_but_not_anchored_tables():
     assert list(w_mixed[(1, 0, 0)].entries) == [4, 4, 4, 4, 0, 0, 0, 0]
 
 
+def _assert_propagates(PS, Q):
+    """The triangle recursion seeded with PS's level-0 tensor gives the
+    sum of PS's anchored brute tables over all anchors, at every triple."""
+    table = build_table(Q, TRIANGLE, initial=ps_initial_triangle(PS))
+    sums = {}
+    for v in range(1 << PS.n):
+        for triple, vec in ps_brute_interweight(PS, v).items():
+            sums[triple] = sums.get(triple, TensorVector.zero(PS.m)) + vec
+    assert set(sums) == set(table.entries)
+    for triple, vec in sums.items():
+        assert table.entries[triple] == vec, triple
+
+
 def test_ps_propagation_matches_anchored_sums():
-    # triangle recursion seeded with the structure's level-0 tensor must
-    # reproduce the anchor-weighted brute sums at every level
     for PS in (C_PLAIN, C_MIXED):
-        table = build_table(Q_ALL1, TRIANGLE, initial=ps_initial_triangle(PS))
-        sums = {}
-        for v in range(4):
-            for triple, vec in ps_brute_interweight(PS, v).items():
-                sums[triple] = sums.get(triple, TensorVector.zero(2)) + vec
-        for triple, vec in sums.items():
-            assert table.entries[triple] == vec, triple
+        _assert_propagates(PS, Q_ALL1)
 
 
 def _rational_structures(rng, P, count):
@@ -359,20 +364,11 @@ def _rational_structures(rng, P, count):
 @pytest.mark.parametrize("P", [parity_partition(3), parity_partition(4),
                                PAIR], ids=["parity3", "parity4", "pair3"])
 def test_seeded_rational_structures_are_perfect_and_propagate(P):
-    # the triangle recursion seeded with a structure's level-0 tensor
-    # gives the sum of its anchored brute tables at every triple
     rng = random.Random(20261020 + P.n)
     Q, structures = _rational_structures(rng, P, 3)
     for PS in structures:
         assert verify_perfect_structure(PS, Q) == (True, None)
-        table = build_table(Q, TRIANGLE, initial=ps_initial_triangle(PS))
-        sums = {}
-        for v in range(1 << P.n):
-            for triple, vec in ps_brute_interweight(PS, v).items():
-                sums[triple] = sums.get(triple, TensorVector.zero(P.m)) + vec
-        assert set(sums) == set(table.entries)
-        for triple, vec in sums.items():
-            assert table.entries[triple] == vec, triple
+        _assert_propagates(PS, Q)
 
 
 def test_search_finds_all_antipodal_pairs():
