@@ -160,23 +160,30 @@ def _slot_getter(m: int, order: tuple[int, int, int]) -> Callable:
     return itemgetter(*positions) if m > 1 else tuple
 
 
-def _as_rows(S: Sequence[Sequence]) -> tuple[tuple, ...]:
-    rows = tuple(tuple(row) for row in S)
-    if any(len(row) != len(rows) for row in rows):
-        raise ValueError("lift base is not square")
-    return rows
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LiftedMatrix:
-    """An m x m matrix acting on one slot of a TensorVector.
+    """An m x m matrix acting on one slot of a TensorVector, checked when
+    built.
 
-    `base` is the matrix that acts, `position` in {1, 2, 3} the slot it
-    contracts.
+    `base` is the matrix that acts, stored as tuples, and `position` in
+    {1, 2, 3} the slot it contracts.  Raises ValueError for a position
+    that is no int 1, 2 or 3 (True is none), then for a base without
+    rows or not square.
     """
 
     base: tuple[tuple, ...]
     position: int
+
+    def __init__(self, base: Sequence[Sequence], position: int) -> None:
+        if (not isinstance(position, int) or isinstance(position, bool)
+                or position not in (1, 2, 3)):
+            raise ValueError(f"position must be 1, 2 or 3, got {position}")
+        base = tuple(tuple(row) for row in base)
+        if not base:
+            raise ValueError("lift base has no rows")
+        if any(len(row) != len(base) for row in base):
+            raise ValueError("lift base is not square")
+        self.__dict__.update(base=base, position=position)
 
     @property
     def m(self) -> int:
@@ -220,9 +227,7 @@ class LiftedMatrix:
 
 def kron_lift(S: Sequence[Sequence], position: int) -> LiftedMatrix:
     """Lift of S at the given slot: e.g. position 2 means I (x) S (x) I."""
-    if position not in (1, 2, 3):
-        raise ValueError(f"position must be 1, 2 or 3, got {position}")
-    return LiftedMatrix(_as_rows(S), position)
+    return LiftedMatrix(S, position)
 
 
 def diag_lift(sizes: Sequence) -> LiftedMatrix:

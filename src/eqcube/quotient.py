@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Sequence
 
 from .exact_linalg import exact_quotient, mat_identity, mat_mul
@@ -49,16 +50,19 @@ def check_dimension(n_value: int) -> None:
 def matrix_rows(S: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """The rows of S as tuples.  Raises InvalidQuotient unless S has rows,
     is square and holds only nonnegative ints (no bool)."""
-    rows = tuple(tuple(row) for row in S)
+    rows = tuple(map(tuple, S))
     m = len(rows)
     if m == 0:
         raise InvalidQuotient("matrix has no rows")
-    if any(len(row) != m for row in rows):
-        raise InvalidQuotient(f"matrix is not square: {m} rows, "
-                              f"row lengths {[len(r) for r in rows]}")
+    for row in rows:
+        if len(row) != m:
+            raise InvalidQuotient(f"matrix is not square: {m} rows, "
+                                  f"row lengths {[len(r) for r in rows]}")
     for i, row in enumerate(rows):
         for j, v in enumerate(row):
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            # an exact int passes at the first test
+            if not (type(v) is int or isinstance(v, int)
+                    and not isinstance(v, bool)) or v < 0:
                 raise InvalidQuotient(
                     f"entry ({i + 1},{j + 1}) = {v!r} is not a nonnegative integer")
     return rows
@@ -90,16 +94,16 @@ class QuotientMatrix:
             raise ValueError(f"n must be at most {MAX_DIMENSION}, got {n}")
         rows = matrix_rows(rows)
         m = len(rows)
-        for i, row in enumerate(rows):
-            s = sum(row)
+        for i, s in enumerate(map(sum, rows)):
             if s != n:
                 raise InvalidQuotient(f"row {i + 1} sums to {s}, expected n = {n}")
-        for i in range(m):
+        for i, row in enumerate(rows):
             for j in range(i + 1, m):
-                if (rows[i][j] > 0) != (rows[j][i] > 0):
+                s_ij, s_ji = row[j], rows[j][i]
+                if (s_ij > 0) != (s_ji > 0):
                     raise InvalidQuotient(
                         f"support asymmetry at pair ({i + 1},{j + 1}): "
-                        f"S_ij = {rows[i][j]}, S_ji = {rows[j][i]}")
+                        f"S_ij = {s_ij}, S_ji = {s_ji}")
         self.__dict__.update(n=n, rows=rows)
 
     @property
@@ -113,25 +117,26 @@ def validate_quotient(S: Sequence[Sequence[int]], n: int) -> QuotientMatrix:
 
 
 def _ratio_text(num: int, den: int) -> str:
-    """str(Fraction(num, den)) for a reduced ratio with den > 0."""
-    return f"{num}" if den == 1 else f"{num}/{den}"
+    """str(Fraction(num, den)) for den > 0."""
+    g = math.gcd(num, den)
+    return f"{num // g}" if den == g else f"{num // g}/{den // g}"
 
 
 def cell_sizes(Q: QuotientMatrix) -> tuple:
     """Cell sizes forced by |C_i| S_ij = |C_j| S_ji and sum = 2^n.
 
     Each cell's size ratio to cell 1 is propagated along a spanning tree
-    of the support graph as a reduced pair of integers (num, den), and
-    every non-tree support edge is checked by cross-multiplying; the
-    only Fractions built are fractional sizes, and a refusal prints each
-    ratio as str(Fraction) would.  Raises SizesUndetermined if the
+    of the support graph as a pair of integers (num, den), and every
+    non-tree support edge is checked by cross-multiplying; the only
+    Fractions built are fractional sizes, and a refusal prints each
+    ratio reduced, as str(Fraction) would.  Raises SizesUndetermined if the
     support graph is disconnected and InvalidQuotient if some cycle
     gives contradictory ratios.  Each size follows the number rule of
     `exact_linalg.exact_quotient`: an int where integral, else a
     Fraction, which callers decide the meaning of.
     """
-    m = Q.m
     S = Q.rows
+    m = len(S)
     # ratio of cell i to cell 1 is num[i] / den[i]; num 0 marks a cell
     # not reached yet (every reached ratio is positive)
     num = [1] + [0] * (m - 1)
@@ -146,15 +151,13 @@ def cell_sizes(Q: QuotientMatrix) -> tuple:
             # forced ratio a / b; S_ji > 0 by support symmetry
             a, b = p * s_ij, q * S[j][i]
             if num[j] == 0:
-                g = math.gcd(a, b)
-                num[j], den[j] = a // g, b // g
+                num[j], den[j] = a, b
                 stack.append(j)
             elif num[j] * b != den[j] * a:
-                g = math.gcd(a, b)
                 raise InvalidQuotient(
                     f"inconsistent size ratios around cells "
                     f"{i + 1} and {j + 1}: {_ratio_text(num[j], den[j])} "
-                    f"vs {_ratio_text(a // g, b // g)}")
+                    f"vs {_ratio_text(a, b)}")
     if 0 in num:
         missing = [i + 1 for i, r in enumerate(num) if r == 0]
         raise SizesUndetermined(
@@ -169,25 +172,28 @@ def cell_sizes(Q: QuotientMatrix) -> tuple:
 def char_poly(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Coefficients of det(tI - A), descending, leading 1.  Exact integers.
 
-    Faddeev-LeVerrier: every division is exact over the integers.
+    Berkowitz's division-free algorithm: bordering the k x k leading
+    principal submatrix B by column c, row r and corner a turns
+    p(t) = det(tI - B) = sum_j p_j t^(k-j) into (t - a) p(t) -
+    sum_(i<k) t^(k-1-i) sum_(j<=i) p_j r B^(i-j) c (Cayley-Hamilton).
     """
-    m = len(rows)
-    A = tuple(tuple(row) for row in rows)
-    coeffs = [1]
-    # A M_0 with M_0 = 0; each step's A M_k is the next step's A M_{k-1}
-    AM = tuple(tuple(0 for _ in range(m)) for _ in range(m))
-    c = 1
-    for k in range(1, m + 1):
-        # M_k = A M_{k-1} + c_{k-1} I
-        M = tuple(tuple(AM[i][j] + (c if i == j else 0) for j in range(m))
-                  for i in range(m))
-        AM = mat_mul(A, M)
-        tr = sum(AM[i][i] for i in range(m))
-        q, r = divmod(-tr, k)
-        assert r == 0, "characteristic polynomial division must be exact"
-        c = q
-        coeffs.append(c)
-    return tuple(coeffs)
+    A = tuple(map(tuple, rows))
+    p = [1]
+    for k, row in enumerate(A):
+        a, r = row[k], row[:k]
+        B = [A[i][:k] for i in range(k)]
+        v = [A[i][k] for i in range(k)]
+        # q lists r B^l c from l = k - 1 down to l = 0
+        q = []
+        for _ in range(k):
+            q.append(sum(map(mul, r, v)))
+            v = [sum(map(mul, b, v)) for b in B]
+        q.reverse()
+        p.append(0)
+        p = [1] + [p[d] - a * p[d - 1]
+                   - sum(map(mul, p[:d - 1], q[k + 1 - d:]))
+                   for d in range(1, k + 2)]
+    return tuple(p)
 
 
 def min_poly(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -256,7 +262,10 @@ def spectrum_check(Q: QuotientMatrix) -> SpectrumReport:
     eigen: list[int] = []
     for w in range(Q.n + 1):
         e = Q.n - 2 * w
-        while len(poly) > 1:
+        # a root e of a monic integer polynomial divides its constant
+        # term (rational root theorem), so an e != 0 that does not could
+        # only leave a nonzero remainder; e = 0 is tried by division
+        while len(poly) > 1 and not (e and poly[-1] % e):
             quot, rem = _synth_div(poly, e)
             if rem != 0:
                 break

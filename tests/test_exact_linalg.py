@@ -414,6 +414,17 @@ def test_compiled_step_source_holds_no_coefficient(monkeypatch):
 @pytest.mark.parametrize("call, message", [
     (lambda: kron_lift([[0, 3], [1]], 1), "lift base is not square"),
     (lambda: kron_lift(S_PAIR, 4), "position must be 1, 2 or 3, got 4"),
+    # a bool or a float position used to pass as 1
+    (lambda: kron_lift(S_PAIR, True), "position must be 1, 2 or 3, got True"),
+    (lambda: kron_lift(S_PAIR, 1.0), "position must be 1, 2 or 3, got 1.0"),
+    (lambda: kron_lift([], 1), "lift base has no rows"),
+    # the record checks its own rule: both of these used to be built, and
+    # apply_lift on the first raised TypeError
+    (lambda: LiftedMatrix(((1, 2), (3, 4)), 0),
+     "position must be 1, 2 or 3, got 0"),
+    (lambda: LiftedMatrix(((1, 2), (3, 4), (5, 6)), 1),
+     "lift base is not square"),
+    (lambda: LiftedMatrix((), 2), "lift base has no rows"),
     (lambda: apply_lift(TensorVector.zero(1), kron_lift(S_PAIR, 1)),
      "vector m=1, lift m=2"),
     (lambda: commutes(kron_lift([[1]], 1), kron_lift(S_PAIR, 2)),
@@ -424,3 +435,10 @@ def test_compiled_step_source_holds_no_coefficient(monkeypatch):
 def test_linear_algebra_refusals(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_a_hand_built_lift_is_converted_as_kron_lift_converts():
+    L = LiftedMatrix([[0, 3], [1, 2]], 2)
+    assert L == kron_lift(S_PAIR, 2) and L.base == ((0, 3), (1, 2))
+    assert L.T == LiftedMatrix(((0, 1), (3, 2)), 2)
+    assert diag_lift([2, 6]) == LiftedMatrix([[2, 0], [0, 6]], 1)

@@ -1,5 +1,7 @@
 """Quotient matrix validation, cell sizes, spectra, feasibility."""
 
+import hashlib
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -8,10 +10,10 @@ import pytest
 
 from eqcube.exact_linalg import exact_quotient
 from eqcube.oracle import singleton_partition, verify_equitable
-from eqcube.quotient import (MAX_DIMENSION, InvalidQuotient, QuotientMatrix,
-                             SizesUndetermined, cell_sizes, char_poly,
-                             feasibility_conditions, matrix_rows, min_poly,
-                             spectrum_check, validate_quotient)
+from eqcube.quotient import (MAX_DIMENSION, InvalidQuotient, QuotientError,
+                             QuotientMatrix, SizesUndetermined, cell_sizes,
+                             char_poly, feasibility_conditions, matrix_rows,
+                             min_poly, spectrum_check, validate_quotient)
 from eqcube.recursion import build_table
 from eqcube.screen import certify
 
@@ -473,3 +475,144 @@ def test_matrix_rows_checks_shape_and_entries_but_not_row_sums():
                        ([[0, -3], [1, 2]], "entry \\(1,2\\) = -3")):
         with pytest.raises(InvalidQuotient, match=message):
             matrix_rows(S)
+
+
+class _Int(int):
+    """An int subclass, which a quotient matrix accepts as an entry."""
+
+
+def test_an_int_subclass_entry_is_accepted_and_its_value_stored():
+    Q = QuotientMatrix(3, [[_Int(0), _Int(3)], [1, _Int(2)]])
+    assert Q.rows == ((0, 3), (1, 2))
+    assert Q == validate_quotient([[0, 3], [1, 2]], 3)
+
+
+@pytest.mark.parametrize("n, S, message", [
+    # one fault each: the entry check names the first bad entry
+    (3, [[0, 3], [True, 2]], "entry (2,1) = True is not a nonnegative integer"),
+    (3, [[0, 3.0], [1, 2]], "entry (1,2) = 3.0 is not a nonnegative integer"),
+    (3, [[0, "3"], [1, 2]], "entry (1,2) = '3' is not a nonnegative integer"),
+    (3, [[0, 3], [-1, 4]], "entry (2,1) = -1 is not a nonnegative integer"),
+    # two faults: the first check's message wins
+    (3, [[0, 3.0], [1, 1]], "entry (1,2) = 3.0 is not a nonnegative integer"),
+    (3, [[1, 2, 0], [1, 1, 1], [0, 0, 2]], "row 3 sums to 2, expected n = 3"),
+    (3, [[0, 3.0], [1]],
+     "matrix is not square: 2 rows, row lengths [2, 1]"),
+])
+def test_the_checks_run_in_a_fixed_order(n, S, message):
+    with pytest.raises(InvalidQuotient) as exc:
+        QuotientMatrix(n, S)
+    assert str(exc.value) == message
+
+
+def _det(A):
+    """det A by the permutation expansion, signs by inversion count."""
+    m = len(A)
+    total = 0
+    for perm in itertools.permutations(range(m)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(m) for j in range(i + 1, m))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= A[i][j]
+        total += term
+    return total
+
+
+def test_char_poly_matches_the_permutation_expansion_of_det():
+    # char_poly(A) evaluated at e equals det(eI - A) at e = 0..m, which
+    # fixes a monic polynomial of degree m
+    rng = random.Random(1984)
+    for _ in range(150):
+        m = rng.randint(1, 5)
+        A = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(m)]
+        coeffs = char_poly(A)
+        assert len(coeffs) == m + 1 and coeffs[0] == 1
+        for e in range(m + 1):
+            value = 0
+            for c in coeffs:
+                value = value * e + c
+            assert value == _det([[(e if i == j else 0) - A[i][j]
+                                   for j in range(m)] for i in range(m)]), A
+
+
+def test_char_poly_of_singleton_cube():
+    # the 8 x 8 adjacency of the 3-cube: (t - 3)(t - 1)^3 (t + 1)^3 (t + 3)
+    expected = [1]
+    for root in (3, 1, 1, 1, -1, -1, -1, -3):
+        expected = [a - root * b
+                    for a, b in zip(expected + [0], [0] + expected)]
+    Q = verify_equitable(singleton_partition(3))
+    assert char_poly(Q.rows) == tuple(expected)
+
+
+def _reference_spectrum(coeffs, n):
+    """Divide by t - e for every e = n - 2w, w = 0..n, in turn, as often
+    as the remainder is 0: (eigenvalues, what is left)."""
+    poly, eigen = list(coeffs), []
+    for w in range(n + 1):
+        e = n - 2 * w
+        while len(poly) > 1:
+            out = [poly[0]]
+            for a in poly[1:]:
+                out.append(a + e * out[-1])
+            if out[-1] != 0:
+                break
+            eigen.append(e)
+            poly = out[:-1]
+    return tuple(eigen), tuple(poly)
+
+
+def test_spectrum_check_matches_division_by_every_cube_eigenvalue():
+    rng = random.Random(33)
+    cases = [([[1, 1], [1, 1]], 2), ([[0]], 0), ([[2, 0], [0, 2]], 2),
+             ([[0, 2], [1, 1]], 2), (S22, 22)]
+    while len(cases) < 600:
+        m, n = rng.randint(1, 4), rng.randint(0, 10)
+        rows = []
+        for _ in range(m):
+            cuts = sorted(rng.randint(0, n) for _ in range(m - 1))
+            rows.append([b - a for a, b in zip([0] + cuts, cuts + [n])])
+        try:
+            validate_quotient(rows, n)
+        except QuotientError:
+            continue
+        cases.append((rows, n))
+    singular = 0
+    for rows, n in cases:
+        rep = spectrum_check(validate_quotient(rows, n))
+        eigen, left = _reference_spectrum(char_poly(rows), n)
+        assert rep.eigenvalues == eigen, (rows, n)
+        assert rep.splits == (len(left) == 1)
+        assert rep.residual == (None if rep.splits else left)
+        singular += rep.char_coeffs[-1] == 0
+    assert singular > 50
+
+
+def _census_line(n, S):
+    try:
+        report = feasibility_conditions(validate_quotient(S, n))
+    except QuotientError as exc:
+        return f"{n} {S} {type(exc).__name__}: {exc}"
+    return (f"{n} {S} {report.failures} {report.sizes} "
+            f"{report.spectrum.char_coeffs}")
+
+
+def test_verdict_census_of_small_matrices_is_pinned():
+    # every 3-cell matrix with rows summing to n <= 6 (35832 of them)
+    # and every 2-cell one with n <= 40, through validate_quotient and
+    # feasibility_conditions: one line each, the refusal or the failures,
+    # sizes and char_coeffs.  The digest was taken at commit 264a4fa,
+    # with Faddeev-LeVerrier's char_poly and before the one-pass entry
+    # check, so it pins that every verdict and message stayed the same.
+    lines = []
+    for m, n_max in ((3, 6), (2, 40)):
+        for n in range(n_max + 1):
+            rows = [list(c) for c in itertools.product(range(n + 1), repeat=m)
+                    if sum(c) == n]
+            lines += [_census_line(n, list(S))
+                      for S in itertools.product(rows, repeat=m)]
+    assert len(lines) == 35832 + sum((n + 1) ** 2 for n in range(41))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == ("ef3fa42994eb2412511fa7d6f8de26c6"
+                      "653cda7f190101a7d602171fd86c3621")
