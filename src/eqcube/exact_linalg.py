@@ -167,8 +167,8 @@ class LiftedMatrix:
 
     `base` is the matrix that acts, stored as tuples, and `position` in
     {1, 2, 3} the slot it contracts.  Raises ValueError for a position
-    that is no int 1, 2 or 3 (True is none), then for a base without
-    rows or not square.
+    that is not the int 1, 2 or 3 (a bool is refused), then for a base
+    without rows or not square.
     """
 
     base: tuple[tuple, ...]

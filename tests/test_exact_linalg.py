@@ -414,12 +414,12 @@ def test_compiled_step_source_holds_no_coefficient(monkeypatch):
 @pytest.mark.parametrize("call, message", [
     (lambda: kron_lift([[0, 3], [1]], 1), "lift base is not square"),
     (lambda: kron_lift(S_PAIR, 4), "position must be 1, 2 or 3, got 4"),
-    # a bool or a float position used to pass as 1
+    # a bool or a float is not a position
     (lambda: kron_lift(S_PAIR, True), "position must be 1, 2 or 3, got True"),
     (lambda: kron_lift(S_PAIR, 1.0), "position must be 1, 2 or 3, got 1.0"),
     (lambda: kron_lift([], 1), "lift base has no rows"),
-    # the record checks its own rule: both of these used to be built, and
-    # apply_lift on the first raised TypeError
+    # the record checks its own rule, so a hand-built lift is refused
+    # as kron_lift refuses one
     (lambda: LiftedMatrix(((1, 2), (3, 4)), 0),
      "position must be 1, 2 or 3, got 0"),
     (lambda: LiftedMatrix(((1, 2), (3, 4), (5, 6)), 1),
