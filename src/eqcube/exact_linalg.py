@@ -48,7 +48,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 
 def flat_index(m: int, i: int, j: int, k: int) -> int:
-    """Position of entry (i, j, k) (1-based) in the flat layout."""
+    """Position of entry (i, j, k) (1-based) in the flat layout.  It
+    checks nothing: `TensorVector.get` and `.unit` refuse an index
+    outside 1..m before they call it."""
     return ((i - 1) * m + (j - 1)) * m + (k - 1)
 
 
@@ -64,6 +66,14 @@ def iter_index_triples(m: int) -> Iterator[tuple[int, int, int]]:
         for j in range(1, m + 1):
             for k in range(1, m + 1):
                 yield (i, j, k)
+
+
+def _checked_position(m: int, i: int, j: int, k: int) -> int:
+    """flat_index of (i, j, k), refused with ValueError unless every
+    part lies in 1..m."""
+    if not (1 <= i <= m and 1 <= j <= m and 1 <= k <= m):
+        raise ValueError(f"index {(i, j, k)} lies outside 1..{m}")
+    return flat_index(m, i, j, k)
 
 
 class TensorVector:
@@ -91,11 +101,11 @@ class TensorVector:
     @classmethod
     def unit(cls, m: int, triple: tuple[int, int, int]) -> "TensorVector":
         i, j, k = triple
-        pos = flat_index(m, i, j, k)
+        pos = _checked_position(m, i, j, k)
         return cls(m, tuple(1 if p == pos else 0 for p in range(m ** 3)))
 
     def get(self, i: int, j: int, k: int):
-        return self.entries[flat_index(self.m, i, j, k)]
+        return self.entries[_checked_position(self.m, i, j, k)]
 
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
@@ -168,7 +178,8 @@ class LiftedMatrix:
     `base` is the matrix that acts, stored as tuples, and `position` in
     {1, 2, 3} the slot it contracts.  Raises ValueError for a position
     that is not the int 1, 2 or 3 (a bool is refused), then for a base
-    without rows or not square.
+    without rows or not square, then for an entry that is not an int or
+    a Fraction (a bool is refused too).
     """
 
     base: tuple[tuple, ...]
@@ -183,6 +194,10 @@ class LiftedMatrix:
             raise ValueError("lift base has no rows")
         if any(len(row) != len(base) for row in base):
             raise ValueError("lift base is not square")
+        for row in base:
+            for v in row:
+                if not isinstance(v, (int, Fraction)) or isinstance(v, bool):
+                    raise ValueError(f"not an exact value: {v!r}")
         self.__dict__.update(base=base, position=position)
 
     @property

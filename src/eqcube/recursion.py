@@ -70,17 +70,9 @@ routes; `cross_check` verifies that all of them agree and checks the
 index symmetries, the T = W * D' relation (entry by entry) and exact
 multinomial marginals on top.  By the equivariance of the step, on a
 table with its symmetries the routes of the representatives speak for
-all triples.  The symmetries themselves are tested by orbit first:
-every other triple must hold its representative's vector permuted by
-its order, and every representative with tied parts must be invariant
-under its stabilizer, the swap when r1 = r2 (triangle) and (0, 2, 1)
-when r2 = r3.  That suffices: two orders taking a triple to its
-representative differ by an element of the stabilizer, which fixes the
-representative's vector, so every symmetry image of every triple
-agrees.  The generators alone would not do, since (a, b, b) is fixed
-by (0, 2, 1), which is no generator of the triangle kind.  Only a table
-that fails this test is walked triple by triple, which lists the
-findings, so the lists are those of the walk either way.
+all triples.  The symmetries are tested by one walk, each triple
+against its image under each generator of its kind, whose findings are
+the list.
 
 For a partition that actually exists every T entry is a count
 divisible by the anchor cell size, so a negative or non-integral entry
@@ -274,16 +266,6 @@ def _orbits(kind: str, triples: Iterable[Triple]
         o = _orbit_order(kind, triple)
         plan.append((triple, (triple[o[0]], triple[o[1]], triple[o[2]]), o))
     return [triple for triple, _, o in plan if o == _IDENTITY], plan
-
-
-def _stabilizer(kind: str, rep: Triple) -> tuple[tuple[int, int, int], ...]:
-    """Orders generating the symmetries of a kind that fix the
-    representative `rep`: the exchange of two equal parts that the kind
-    permutes, the swap for r1 = r2 (triangle) and (0, 2, 1) for
-    r2 = r3."""
-    a, b, c = rep
-    ties = ((0, 2, 1),) if b == c else ()
-    return ties + ((1, 0, 2),) if kind == TRIANGLE and a == b else ties
 
 
 def _fill(plan, reps: Mapping[Triple, TensorVector]
@@ -569,8 +551,8 @@ def cross_check(table: DistributionTable, Q: QuotientMatrix,
         Interweight tables are anchored in the first slot; the anchor
         cannot trade places with a leg, and the only valid symmetry is
         the exchange of the two legs: X^{r1,r2,r3}_{ijk} = X^{r1,r3,r2}_{ikj}.
-        They are tested by orbit (see the module docstring); only a
-        table that fails is walked triple by triple for the list;
+        One walk tests each triple against its image under each
+        generator of the kind, and its findings are the list;
     (c) T = W * D' entrywise, when the companion table of the other
         kind is supplied (both must have the standard level 0);
     (d) multinomial marginals, for the standard level 0 only:
@@ -610,29 +592,22 @@ def cross_check(table: DistributionTable, Q: QuotientMatrix,
     entries = table.entries
     reps, plan = _orbits(table.kind, triples)
 
-    # the orbit plan's test first: each triple is its representative
-    # permuted by its order, and each representative is invariant under
-    # its stabilizer; then the table has every symmetry of its kind and
-    # the triple-by-triple walk below, which lists the findings, would
-    # find none
+    # each triple against its image under each generator of the kind;
+    # a table that meets them at every triple has the whole group
     sym: list[tuple[Triple, tuple[int, int, int], str]] = []
-    if not (all(entries[t] == entries[rep].permuted(o)
-                for t, rep, o in plan if o != _IDENTITY)
-            and all(entries[t].permuted(o) == entries[t]
-                    for t in reps for o in _stabilizer(table.kind, t))):
-        indices = list(iter_index_triples(m))
-        orders = _SYMMETRIES[table.kind]
-        for triple in triples:
-            vec = entries[triple].entries
-            images = [(label, entries[
-                (triple[order[0]], triple[order[1]], triple[order[2]])
-            ].permuted(order).entries) for label, order in orders]
-            if all(image == vec for _, image in images):
-                continue
-            for p, index in enumerate(indices):
-                for label, image in images:
-                    if vec[p] != image[p]:
-                        sym.append((triple, index, label))
+    indices = list(iter_index_triples(m))
+    orders = _SYMMETRIES[table.kind]
+    for triple in triples:
+        vec = entries[triple].entries
+        images = [(label, entries[
+            (triple[order[0]], triple[order[1]], triple[order[2]])
+        ].permuted(order).entries) for label, order in orders]
+        if all(image == vec for _, image in images):
+            continue
+        for p, index in enumerate(indices):
+            for label, image in images:
+                if vec[p] != image[p]:
+                    sym.append((triple, index, label))
 
     # on a symmetric table every triple of an orbit has its
     # representative's scale, vector and routes, permuted, so the

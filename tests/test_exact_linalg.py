@@ -1,6 +1,7 @@
 """Structural lifts: index order, lazy application, commutation."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -425,6 +426,20 @@ def test_compiled_step_source_holds_no_coefficient(monkeypatch):
     (lambda: LiftedMatrix(((1, 2), (3, 4), (5, 6)), 1),
      "lift base is not square"),
     (lambda: LiftedMatrix((), 2), "lift base has no rows"),
+    # a base entry is an int or a Fraction: None read as 0 in the plan,
+    # and a float gave float results
+    (lambda: LiftedMatrix(((None, 1), (1, 1)), 1),
+     "not an exact value: None"),
+    (lambda: kron_lift([[0.5, 1], [1, 1]], 2), "not an exact value: 0.5"),
+    (lambda: LiftedMatrix(((1, 0), (0, True)), 3),
+     "not an exact value: True"),
+    # an index outside 1..m read another entry, or gave a zero unit
+    (lambda: TensorVector.zero(2).get(0, 1, 1),
+     re.escape("index (0, 1, 1) lies outside 1..2")),
+    (lambda: TensorVector.zero(2).get(1, 1, 0),
+     re.escape("index (1, 1, 0) lies outside 1..2")),
+    (lambda: TensorVector.unit(2, (3, 1, 1)),
+     re.escape("index (3, 1, 1) lies outside 1..2")),
     (lambda: apply_lift(TensorVector.zero(1), kron_lift(S_PAIR, 1)),
      "vector m=1, lift m=2"),
     (lambda: commutes(kron_lift([[1]], 1), kron_lift(S_PAIR, 2)),

@@ -712,9 +712,10 @@ def per_triple_symmetry(table):
 # A tied representative whose vector lacks its stabilizer's symmetry,
 # with every other triple of its orbit filled from it as the climb fills
 # them: each non-representative is then its representative permuted by
-# its order, so only the stabilizer test tells this table from a
-# symmetric one.  (a, b, b) needs (0, 2, 1), which is no generator of the
-# triangle kind.
+# its order, so a test of each triple against its representative alone
+# would call this table symmetric.  (a, b, b) needs (0, 2, 1), which is
+# no generator of the triangle kind; the walk still finds the fault,
+# since it compares every triple of the orbit with its generator images.
 @pytest.mark.parametrize("kind, rep, index", [
     (TRIANGLE, (2, 0, 0), (1, 1, 2)),
     (TRIANGLE, (1, 1, 0), (1, 2, 1)),
@@ -732,6 +733,40 @@ def test_cross_check_finds_a_broken_stabilizer_as_the_per_triple_audit(
     want = per_triple_symmetry(table)
     assert want
     assert cross_check(table, Q_PAIR).symmetry_mismatches == want
+
+
+def naive_derivations(table, Q):
+    """The derivation findings of an audit of every route of every
+    triple: each vector scaled by its `entry_scale`, each route
+    re-derived by `derive_entry`."""
+    lifts = lifts_for(Q, table.kind)
+    D = common_denominator(table.entries[(0, 0, 0)])
+    scaled = {t: U * entry_scale(t, D) for t, U in table.entries.items()}
+    return [(t, via) for t in table.triples() for via in (1, 2, 3)
+            if t[via - 1] > 0
+            and derive_entry(scaled, lifts, table.n, t, via) != scaled[t]]
+
+
+# Every single-entry tamper of the pair partition's tables, 20 triples
+# by 8 indices per kind.  Some leave the table symmetric, so the
+# derivation audit runs both on the representatives with its fallback
+# and on every triple.
+@pytest.mark.parametrize("kind", [TRIANGLE, INTERWEIGHT])
+def test_cross_check_lists_match_the_naive_audits_at_every_tamper_site(kind):
+    entries = build_table(Q_PAIR, kind).entries
+    symmetric = 0
+    for triple in sorted(entries):
+        for index in iter_index_triples(2):
+            bad = {**entries,
+                   triple: entries[triple] + TensorVector.unit(2, index)}
+            table = DistributionTable(kind=kind, n=3, m=2, entries=bad)
+            rep = cross_check(table, Q_PAIR)
+            site = (triple, index)
+            assert rep.symmetry_mismatches == per_triple_symmetry(table), site
+            assert rep.derivation_mismatches == naive_derivations(
+                table, Q_PAIR), site
+            symmetric += not rep.symmetry_mismatches
+    assert len(entries) == 20 and symmetric
 
 
 def test_scan_violations_negative_list_is_pinned():

@@ -62,3 +62,73 @@ def test_an_edge_function_that_builds_no_fraction_is_named():
                                     "return str(v)"))
     assert source_rules.fraction_edge(path, tree) == [
         f"{path}: render_value is in EDGE but builds no Fraction"]
+
+
+_PLANTED = '''
+
+def _planted_sign(x):
+    if x < 0:
+        return -1
+    return 1
+
+
+_planted_sign(5)
+'''
+
+
+def _load(monkeypatch, path, name):
+    """Import the module at `path` as `name`, registered in sys.modules
+    for the length of the test (a dataclass looks its module up)."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+
+
+def _traced_copy(monkeypatch, tmp_path, name, extra=""):
+    """The coverage findings, with no allowlist, of importing a copy of
+    exact_linalg.py with `extra` appended under the tracer, and the
+    copy's lines."""
+    path = tmp_path / "exact_linalg.py"
+    path.write_text((ROOT / "src/eqcube/exact_linalg.py").read_text() + extra)
+    _, hits = source_rules.traced_lines(
+        tmp_path, lambda: _load(monkeypatch, path, name))
+    return (source_rules.coverage_sites(tmp_path, hits, {}),
+            path.read_text().splitlines())
+
+
+def test_the_coverage_rule_names_a_planted_untested_branch(monkeypatch,
+                                                           tmp_path):
+    clean, _ = _traced_copy(monkeypatch, tmp_path, "clean_copy")
+    planted, text = _traced_copy(monkeypatch, tmp_path, "planted_copy",
+                                 _PLANTED)
+    path = tmp_path / "exact_linalg.py"
+    # an import runs the definitions, not the functions' bodies
+    body = "    return ((i - 1) * m + (j - 1)) * m + (k - 1)"
+    assert (f"{path}:{text.index(body) + 1}: flat_index: {body.strip()}"
+            in clean)
+    line = text.index("        return -1") + 1
+    assert planted == clean + [f"{path}:{line}: _planted_sign: return -1"]
+
+
+def test_the_coverage_allowlist_fails_on_a_line_that_runs_or_is_gone(
+        monkeypatch, tmp_path, capsys):
+    path = tmp_path / "planted.py"
+    path.write_text(_PLANTED)
+    _, hits = source_rules.traced_lines(
+        tmp_path, lambda: _load(monkeypatch, path, "planted"))
+    allowed = {("planted.py", "_planted_sign", "return -1"): "unreachable",
+               ("planted.py", "_planted_sign", "return 1"): "wrong",
+               ("planted.py", "_planted_sign", "return 0"): "gone"}
+    assert source_rules.coverage_sites(tmp_path, hits, allowed) == [
+        f"{path}:6: _planted_sign: return 1 is in UNRUN but runs",
+        "planted.py: _planted_sign: return 0 is in UNRUN but is no line "
+        "of the module"]
+    assert capsys.readouterr().out == (
+        f"{path}:5: _planted_sign: return -1 does not run: unreachable\n")
+
+
+def test_the_tracer_in_place_before_is_restored(tmp_path):
+    before = sys.gettrace()
+    assert source_rules.traced_lines(tmp_path, lambda: 7) == (7, set())
+    assert sys.gettrace() is before

@@ -1,6 +1,7 @@
 """The source rules of the eqcube package, as CI runs them.
 
 Usage: python3 tools/source_rules.py RULE [RULE ...]
+       python3 tools/source_rules.py coverage
 
 RULE is one of the names below, or `all`.  Every module of src/eqcube
 (found next to this script's directory) is parsed once; each rule prints
@@ -13,13 +14,22 @@ otherwise, and 2 for an unknown rule.
                    Fraction
   fraction-edge    Fractions are built only in the edge functions, and
                    each edge function builds one
+
+`coverage` runs alone and is not part of `all`: it runs the tests/
+suite under a line tracer, which takes about three times as long as a
+plain run, and exits 1 if the run fails or if a line of src/eqcube
+that the tests do not run is missing from UNRUN, or one in it runs.
 """
 
 from __future__ import annotations
 
 import ast
+import dis
+import os
 import pathlib
 import sys
+import types
+from typing import Callable, Iterable
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "eqcube"
@@ -154,6 +164,133 @@ def fraction_edge(path: str, tree: ast.Module) -> list[str]:
                   for name in sorted(edge - built)]
 
 
+# The lines of src/eqcube that no test runs, by module, enclosing
+# function and source text, each with its reason.  The coverage rule
+# fails on any other line that does not run, and on an entry here whose
+# line runs or is gone, so the allowlist never outgrows the code.
+UNRUN = {
+    ("cli.py", "<module>", "raise SystemExit(main())"):
+        "the __main__ call: tests run `python -m eqcube.cli` in a "
+        "subprocess, which the tracer does not follow",
+    ("quotient.py", "min_poly",
+     'raise ArithmeticError("minimal polynomial must be integral")'):
+        "Gauss's lemma: the monic minimal polynomial of an integer "
+        "matrix has integer coefficients",
+    ("quotient.py", "min_poly",
+     'raise ArithmeticError("no dependence among I, A, ..., A^m")'):
+        "Cayley-Hamilton: A^m is a combination of I, A, ..., A^(m-1)",
+}
+
+
+def _code_lines(code: types.CodeType) -> set[int]:
+    """The lines where the bytecode of `code`, or of a code object
+    nested in it, starts a line: the lines a line tracer can see run."""
+    lines = {line for _, line in dis.findlinestarts(code) if line}
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            lines |= _code_lines(const)
+    return lines
+
+
+def _scopes(tree: ast.Module) -> dict[int, str]:
+    """The enclosing function or class of each line, dotted as
+    `fraction_edge` names it; a module-level line is absent."""
+    names = {}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = scope + (child.name,)
+                names.update(dict.fromkeys(
+                    range(child.lineno, child.end_lineno + 1),
+                    ".".join(inner)))
+            visit(child, inner)
+
+    visit(tree, ())
+    return names
+
+
+def traced_lines(package: pathlib.Path, run: Callable[[], object]
+                 ) -> tuple[object, set[tuple[str, int]]]:
+    """run()'s result, and (file, line) of each line of the modules in
+    `package` that ran meanwhile in this thread.  The `sys.settrace`
+    tracer follows only frames of the package's code, and the tracer in
+    place before is restored after."""
+    prefix = str(package) + os.sep
+    hits = set()
+
+    def local(frame, event, arg):
+        hits.add((frame.f_code.co_filename, frame.f_lineno))
+        return local
+
+    def tracer(frame, event, arg):
+        if not frame.f_code.co_filename.startswith(prefix):
+            return None
+        return local(frame, event, arg)
+
+    before = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        result = run()
+    finally:
+        sys.settrace(before)
+    return result, hits
+
+
+def coverage_sites(package: pathlib.Path, hits: Iterable[tuple[str, int]],
+                   allowed: dict) -> list[str]:
+    """Each line of the modules in `package` that the tracer can see but
+    that is not among `hits`, unless `allowed` names it; each line that
+    `allowed` names and that ran; and each entry of `allowed` that names
+    no line.  Prints the allowed lines that did not run, with their
+    reasons."""
+    hits = set(hits)
+    bad, seen = [], set()
+    for path in sorted(package.glob("*.py")):
+        shown = path.relative_to(ROOT) if path.is_relative_to(ROOT) else path
+        source = path.read_text()
+        text = source.splitlines()
+        scopes = _scopes(ast.parse(source))
+        for line in sorted(_code_lines(compile(source, str(path), "exec"))):
+            key = (path.name, scopes.get(line, "<module>"),
+                   text[line - 1].strip())
+            site = f"{shown}:{line}: {key[1]}: {key[2]}"
+            ran = (str(path), line) in hits
+            if key in allowed:
+                seen.add(key)
+                if ran:
+                    bad.append(f"{site} is in UNRUN but runs")
+                else:
+                    print(f"{site} does not run: {allowed[key]}")
+            elif not ran:
+                bad.append(site)
+    return bad + [f"{name}: {scope}: {line} is in UNRUN but is no line "
+                  f"of the module" for name, scope, line in allowed
+                  if (name, scope, line) not in seen]
+
+
+def coverage() -> int:
+    """Run the tests under the tracer and check src/eqcube's unrun
+    lines against UNRUN."""
+    import pytest  # only this rule needs it, to run the suite in-process
+
+    sys.path.insert(0, str(PACKAGE.parent))
+    status, hits = traced_lines(PACKAGE, lambda: pytest.main(
+        ["-q", "-p", "no:cacheprovider", str(ROOT / "tests")]))
+    if status != 0:
+        print(f"the traced test run failed: pytest exit {int(status)}",
+              file=sys.stderr)
+        return 1
+    bad = coverage_sites(PACKAGE, hits, UNRUN)
+    if bad:
+        print("lines of src/eqcube no test runs:\n" + "\n".join(bad),
+              file=sys.stderr)
+        return 1
+    return 0
+
+
 RULES = {
     "private-imports": ("private names used across modules", private_imports),
     "generated-code": ("generated code outside exact_linalg._compiled",
@@ -164,6 +301,8 @@ RULES = {
 
 
 def main(argv: list[str]) -> int:
+    if argv == ["coverage"]:
+        return coverage()
     names = list(RULES) if argv == ["all"] else argv
     unknown = [name for name in names if name not in RULES]
     if not names or unknown:
