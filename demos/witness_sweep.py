@@ -11,19 +11,21 @@ plane at cell index (1,1,1).
 
 from eqcube.screen import enumerate_ci_candidates, hunt_witness, sweep_ci
 
-# candidates up to n = 12, one line each
-report = sweep_ci(12)
-print(f"n <= {report.n_max}: {report.total} candidates, "
-      f"{report.with_witness} with a negative witness, "
-      f"{report.without_witness} without\n")
-for rec in report.candidates:
+# candidates up to n = 12, one line each; the sweep yields each record
+# as its hunt finishes, and the counts are read off the records
+records = list(sweep_ci(12))
+witnessed = sum(rec.witness is not None for rec in records)
+print(f"n <= 12: {len(records)} candidates, "
+      f"{witnessed} with a negative witness, "
+      f"{len(records) - witnessed} without\n")
+for rec in records:
     print(f"  n={rec.n:2d}  [[{rec.a},{rec.b}],[{rec.c},{rec.d}]]  "
           f"first negative at (0,{rec.witness[0]},{rec.witness[1]}): "
           f"{rec.witness_value}")
 
 # the hunt is per-candidate and deterministic; rerunning one candidate
 # reproduces its record exactly
-first = report.candidates[0]
+first = records[0]
 again = hunt_witness((first.n, first.a, first.b, first.c, first.d))
 assert again == first
 

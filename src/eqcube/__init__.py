@@ -21,7 +21,7 @@ from .quotient import (QuotientMatrix, cell_sizes, feasibility_conditions,
                        spectrum_check, validate_quotient)
 from .recursion import (DistributionTable, build_table, cross_check,
                         scan_violations, weight_distribution)
-from .screen import Certificate, SweepReport, certify, sweep_ci
+from .screen import Certificate, certify, sweep_ci
 
 __version__ = "0.1.0"
 
@@ -37,6 +37,6 @@ __all__ = [
     "spectrum_check", "validate_quotient",
     "DistributionTable", "build_table", "cross_check", "scan_violations",
     "weight_distribution",
-    "Certificate", "SweepReport", "certify", "sweep_ci",
+    "Certificate", "certify", "sweep_ci",
     "__version__",
 ]

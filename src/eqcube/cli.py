@@ -168,10 +168,9 @@ def write_table(table: DistributionTable, fmt: str, out) -> None:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["r1", "r2", "r3", "i", "j", "k", "value"])
     for triple in table.triples():
-        vec = table.entries[triple]
-        for (i, j, k) in iter_index_triples(table.m):
-            writer.writerow([triple[0], triple[1], triple[2], i, j, k,
-                             render_value(vec.get(i, j, k))])
+        for (i, j, k), value in zip(iter_index_triples(table.m),
+                                    table.entries[triple].entries):
+            writer.writerow([*triple, i, j, k, render_value(value)])
 
 
 @contextlib.contextmanager
@@ -262,18 +261,23 @@ def cmd_screen(args: argparse.Namespace, out) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace, out) -> int:
-    report = screen.sweep_ci(args.n_max, jobs=args.jobs)
-    for cand in report.candidates:
-        rec = asdict(cand)
-        if cand.witness is None:
-            rec["witness"] = "NO WITNESS FOUND"
-        out.write(json.dumps(rec, default=render_value) + "\n")
-    summary = (f"sweep n_max={report.n_max}: {report.total} candidates, "
-               f"{report.with_witness} with witness, "
-               f"{report.without_witness} without")
+    total = without = 0
+    # closed on a closed pipe too, which cancels the hunts not yet started
+    with contextlib.closing(screen.sweep_ci(args.n_max,
+                                            jobs=args.jobs)) as records:
+        for cand in records:
+            rec = asdict(cand)
+            if cand.witness is None:
+                rec["witness"] = "NO WITNESS FOUND"
+                without += 1
+            total += 1
+            out.write(json.dumps(rec, default=render_value) + "\n")
+            out.flush()  # each record is readable as its hunt finishes
+    summary = (f"sweep n_max={args.n_max}: {total} candidates, "
+               f"{total - without} with witness, {without} without")
     # records written to stdout own it; the summary then goes to stderr
     print(summary, file=sys.stderr if out is sys.stdout else sys.stdout)
-    return 0 if report.without_witness == 0 else 1
+    return 0 if without == 0 else 1
 
 
 def cmd_oracle_verify(args: argparse.Namespace, out) -> int:
@@ -317,9 +321,11 @@ def _parse_pins(raw: list[str]) -> dict[int, int]:
     pins: dict[int, int] = {}
     for item in raw:
         try:
-            v, label = map(int, item.split(":"))
+            v, label = map(_parse_int, item.split(":"))
         except ValueError as exc:
-            raise ValueError(f"bad pin {item!r}; expected VERTEX:CELL") from exc
+            raise ValueError(f"bad pin: {exc}; expected VERTEX:CELL") from exc
+        if v in pins:
+            raise ValueError(f"vertex {v} is pinned twice")
         pins[v] = label
     return pins
 

@@ -28,7 +28,7 @@ from .exact_linalg import TensorVector, flat_index
 from .quotient import (QuotientMatrix, check_dimension, check_integer,
                        validate_quotient)
 from .recursion import (INTERWEIGHT, TRIANGLE, DistributionTable, Triple,
-                        iter_triples_of_level)
+                        table_triples)
 
 
 def hamming(u: int, v: int) -> int:
@@ -216,18 +216,13 @@ def spectrum_of_multiset(X: "Mapping[int, int] | Iterable[int]",
     return tuple(out)
 
 
-def _table_triples(n: int) -> list[Triple]:
-    """The triples of levels 0..n in table order."""
-    return [t for level in range(n + 1) for t in iter_triples_of_level(level)]
-
-
 def _empty_counts(n: int, m: int) -> dict[Triple, list]:
-    return {t: [0] * m ** 3 for t in _table_triples(n)}
+    return {t: [0] * m ** 3 for t in table_triples(n)}
 
 
 @lru_cache(maxsize=None)
 def _offset_table(n: int) -> tuple[array, ...]:
-    """offsets[a][b]: the position in `_table_triples(n)` of
+    """offsets[a][b]: the position in `table_triples(n)` of
     `_triple_index(0, a, b)`.
 
     `_triple_index(v, x, y)` reads only XORs of its vertices, so it
@@ -236,7 +231,7 @@ def _offset_table(n: int) -> tuple[array, ...]:
     (512 KiB) at the invariance bound n = 9, 512 MiB at n = 14, which
     only a forced `brute_interweight` reaches.
     """
-    position = {t: p for p, t in enumerate(_table_triples(n))}
+    position = {t: p for p, t in enumerate(table_triples(n))}
     size = 1 << n
     return tuple(array("H", (position[_triple_index(0, a, b)]
                              for b in range(size)))
@@ -484,7 +479,7 @@ def ps_brute_interweight(PS: PerfectStructure, v: int) -> dict[Triple, TensorVec
     size = 1 << n
     _check_vertex(v, n)
     counts: dict[Triple, list] = {
-        t: [Fraction(0)] * m ** 3 for t in _table_triples(n)}
+        t: [Fraction(0)] * m ** 3 for t in table_triples(n)}
     anchor = PS.values[v]
     for x in range(size):
         for y in range(size):

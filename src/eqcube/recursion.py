@@ -101,7 +101,7 @@ from .exact_linalg import (LiftedMatrix, TensorVector, apply_lift,
                            flat_index, iter_index_triples, kron_lift,
                            lift_step)
 from .quotient import (QuotientError, QuotientMatrix, cell_sizes,
-                       check_dimension)
+                       check_dimension, check_integer)
 
 Triple = tuple[int, int, int]
 
@@ -149,6 +149,11 @@ def iter_triples_of_level(level: int) -> Iterator[Triple]:
     for r1 in range(level + 1):
         for r2 in range(level - r1 + 1):
             yield (r1, r2, level - r1 - r2)
+
+
+def table_triples(top: int) -> list[Triple]:
+    """The triples of levels 0..top in table order."""
+    return [t for level in range(top + 1) for t in iter_triples_of_level(level)]
 
 
 def derive_entry(levels: Mapping[Triple, TensorVector],
@@ -217,12 +222,38 @@ class DistributionTable:
 
     Level 0 is stored with the rest; `cross_check` compares it with
     `default_initial` to decide which identities the table must meet.
+    Checked when built: raises ValueError unless the kind is TRIANGLE or
+    INTERWEIGHT, n passes `check_dimension`, m is an int >= 1, the keys
+    are the triples of levels 0..L for one L <= n (`table_triples(L)`)
+    and each value is a TensorVector with that m.
     """
 
     kind: str
     n: int
     m: int
     entries: dict[Triple, TensorVector]
+
+    def __post_init__(self) -> None:
+        if self.kind not in (TRIANGLE, INTERWEIGHT):
+            raise ValueError(f"unknown table kind {self.kind!r}")
+        check_dimension(self.n)
+        check_integer(self.m)
+        if self.m < 1:
+            raise ValueError(f"m must be at least 1, got {self.m}")
+        top = 0  # the level L of a table of C(L + 3, 3) triples
+        while math.comb(top + 3, 3) < len(self.entries):
+            top += 1
+        if top > self.n:
+            raise ValueError(f"{len(self.entries)} entries, more than a "
+                             f"table to level n = {self.n} holds")
+        for t in table_triples(top):
+            if t not in self.entries:
+                raise ValueError(f"no entry for triple {t}, so the entries "
+                                 f"are no table to a level L <= n")
+        for t, vec in self.entries.items():
+            if not isinstance(vec, TensorVector) or vec.m != self.m:
+                raise ValueError(f"entry {t} is no TensorVector with m = "
+                                 f"{self.m}")
 
     def triples(self) -> list[Triple]:
         """Stored triples in the one scan order every walk of a table

@@ -15,9 +15,9 @@ immunity bound (oriented b > c >= 1, exactly 3(c - a) > n), and hunts
 the r1 = 0 plane of each triangle table for a negative entry at index
 (1, 1, 1), stopping at the first hit per candidate.  The point of the
 sweep is that every such candidate is expected to produce a witness;
-records without one are flagged loudly.  The process pool, and with it
-`multiprocessing`, is imported on first use, only when a sweep starts
-more than one worker.
+records without one are flagged loudly.  Each record streams out as
+its hunt finishes.  The process pool, and with it `multiprocessing`, is
+imported on first use, only when a sweep starts more than one worker.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Generator
 
 from .quotient import (FeasibilityReport, InvalidQuotient, check_integer,
                        feasibility_conditions, matrix_rows,
@@ -119,24 +120,6 @@ class SweepCandidate:
     witness_value: Fraction | None
 
 
-@dataclass(frozen=True)
-class SweepReport:
-    n_max: int
-    candidates: tuple[SweepCandidate, ...]
-
-    @property
-    def total(self) -> int:
-        return len(self.candidates)
-
-    @property
-    def with_witness(self) -> int:
-        return sum(1 for c in self.candidates if c.witness is not None)
-
-    @property
-    def without_witness(self) -> int:
-        return self.total - self.with_witness
-
-
 def enumerate_ci_candidates(n_max: int) -> list[tuple[int, int, int, int, int]]:
     """All (n, a, b, c, d) with rows summing to n, oriented b > c >= 1,
     sizes divisible (so (b + c)/gcd(b, c) divides 2^n), and the
@@ -201,16 +184,18 @@ def worker_count(jobs: int, tasks: int) -> int:
 MAX_SWEEP_N = 200
 
 
-def sweep_ci(n_max: int, jobs: int = 1) -> SweepReport:
+def sweep_ci(n_max: int,
+             jobs: int = 1) -> Generator[SweepCandidate, None, None]:
     """Hunt witnesses for every qualifying two-cell candidate up to n_max.
 
-    Candidates are independent; with jobs > 1 they are farmed out to a
-    process pool of `worker_count(jobs, #candidates)` workers and
-    collected in enumeration order, so the report is identical for any
-    job count.  The pool (and with it `multiprocessing`) is imported
-    here on first use, only when more than one worker starts.  Rejects
-    n_max < 1, n_max > MAX_SWEEP_N, or not an int, before any work, and
-    jobs through `worker_count`.
+    Returns a generator of the records, each as its hunt finishes, in
+    enumeration order for any job count: with jobs > 1 a process pool of
+    `worker_count(jobs, #candidates)` workers runs the hunts, and closing
+    the generator early cancels those not yet started.  The pool (and
+    `multiprocessing`) is imported on the first record, only when more
+    than one worker starts.  Rejects n_max < 1, n_max > MAX_SWEEP_N, or
+    not an int, and jobs through `worker_count`, when called, before any
+    hunt.
     """
     check_integer(n_max)
     if n_max < 1:
@@ -218,12 +203,16 @@ def sweep_ci(n_max: int, jobs: int = 1) -> SweepReport:
     if n_max > MAX_SWEEP_N:
         raise ValueError(f"n_max must be at most {MAX_SWEEP_N}, got {n_max}")
     params = enumerate_ci_candidates(n_max)
-    workers = worker_count(jobs, len(params))
+    return _hunts(params, worker_count(jobs, len(params)))
+
+
+def _hunts(params: list,
+           workers: int) -> Generator[SweepCandidate, None, None]:
+    """`hunt_witness` of each of params, in order, on `workers` processes."""
     if workers > 1:
         # imported here: the pool's import would cost every process start
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(hunt_witness, params, chunksize=1))
+            yield from pool.map(hunt_witness, params, chunksize=1)
     else:
-        results = [hunt_witness(p) for p in params]
-    return SweepReport(n_max=n_max, candidates=tuple(results))
+        yield from map(hunt_witness, params)

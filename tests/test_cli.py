@@ -19,7 +19,7 @@ from eqcube.oracle import (parity_partition, parse_rational,
                            singleton_partition)
 from eqcube.quotient import validate_quotient
 from eqcube.recursion import TRIANGLE, build_table
-from eqcube.screen import SweepCandidate
+from eqcube.screen import SweepCandidate, enumerate_ci_candidates
 
 PAIR_MATRIX = {"n": 3, "S": [[0, 3], [1, 2]]}
 PAIR_PARTITION = {"n": 3, "m": 2, "cells": [[0, 7], [1, 2, 3, 4, 5, 6]]}
@@ -636,6 +636,65 @@ def test_sweep_to_file_moves_summary_to_stdout(tmp_path, capsys):
         "witness"] == [2, 3]
 
 
+class LoggedStdout:
+    """A stdout that logs into `events` each flush and each write of a
+    sweep record, by the record's (n, a, b, c, d)."""
+
+    def __init__(self, events):
+        self.events = events
+
+    def write(self, text):
+        self.events.append(("write", tuple(json.loads(text).values())[:5]))
+
+    def flush(self):
+        self.events.append(("flush",))
+
+
+def logged_hunts(events, monkeypatch):
+    """Replace the sweep's hunt by one that logs its start in `events`
+    and finds the witness (1, 1) at once."""
+    def hunt_witness(params):
+        events.append(("hunt", params))
+        return SweepCandidate(*params, witness=(1, 1),
+                              witness_value=Fraction(-1))
+    monkeypatch.setattr("eqcube.screen.hunt_witness", hunt_witness)
+
+
+def test_sweep_writes_and_flushes_each_record_before_the_next_hunt(
+        capsys, monkeypatch):
+    events = []
+    logged_hunts(events, monkeypatch)
+    monkeypatch.setattr("sys.stdout", LoggedStdout(events))
+    assert main(["sweep", "--n-max", "14"]) == 0
+    params = enumerate_ci_candidates(14)
+    assert len(params) == 7
+    assert events == [event for p in params
+                      for event in (("hunt", p), ("write", p), ("flush",))]
+    assert capsys.readouterr().err == \
+        "sweep n_max=14: 7 candidates, 7 with witness, 0 without\n"
+
+
+def test_sweep_stops_hunting_when_the_reader_goes(tmp_path, capsys,
+                                                  monkeypatch):
+    events = []
+    logged_hunts(events, monkeypatch)
+    with open(tmp_path / "stdout", "wb") as fh:
+        monkeypatch.setattr("sys.stdout", ClosedPipe(fh.fileno()))
+        assert main(["sweep", "--n-max", "14"]) == 141
+    # the first record met the closed pipe; no hunt started after it
+    assert events == [("hunt", enumerate_ci_candidates(14)[0])]
+    assert capsys.readouterr().err == ""
+
+
+def test_sweep_jobs_2_writes_the_serial_bytes(capsys):
+    runs = []
+    for jobs in ("1", "2"):
+        assert main(["sweep", "--n-max", "14", "--jobs", jobs]) == 0
+        runs.append(capsys.readouterr())
+    assert runs[0] == runs[1]
+    assert runs[0].out.count("\n") == 7
+
+
 # -- oracle ------------------------------------------------------------------
 
 def test_oracle_verify_equitable(write_doc, capsys):
@@ -723,6 +782,29 @@ def test_oracle_search_rejects_malformed_pin(write_doc, capsys):
     mpath = write_doc("pair.json", PAIR_MATRIX)
     assert main(["oracle", "search", "--input", mpath,
                  "--pin", "zero=one"]) == 64
+
+
+LONG = "1" + "0" * 4300  # 4301 digits, one past the rule of `_parse_int`
+
+
+@pytest.mark.parametrize("pins, message", [
+    (["0:1", "0:2"], "vertex 0 is pinned twice"),
+    (["0:1", "0:1"], "vertex 0 is pinned twice"),
+    ([f"{LONG}:1"], "bad pin: an integer of more than 4300 digits; "
+                    "expected VERTEX:CELL"),
+    ([f"0:{LONG}"], "bad pin: an integer of more than 4300 digits; "
+                    "expected VERTEX:CELL"),
+], ids=["last-would-win", "same-cell", "long-vertex", "long-cell"])
+def test_oracle_search_refuses_a_vertex_pinned_twice_and_a_long_pin(
+        write_doc, capsys, pins, message):
+    mpath = write_doc("halves.json", {"n": 3, "S": [[1, 2], [2, 1]]})
+    argv = ["oracle", "search", "--input", mpath]
+    for pin in pins:
+        argv += ["--pin", pin]
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_oracle_ps_verify(write_doc, capsys):

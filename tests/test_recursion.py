@@ -358,9 +358,8 @@ def test_violation_sites_match_a_naive_scan(kind):
             size_at = recursion._anchor_sizes(tuple(anchor))[0]
             assert [recursion._count_violations(vec.entries, size_at)
                     for vec in tampered.entries.values()] == [
-                len(naive_sites(replace(tampered, entries={t: vec}),
-                                cell_sizes(Q)))
-                for t, vec in tampered.entries.items()], Q
+                sum(site[0] == t for site in want)
+                for t in tampered.entries], Q
         assert reasons == {"negative", "non-integer"}, Q
 
 
@@ -521,6 +520,44 @@ def test_build_table_steps_once_per_orbit_representative(monkeypatch, kind):
                      for t in _representatives(kind, level)]
     # the climb and the division share one orbit plan per level
     assert plans == [kind] * 23
+
+
+PAIR_ENTRIES = build_table(Q_PAIR, TRIANGLE).entries
+
+
+def _without(triple):
+    return {t: v for t, v in PAIR_ENTRIES.items() if t != triple}
+
+
+# each refusal of the table's rule, on the pair 3-cube table
+@pytest.mark.parametrize("fields, message", [
+    ({"entries": _without((0, 0, 1))}, "no entry for triple (0, 0, 1)"),
+    ({"entries": _without((0, 0, 0))}, "no entry for triple (0, 0, 0)"),
+    ({"entries": {**PAIR_ENTRIES, (0, 1, 0): (1,) * 8}},
+     "entry (0, 1, 0) is no TensorVector with m = 2"),
+    ({"entries": {**PAIR_ENTRIES, (0, 1, 0): TensorVector.zero(3)}},
+     "entry (0, 1, 0) is no TensorVector with m = 2"),
+    ({"entries": {}}, "no entry for triple (0, 0, 0)"),
+    ({"entries": {**_without((0, 0, 1)), (9, 9, 9): TensorVector.zero(2)}},
+     "no entry for triple (0, 0, 1)"),
+    ({"n": 2}, "20 entries, more than a table to level n = 2 holds"),
+    ({"kind": "pair"}, "unknown table kind 'pair'"),
+    ({"n": -1}, "negative dimension n = -1"),
+    ({"n": 3.0}, "not an integer: 3.0"),
+    ({"m": True}, "not an integer: True"),
+    ({"m": 0}, "m must be at least 1, got 0"),
+], ids=["no-001", "no-000", "tuple", "wider-vector", "empty", "stray-key",
+        "past-n", "kind", "negative-n", "float-n", "bool-m", "zero-m"])
+def test_a_table_is_checked_when_built(fields, message):
+    table = dict(kind=TRIANGLE, n=3, m=2, entries=PAIR_ENTRIES)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        DistributionTable(**{**table, **fields})
+
+
+def test_a_table_may_stop_below_n():
+    for top in range(4):
+        entries = {t: PAIR_ENTRIES[t] for t in recursion.table_triples(top)}
+        assert DistributionTable(TRIANGLE, 3, 2, entries).entries == entries
 
 
 def test_leg_exchange_suffices_for_an_interweight_table():

@@ -6,7 +6,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +14,7 @@ import pytest
 from eqcube import oracle, recursion, screen
 from eqcube.quotient import (InvalidQuotient, cell_sizes,
                              feasibility_conditions, validate_quotient)
-from eqcube.screen import (Certificate, SweepCandidate, SweepReport, certify,
+from eqcube.screen import (Certificate, SweepCandidate, certify,
                            enumerate_ci_candidates, hunt_witness, sweep_ci,
                            worker_count)
 from eqcube.recursion import TRIANGLE, build_table, scan_violations
@@ -248,31 +247,17 @@ def test_hunt_without_witness_reports_none():
 
 
 def test_sweep_small_range_all_witnessed():
-    report = sweep_ci(11)
-    assert report.total == 7
-    assert report.with_witness == 7
-    assert report.without_witness == 0
-    for rec in report.candidates:
+    records = list(sweep_ci(11))
+    assert len(records) == 7
+    for rec in records:
         assert isinstance(rec, SweepCandidate)
         assert rec.witness is not None
         assert rec.witness_value < 0
 
 
-def test_sweep_report_counts_its_candidates():
-    found = SweepCandidate(n=5, a=0, b=5, c=3, d=2, witness=(2, 3),
-                           witness_value=Fraction(-1))
-    missed = SweepCandidate(n=3, a=0, b=3, c=1, d=2, witness=None,
-                            witness_value=None)
-    report = SweepReport(n_max=5, candidates=(found, missed, found))
-    assert (report.total, report.with_witness, report.without_witness) \
-        == (3, 2, 1)
-    # the counts are read off the candidates, not stored beside them
-    assert [f.name for f in fields(SweepReport)] == ["n_max", "candidates"]
-
-
 def test_sweep_parallel_matches_serial():
-    serial = sweep_ci(11, jobs=1)
-    parallel = sweep_ci(11, jobs=2)
+    serial = list(sweep_ci(11, jobs=1))
+    parallel = list(sweep_ci(11, jobs=2))
     assert serial == parallel
 
 
@@ -319,14 +304,12 @@ def test_sweep_takes_n_max_up_to_the_bound(monkeypatch):
     monkeypatch.setattr(screen, "enumerate_ci_candidates",
                         lambda n_max: asked.append(n_max) or [])
     assert screen.MAX_SWEEP_N == 200
-    assert sweep_ci(200) == SweepReport(n_max=200, candidates=())
+    assert list(sweep_ci(200)) == []
     assert asked == [200]
 
 
 def test_sweep_empty_range():
-    report = sweep_ci(2)
-    assert report.total == 0
-    assert report.candidates == ()
+    assert list(sweep_ci(2)) == []
 
 
 # -- cold start --------------------------------------------------------------
@@ -336,7 +319,7 @@ PRINT_MODULES = "print(json.dumps(sorted(sys.modules)))"
 
 # imports the package and the CLI, screens a matrix and sweeps serially,
 # then prints the loaded modules; a two-worker sweep after that must
-# import the pool from cold and match the serial report
+# import the pool from cold and match the serial records
 COLD_SCRIPT = f"""
 import json, os, sys
 sys.path.insert(0, sys.argv[1])
@@ -345,10 +328,10 @@ import eqcube.cli
 from eqcube.screen import sweep_ci
 status = eqcube.cli.main(["screen", "--input", sys.argv[2]])
 assert status == 0, status
-sweep_ci(5)
+assert len(list(sweep_ci(5))) == 1
 {PRINT_MODULES}
 if (os.cpu_count() or 1) > 1:
-    assert sweep_ci(11, jobs=2) == sweep_ci(11)
+    assert list(sweep_ci(11, jobs=2)) == list(sweep_ci(11))
     assert "concurrent.futures.process" in sys.modules
 """
 
