@@ -25,9 +25,9 @@ for w, mat in enumerate(weight_distribution(Q)):
 # triples at prescribed pairwise distances, cell-wise
 table = build_table(Q, TRIANGLE)
 print("\ntriangle table levels 0 and 1 (vectors in flat i-major order):")
-for triple in table.triples():
+for triple, vec in table.entries.items():
     if sum(triple) <= 1:
-        print(f"  T^{triple} = {list(table.entries[triple].entries)}")
+        print(f"  T^{triple} = {list(vec.entries)}")
 
 # every entry agrees with the brute-force count over all 8^3 triples
 assert brute_triangle(P).entries == table.entries

@@ -147,10 +147,9 @@ def _load_structure_pair(args: argparse.Namespace
 
 def table_document(table: DistributionTable) -> dict:
     entries: dict[str, list[str]] = {}
-    for triple in table.triples():
+    for triple, vec in table.entries.items():
         key = ",".join(str(r) for r in triple)
-        entries[key] = [render_value(e)
-                        for e in table.entries[triple].entries]
+        entries[key] = [render_value(e) for e in vec.entries]
     return {
         "kind": table.kind,
         "n": table.n,
@@ -167,9 +166,8 @@ def write_table(table: DistributionTable, fmt: str, out) -> None:
         return
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["r1", "r2", "r3", "i", "j", "k", "value"])
-    for triple in table.triples():
-        for (i, j, k), value in zip(iter_index_triples(table.m),
-                                    table.entries[triple].entries):
+    for triple, vec in table.entries.items():
+        for (i, j, k), value in zip(iter_index_triples(table.m), vec.entries):
             writer.writerow([*triple, i, j, k, render_value(value)])
 
 

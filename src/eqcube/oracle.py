@@ -339,8 +339,8 @@ def strong_invariance_check(P: PartitionInstance) -> InvarianceResult:
             reference[label] = (v, table)
             continue
         v0, table0 = reference[label]
-        for triple in table.triples():
-            if table.entries[triple] != table0.entries[triple]:
+        for triple, vec in table.entries.items():
+            if vec != table0.entries[triple]:
                 return InvarianceResult(
                     status="fails",
                     witness=(label, v0, v, triple),

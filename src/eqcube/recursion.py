@@ -93,6 +93,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from operator import lt, mod, mul, or_, truth
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 # apply_lift is not called here, but bench/spans.py wraps it at this
@@ -151,9 +152,10 @@ def iter_triples_of_level(level: int) -> Iterator[Triple]:
             yield (r1, r2, level - r1 - r2)
 
 
-def table_triples(top: int) -> list[Triple]:
-    """The triples of levels 0..top in table order."""
-    return [t for level in range(top + 1) for t in iter_triples_of_level(level)]
+@lru_cache(maxsize=64)
+def table_triples(top: int) -> tuple[Triple, ...]:
+    """The triples of levels 0..top in the one table order, cached."""
+    return tuple(t for s in range(top + 1) for t in iter_triples_of_level(s))
 
 
 def derive_entry(levels: Mapping[Triple, TensorVector],
@@ -216,22 +218,23 @@ def canonical_via(triple: Triple) -> int:
     raise ValueError("level-0 triple has no derivation route")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DistributionTable:
     """All vectors T^{r1,r2,r3} (or W^...) up to a level bound.
 
     Level 0 is stored with the rest; `cross_check` compares it with
     `default_initial` to decide which identities the table must meet.
     Checked when built: raises ValueError unless the kind is TRIANGLE or
-    INTERWEIGHT, n passes `check_dimension`, m is an int >= 1, the keys
-    are the triples of levels 0..L for one L <= n (`table_triples(L)`)
-    and each value is a TensorVector with that m.
+    INTERWEIGHT, n passes `check_dimension`, m is an int >= 1, `entries`
+    is a mapping whose keys are the triples of levels 0..L for one L <= n
+    and each value is a TensorVector with that m.  The entries are then
+    stored read-only, in `table_triples(L)` order, the order of any walk.
     """
 
     kind: str
     n: int
     m: int
-    entries: dict[Triple, TensorVector]
+    entries: Mapping[Triple, TensorVector]
 
     def __post_init__(self) -> None:
         if self.kind not in (TRIANGLE, INTERWEIGHT):
@@ -246,19 +249,18 @@ class DistributionTable:
         if top > self.n:
             raise ValueError(f"{len(self.entries)} entries, more than a "
                              f"table to level n = {self.n} holds")
-        for t in table_triples(top):
-            if t not in self.entries:
+        stored = {t: self.entries.get(t) for t in table_triples(top)}
+        for t, vec in stored.items():
+            if vec is None:
                 raise ValueError(f"no entry for triple {t}, so the entries "
                                  f"are no table to a level L <= n")
-        for t, vec in self.entries.items():
             if not isinstance(vec, TensorVector) or vec.m != self.m:
                 raise ValueError(f"entry {t} is no TensorVector with m = "
                                  f"{self.m}")
+        object.__setattr__(self, "entries", MappingProxyType(stored))
 
-    def triples(self) -> list[Triple]:
-        """Stored triples in the one scan order every walk of a table
-        uses: by level, then lexicographic."""
-        return sorted(self.entries, key=lambda t: (sum(t), t))
+    def __reduce__(self):  # a mapping proxy cannot be pickled
+        return DistributionTable, (self.kind, self.n, self.m, dict(self.entries))
 
 
 # The symmetries of each kind, as (label, order) pairs: the order o
@@ -540,8 +542,7 @@ def scan_violations(table: DistributionTable,
     if len(sizes) != table.m:
         raise ValueError(f"{len(sizes)} cell sizes for a table with m={table.m}")
     anchor = sizes if table.kind == TRIANGLE else (1,) * table.m
-    vectors = ((triple, table.entries[triple].entries)
-               for triple in table.triples())
+    vectors = ((triple, vec.entries) for triple, vec in table.entries.items())
     return list(_sites(vectors, _anchor_sizes(tuple(anchor))[0],
                        list(iter_index_triples(table.m))))
 
@@ -619,17 +620,16 @@ def cross_check(table: DistributionTable, Q: QuotientMatrix,
         return [standards[kind].get(i, i, i) for i in range(1, m + 1)]
 
     checks = ["derivations", "symmetry"]
-    triples = table.triples()
     entries = table.entries
-    reps, plan = _orbits(table.kind, triples)
+    reps, plan = _orbits(table.kind, entries)
 
     # each triple against its image under each generator of the kind;
     # a table that meets them at every triple has the whole group
     sym: list[tuple[Triple, tuple[int, int, int], str]] = []
     indices = list(iter_index_triples(m))
     orders = _SYMMETRIES[table.kind]
-    for triple in triples:
-        vec = entries[triple].entries
+    for triple, vector in entries.items():
+        vec = vector.entries
         images = [(label, entries[
             (triple[order[0]], triple[order[1]], triple[order[2]])
         ].permuted(order).entries) for label, order in orders]
@@ -643,7 +643,7 @@ def cross_check(table: DistributionTable, Q: QuotientMatrix,
     # on a symmetric table every triple of an orbit has its
     # representative's scale, vector and routes, permuted, so the
     # representatives are scaled and audited for their orbits
-    audited = triples if sym else reps
+    audited = entries if sym else reps
     D = common_denominator(entries[(0, 0, 0)])
     # / 1 applies the number rule: the scale clears every denominator of
     # a table's vector, so the scaled entries are ints
@@ -652,7 +652,7 @@ def cross_check(table: DistributionTable, Q: QuotientMatrix,
     if not sym:
         scaled = _fill(plan, scaled)
 
-    def route_mismatches(over: list[Triple]) -> list[tuple[Triple, int]]:
+    def route_mismatches(over: Iterable[Triple]) -> list[tuple[Triple, int]]:
         return [(triple, via) for triple in over if sum(triple)
                 for via in (1, 2, 3) if triple[via - 1] > 0
                 and derive_entry(scaled, lifts, n, triple, via)
@@ -660,7 +660,7 @@ def cross_check(table: DistributionTable, Q: QuotientMatrix,
 
     deriv = route_mismatches(audited)
     if deriv and not sym:
-        deriv = route_mismatches(triples)
+        deriv = route_mismatches(entries)
 
     pairing: list[Triple] = []
     if companion is not None:
@@ -670,8 +670,8 @@ def cross_check(table: DistributionTable, Q: QuotientMatrix,
             checks.append("pairing")
             # T = W * D': each W entry times its anchor cell's size
             size_at = _anchor_sizes(tuple(diagonal(TRIANGLE)))[0]
-            # the triples both tables hold, in the scan order
-            for triple in triples:
+            # the triples both tables hold, in the table order
+            for triple in entries:
                 T, W = tri.entries.get(triple), inter.entries.get(triple)
                 if (T is not None and W is not None
                         and T.entries != tuple(map(mul, W.entries, size_at))):
@@ -685,11 +685,11 @@ def cross_check(table: DistributionTable, Q: QuotientMatrix,
         # n! / (n - s)! at each level s <= n
         falling = [factorial[n] // factorial[n - s] for s in range(n + 1)]
         block = m * m  # the (i, *, *) entries are one contiguous block
-        for triple in triples:
+        for triple, vector in entries.items():
             r1, r2, r3 = triple
             count = falling[r1 + r2 + r3] // (
                 factorial[r1] * factorial[r2] * factorial[r3])
-            vec = entries[triple].entries
+            vec = vector.entries
             for i in range(m):
                 if sum(vec[i * block:(i + 1) * block]) != f[i] * count:
                     marg.append((triple, i + 1))

@@ -187,9 +187,9 @@ def test_every_route_specializes_to_classical_on_each_axis():
 def test_eval_at_lifts_matches_recursion_tables():
     for kind in (TRIANGLE, INTERWEIGHT):
         table = build_table(Q_PAIR, kind)
-        for triple in table.triples():
+        for triple, vec in table.entries.items():
             P = poly_recursive(*triple)
-            assert eval_at_lifts(P, Q_PAIR, kind) == table.entries[triple]
+            assert eval_at_lifts(P, Q_PAIR, kind) == vec
 
 
 def test_eval_at_lifts_level_zero_is_initial():

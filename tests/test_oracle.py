@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -607,7 +608,8 @@ def test_strong_invariance_names_the_anchors_that_disagree(monkeypatch,
     def tampered(P, v, force=False):
         table = honest(P, v, force)
         if v == 7:
-            table.entries[(1, 0, 1)] += TensorVector.unit(P.m, (1, 2, 2))
+            vec = table.entries[(1, 0, 1)] + TensorVector.unit(P.m, (1, 2, 2))
+            table = replace(table, entries={**table.entries, (1, 0, 1): vec})
         return table
     monkeypatch.setattr(oracle, "brute_interweight", tampered)
     detail = "cell 1: anchors 0 and 7 disagree at (1, 0, 1)"

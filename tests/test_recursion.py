@@ -1,10 +1,12 @@
 """Distribution tables: recursion, scanning, internal consistency."""
 
+import copy
 import itertools
 import math
+import pickle
 import random
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -94,7 +96,7 @@ def test_table_size_cap_boundary(monkeypatch):
                            "holds 160 entries, more than the cap of 159"):
             build_table(Q_PAIR, kind)
     assert build_table(Q_PAIR, force=True) == whole
-    assert build_table(Q_PAIR, max_level=2).triples()[-1] == (2, 0, 0)
+    assert list(build_table(Q_PAIR, max_level=2).entries)[-1] == (2, 0, 0)
 
 
 @pytest.mark.parametrize("kind", [TRIANGLE, INTERWEIGHT])
@@ -172,10 +174,13 @@ def test_pair_partition_triangle_values():
 
 def test_table_triples_scan_order():
     t = build_table(Q_PAIR, TRIANGLE, max_level=2)
-    assert t.triples() == [(0, 0, 0),
-                           (0, 0, 1), (0, 1, 0), (1, 0, 0),
-                           (0, 0, 2), (0, 1, 1), (0, 2, 0),
-                           (1, 0, 1), (1, 1, 0), (2, 0, 0)]
+    assert list(t.entries) == [(0, 0, 0),
+                               (0, 0, 1), (0, 1, 0), (1, 0, 0),
+                               (0, 0, 2), (0, 1, 1), (0, 2, 0),
+                               (1, 0, 1), (1, 1, 0), (2, 0, 0)]
+    # one cached tuple per depth is the order of every table
+    assert tuple(t.entries) == recursion.table_triples(2)
+    assert recursion.table_triples(22) is recursion.table_triples(22)
 
 
 def test_iter_table_levels_streams_the_same_table():
@@ -294,9 +299,8 @@ def test_scan_divisibility_matches_fraction_division():
                 expected = [
                     Violation(t, index, Fraction(v),
                               "negative" if v < 0 else "non-integer")
-                    for t in table.triples()
-                    for index, v in zip(iter_index_triples(2),
-                                        table.entries[t].entries)
+                    for t, vec in table.entries.items()
+                    for index, v in zip(iter_index_triples(2), vec.entries)
                     if v < 0
                     or (Fraction(v) / anchor[index[0] - 1]).denominator != 1]
                 assert scan_violations(table, sizes) == expected, (Q, kind)
@@ -307,9 +311,8 @@ def naive_sites(table, sizes):
     """scan_violations' findings by one test per entry, in scan order."""
     anchor = sizes if table.kind == TRIANGLE else (1,) * table.m
     sites = []
-    for t in table.triples():
-        for index, v in zip(iter_index_triples(table.m),
-                            table.entries[t].entries):
+    for t, vec in table.entries.items():
+        for index, v in zip(iter_index_triples(table.m), vec.entries):
             if v < 0:
                 sites.append((t, index, v, "negative"))
             elif (Fraction(v) / anchor[index[0] - 1]).denominator != 1:
@@ -554,6 +557,32 @@ def test_a_table_is_checked_when_built(fields, message):
         DistributionTable(**{**table, **fields})
 
 
+def test_a_table_stays_as_it_was_checked():
+    given = dict(reversed(PAIR_ENTRIES.items()))
+    t = DistributionTable(TRIANGLE, 3, 2, given)
+    # the record keeps its own copy, in table order
+    del given[(0, 0, 1)]
+    assert t.entries == PAIR_ENTRIES
+    assert tuple(t.entries) == recursion.table_triples(3)
+    with pytest.raises(TypeError):
+        del t.entries[(0, 0, 1)]
+    with pytest.raises(TypeError):
+        t.entries[(0, 0, 1)] = "x"
+    with pytest.raises(FrozenInstanceError):
+        t.entries = given
+    assert cross_check(t, Q_PAIR).ok
+    # a changed copy is built through the same check
+    with pytest.raises(ValueError, match=re.escape(
+            "no entry for triple (0, 0, 1)")):
+        replace(t, entries=given)
+    with pytest.raises(ValueError, match="more than a table to level n = 2"):
+        replace(t, n=2)
+    for twin in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
+        assert twin == t and tuple(twin.entries) == tuple(t.entries)
+        with pytest.raises(TypeError):
+            del twin.entries[(0, 0, 1)]
+
+
 def test_a_table_may_stop_below_n():
     for top in range(4):
         entries = {t: PAIR_ENTRIES[t] for t in recursion.table_triples(top)}
@@ -603,13 +632,12 @@ def test_marginal_totals_are_multinomial():
     t = build_table(Q22, TRIANGLE, max_level=4)
     sizes = cell_sizes(Q22)
     n = 22
-    for triple in t.triples():
+    for triple, vec in t.entries.items():
         r1, r2, r3 = triple
         count = (math.factorial(n)
                  // (math.factorial(r1) * math.factorial(r2)
                      * math.factorial(r3)
                      * math.factorial(n - r1 - r2 - r3)))
-        vec = t.entries[triple]
         for i in (1, 2, 3):
             got = sum(vec.get(i, j, k) for j in (1, 2, 3) for k in (1, 2, 3))
             assert got == sizes[i - 1] * count
@@ -619,7 +647,7 @@ def test_triangle_equals_interweight_times_sizes():
     tri = build_table(Q_PAIR, TRIANGLE)
     inter = build_table(Q_PAIR, INTERWEIGHT)
     sizes = cell_sizes(Q_PAIR)
-    for triple in tri.triples():
+    for triple in tri.entries:
         for (i, j, k) in iter_index_triples(2):
             assert (tri.entries[triple].get(i, j, k)
                     == inter.entries[triple].get(i, j, k) * sizes[i - 1])
@@ -737,7 +765,7 @@ def per_triple_symmetry(table):
     generators = {TRIANGLE: (("swap", (1, 0, 2)), ("cyclic", (1, 2, 0))),
                   INTERWEIGHT: (("exchange", (0, 2, 1)),)}[table.kind]
     found = []
-    for t in table.triples():
+    for t in table.entries:
         images = [(label, table.entries[(t[o[0]], t[o[1]], t[o[2]])]
                    .permuted(o)) for label, o in generators]
         for index in iter_index_triples(table.m):
@@ -779,7 +807,7 @@ def naive_derivations(table, Q):
     lifts = lifts_for(Q, table.kind)
     D = common_denominator(table.entries[(0, 0, 0)])
     scaled = {t: U * entry_scale(t, D) for t, U in table.entries.items()}
-    return [(t, via) for t in table.triples() for via in (1, 2, 3)
+    return [(t, via) for t in table.entries for via in (1, 2, 3)
             if t[via - 1] > 0
             and derive_entry(scaled, lifts, table.n, t, via) != scaled[t]]
 
