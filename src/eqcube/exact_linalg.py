@@ -31,9 +31,11 @@ entries are Python ints or `fractions.Fraction`s, and `exact_quotient`
 gives an int where the quotient is integral and a Fraction otherwise;
 `TensorVector / c` applies that rule in one pass.  Nothing here rounds.
 
-`TensorVector(m, entries)` checks that it gets m^3 entries.  The
-vectors this module builds itself from a tuple of the right length
-skip that check: the results of arithmetic, permutations, quotients,
+`TensorVector(m, entries)` checks its m, an int >= 1, that it gets
+m^3 entries, and each entry by `check_exact`, the one test of the
+number rule that `LiftedMatrix` and `oracle.PerfectStructure` share.
+The vectors this module builds itself from a tuple of the right length
+skip those checks: the results of arithmetic, permutations, quotients,
 `apply_lift` and `lift_step`.
 """
 
@@ -68,6 +70,17 @@ def iter_index_triples(m: int) -> Iterator[tuple[int, int, int]]:
                 yield (i, j, k)
 
 
+_EXACT_TYPES = frozenset((int, Fraction))
+
+
+def check_exact(values: Sequence) -> None:
+    """Refuse, with ValueError, the first value whose type is not int or
+    Fraction: a bool, a float or a str is no exact value."""
+    if not _EXACT_TYPES.issuperset(map(type, values)):
+        bad = next(v for v in values if type(v) not in _EXACT_TYPES)
+        raise ValueError(f"not an exact value: {bad!r}")
+
+
 def _checked_position(m: int, i: int, j: int, k: int) -> int:
     """flat_index of (i, j, k), refused with ValueError unless every
     part lies in 1..m."""
@@ -79,16 +92,21 @@ def _checked_position(m: int, i: int, j: int, k: int) -> int:
 class TensorVector:
     """Row vector of m^3 exact rationals indexed by (i, j, k), 1-based.
 
-    Treat instances as immutable; all operations return new vectors.
+    Raises ValueError for an m that is not an int >= 1, other than m^3
+    entries, and an entry that `check_exact` refuses.  Treat instances
+    as immutable; all operations return new vectors.
     """
 
     __slots__ = ("m", "entries")
 
     def __init__(self, m: int, entries: Iterable) -> None:
+        if type(m) is not int or m < 1:
+            raise ValueError(f"m must be an int >= 1, got {m!r}")
         entries = tuple(entries)
         if len(entries) != m ** 3:
             raise ValueError(
                 f"expected {m ** 3} entries for m={m}, got {len(entries)}")
+        check_exact(entries)
         self.m = m
         self.entries = entries
 
@@ -178,8 +196,8 @@ class LiftedMatrix:
     `base` is the matrix that acts, stored as tuples, and `position` in
     {1, 2, 3} the slot it contracts.  Raises ValueError for a position
     that is not the int 1, 2 or 3 (a bool is refused), then for a base
-    without rows or not square, then for an entry that is not an int or
-    a Fraction (a bool is refused too).
+    without rows or not square, then for an entry that `check_exact`
+    refuses.
     """
 
     base: tuple[tuple, ...]
@@ -195,9 +213,7 @@ class LiftedMatrix:
         if any(len(row) != len(base) for row in base):
             raise ValueError("lift base is not square")
         for row in base:
-            for v in row:
-                if not isinstance(v, (int, Fraction)) or isinstance(v, bool):
-                    raise ValueError(f"not an exact value: {v!r}")
+            check_exact(row)
         self.__dict__.update(base=base, position=position)
 
     @property

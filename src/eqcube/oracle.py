@@ -24,7 +24,7 @@ from functools import lru_cache
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .exact_linalg import TensorVector, flat_index
+from .exact_linalg import TensorVector, check_exact, flat_index
 from .quotient import (QuotientMatrix, check_dimension, check_integer,
                        validate_quotient)
 from .recursion import (INTERWEIGHT, TRIANGLE, DistributionTable, Triple,
@@ -396,7 +396,8 @@ class PerfectStructure:
     neighbor sum at every vertex equals the vertex's own value times S.
     Raises ValueError for an n that is no int or lies outside [1, 14],
     other than 2^n rows, an m that is no int or is below 1, a row whose
-    length is not m, and a value that is no int or Fraction."""
+    length is not m, and a value that `exact_linalg.check_exact`
+    refuses."""
 
     n: int
     m: int
@@ -412,9 +413,7 @@ class PerfectStructure:
             raise ValueError("value rows have no entries")
         if any(len(row) != m for row in values):
             raise ValueError("value rows have inconsistent lengths")
-        for v in itertools.chain.from_iterable(values):
-            if not isinstance(v, (int, Fraction)) or isinstance(v, bool):
-                raise ValueError(f"not an exact value: {v!r}")
+        check_exact(tuple(itertools.chain.from_iterable(values)))
         self.__dict__.update(n=n, m=m, values=values)
 
     @classmethod

@@ -243,6 +243,9 @@ class DistributionTable:
         check_integer(self.m)
         if self.m < 1:
             raise ValueError(f"m must be at least 1, got {self.m}")
+        if not isinstance(self.entries, Mapping):
+            raise ValueError(f"entries must map triples to vectors, got "
+                             f"{type(self.entries).__name__}")
         top = 0  # the level L of a table of C(L + 3, 3) triples
         while math.comb(top + 3, 3) < len(self.entries):
             top += 1
@@ -628,8 +631,8 @@ def cross_check(table: DistributionTable, Q: QuotientMatrix,
     sym: list[tuple[Triple, tuple[int, int, int], str]] = []
     indices = list(iter_index_triples(m))
     orders = _SYMMETRIES[table.kind]
-    for triple, vector in entries.items():
-        vec = vector.entries
+    for triple in entries:
+        vec = entries[triple].entries
         images = [(label, entries[
             (triple[order[0]], triple[order[1]], triple[order[2]])
         ].permuted(order).entries) for label, order in orders]
@@ -685,11 +688,11 @@ def cross_check(table: DistributionTable, Q: QuotientMatrix,
         # n! / (n - s)! at each level s <= n
         falling = [factorial[n] // factorial[n - s] for s in range(n + 1)]
         block = m * m  # the (i, *, *) entries are one contiguous block
-        for triple, vector in entries.items():
+        for triple in entries:
             r1, r2, r3 = triple
             count = falling[r1 + r2 + r3] // (
                 factorial[r1] * factorial[r2] * factorial[r3])
-            vec = vector.entries
+            vec = entries[triple].entries
             for i in range(m):
                 if sum(vec[i * block:(i + 1) * block]) != f[i] * count:
                     marg.append((triple, i + 1))

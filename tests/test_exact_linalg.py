@@ -433,6 +433,14 @@ def test_compiled_step_source_holds_no_coefficient(monkeypatch):
     (lambda: kron_lift([[0.5, 1], [1, 1]], 2), "not an exact value: 0.5"),
     (lambda: LiftedMatrix(((1, 0), (0, True)), 3),
      "not an exact value: True"),
+    # a vector holds the same numbers: a float entry gave float tables,
+    # and a float, bool or zero m a vector no lift or table could take
+    (lambda: TensorVector(2, [0.5] * 8), "not an exact value: 0.5"),
+    (lambda: TensorVector(2, [0] * 7 + [True]), "not an exact value: True"),
+    (lambda: TensorVector(1, ["1"]), "not an exact value: '1'"),
+    (lambda: TensorVector(2.0, [0] * 8), "m must be an int >= 1, got 2.0"),
+    (lambda: TensorVector(True, [1]), "m must be an int >= 1, got True"),
+    (lambda: TensorVector(0, []), "m must be an int >= 1, got 0"),
     # an index outside 1..m read another entry, or gave a zero unit
     (lambda: TensorVector.zero(2).get(0, 1, 1),
      re.escape("index (0, 1, 1) lies outside 1..2")),

@@ -541,6 +541,7 @@ def _without(triple):
     ({"entries": {**PAIR_ENTRIES, (0, 1, 0): TensorVector.zero(3)}},
      "entry (0, 1, 0) is no TensorVector with m = 2"),
     ({"entries": {}}, "no entry for triple (0, 0, 0)"),
+    ({"entries": None}, "entries must map triples to vectors, got NoneType"),
     ({"entries": {**_without((0, 0, 1)), (9, 9, 9): TensorVector.zero(2)}},
      "no entry for triple (0, 0, 1)"),
     ({"n": 2}, "20 entries, more than a table to level n = 2 holds"),
@@ -549,8 +550,9 @@ def _without(triple):
     ({"n": 3.0}, "not an integer: 3.0"),
     ({"m": True}, "not an integer: True"),
     ({"m": 0}, "m must be at least 1, got 0"),
-], ids=["no-001", "no-000", "tuple", "wider-vector", "empty", "stray-key",
-        "past-n", "kind", "negative-n", "float-n", "bool-m", "zero-m"])
+], ids=["no-001", "no-000", "tuple", "wider-vector", "empty", "none",
+        "stray-key", "past-n", "kind", "negative-n", "float-n", "bool-m",
+        "zero-m"])
 def test_a_table_is_checked_when_built(fields, message):
     table = dict(kind=TRIANGLE, n=3, m=2, entries=PAIR_ENTRIES)
     with pytest.raises(ValueError, match=re.escape(message)):
