@@ -12,7 +12,8 @@ stored structurally (the matrix that acts and its slot; `.T` stores the
 transpose).  `apply_lift` applies one through a contraction plan each
 lift builds once, listing for every output position its (source
 position, coefficient) pairs with nonzero coefficient: at most m^4
-products.  `lift_step` is the table recursion's whole exchange step,
+products, each rank of sources gathered by one `operator.itemgetter`.
+`lift_step` is the table recursion's whole exchange step,
 U * L - c_1 T_1 - c_2 T_2 - c_3 T_3, always with exactly three terms.
 A lift of at most three cells compiles it once into straight-line
 code, every product unrolled and the zero entries of its matrix
@@ -226,13 +227,14 @@ class LiftedMatrix:
         return LiftedMatrix(tuple(zip(*self.base)), self.position)
 
     @cached_property
-    def _plan(self) -> tuple[tuple[tuple[int, ...], tuple], ...]:
+    def _plan(self) -> tuple[tuple[Callable, tuple], ...]:
         """The contraction plan, built once: output position (a, i, b)
         of the (A, m, B) view, whose middle axis is the contracted slot,
         sums S_ti U_(a, t, b) over the nonzero S_ti.  Element r of the
         plan holds every position's r-th (source, coefficient) pair, as
-        a tuple of sources and one of coefficients; positions with fewer
-        pairs are padded with source m^3 and coefficient 0.
+        an `operator.itemgetter` of the sources and a tuple of the
+        coefficients; positions with fewer pairs are padded with source
+        m^3 and coefficient 0.
         """
         m, S = self.m, self.base
         B = m ** (3 - self.position)
@@ -240,9 +242,16 @@ class LiftedMatrix:
                  for a in range(m ** (self.position - 1))
                  for i in range(m) for b in range(B)]
         pad = (m ** 3, 0)
-        return tuple(
-            tuple(zip(*(row[r] if r < len(row) else pad for row in pairs)))
-            for r in range(max(1, *map(len, pairs))))
+        plan = []
+        for r in range(max(1, *map(len, pairs))):
+            sources, coefs = zip(*(row[r] if r < len(row) else pad
+                                   for row in pairs))
+            # an itemgetter of one position returns the bare entry, not
+            # a tuple; at m = 1 the one source is gathered as a slice
+            plan.append((itemgetter(*sources) if m > 1 else
+                         itemgetter(slice(sources[0], sources[0] + 1)),
+                         coefs))
+        return tuple(plan)
 
     @cached_property
     def _step(self) -> Callable:
@@ -287,11 +296,11 @@ def apply_lift(U: TensorVector, L: LiftedMatrix) -> TensorVector:
         raise ValueError(f"dimension mismatch: vector m={U.m}, lift m={L.m}")
     # position m^3 reads as an int 0, so padded pairs add an int 0 and
     # leave every sum's value and type as the nonzero pairs make it
-    get = (U.entries + (0,)).__getitem__
-    (sources, coefs), *rest = L._plan
-    out = map(mul, map(get, sources), coefs)
-    for sources, coefs in rest:
-        out = map(add, out, map(mul, map(get, sources), coefs))
+    entries = U.entries + (0,)
+    (gather, coefs), *rest = L._plan
+    out = map(mul, gather(entries), coefs)
+    for gather, coefs in rest:
+        out = map(add, out, map(mul, gather(entries), coefs))
     return _vector(L.m, tuple(out))
 
 

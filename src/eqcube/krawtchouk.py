@@ -23,10 +23,15 @@ constructions are provided and their agreement is part of the tests:
   only the box of exponents componentwise <= (r1, r2, r3), the only
   ones that feed the wanted coefficient.
 
-Routes 2 and 3 share one integer kernel, `_scaled_ff` (4^L times the
-L-term falling factorial of a quarter argument): both sum integer
-polynomials scaled by 4^R r1! r2! r3! and divide by that once at the
-end.  Route 1 works on Fractions throughout and is the reference.
+Routes 2 and 3 share one integer kernel: integer polynomials held as
+dicts keyed by one packed int per monomial, so that a monomial product
+is one int addition, and `_scaled_ff` (4^L times the L-term falling
+factorial of a quarter argument) in that form.  Both sum integer
+polynomials scaled by 4^R r1! r2! r3!, convert the sum to a `TriPoly`
+once and divide it by that scale there.  Route 1 alone multiplies
+`TriPoly`s: it works on Fractions throughout and is the reference, so
+the three-route agreement compares two independent multiplication
+kernels.
 
 At r2 = r3 = 0 the family degenerates to the classical Krawtchouk
 polynomial: P^{r,0,0}(x, y, z) = K_r((n - x)/2).
@@ -43,7 +48,9 @@ of n.  `specialize_n` divides them by D again, for `poly --n`.
 apply integer combinations of lift powers to one vector at a time and
 divide by D once; Fractions appear only where the level-0 vector has
 them (cell sizes that are not integers) or where that division leaves
-an entry that is not integral, as in the table engine.
+an entry that is not integral, as in the table engine.  The standard
+level-0 vector is built once per matrix and kind; the lift powers of a
+call are kept for that call only.
 `lift_image_is_zero` applies no lift: it reduces P modulo the minimal
 polynomial of S (`quotient.min_poly`, an integer Krylov search) in
 each variable.
@@ -54,8 +61,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
-from operator import add, mul
 
 from .exact_linalg import TensorVector, apply_lift, iter_index_triples
 from .quotient import (QuotientMatrix, check_dimension, check_integer,
@@ -290,6 +295,56 @@ def _P(a: int, b: int, c: int) -> TriPoly:
 
 
 # ---------------------------------------------------------------------------
+# routes 2 and 3: packed integer polynomials
+
+# Routes 2 and 3 hold an integer polynomial as a dict from one int key
+# per monomial to its coefficient: x^a y^b z^c n^d is keyed
+# a | b << 8 | c << 16 | d << 24, so the key of a product of monomials is
+# the sum of their keys.  Both routes refuse a degree above 12 before
+# any work, and no exponent of theirs exceeds the degree, so every field
+# stays below 2^8 and a sum of keys never carries into the next field.
+
+def _key(a: int, b: int, c: int, d: int) -> int:
+    """The packed key of the monomial x^a y^b z^c n^d."""
+    return a | b << 8 | c << 16 | d << 24
+
+
+def _exponents(key: int) -> tuple[int, int, int, int]:
+    """The exponents (a, b, c, d) of the monomial a packed key names."""
+    return (key & 255, key >> 8 & 255, key >> 16 & 255, key >> 24)
+
+
+def _add_product(out: dict[int, int], p: dict[int, int],
+                 q: dict[int, int]) -> dict[int, int]:
+    """Add the product of the packed integer polynomials p and q into
+    out, and return out.  The scalar w is the polynomial {0: w}."""
+    if len(p) > len(q):
+        p, q = q, p
+    get = out.get
+    for k1, u in p.items():
+        for k2, v in q.items():
+            k = k1 + k2
+            out[k] = get(k, 0) + u * v
+    return out
+
+
+def _product(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
+    """The product of the packed integer polynomials p and q, its zero
+    coefficients dropped so that no later product multiplies them."""
+    return _nonzero(_add_product({}, p, q))
+
+
+def _nonzero(p: dict[int, int]) -> dict[int, int]:
+    """p without its zero coefficients."""
+    return {k: c for k, c in p.items() if c}
+
+
+def _divided(p: dict[int, int], scale: int) -> TriPoly:
+    """The packed integer polynomial p over scale, as a TriPoly."""
+    return TriPoly({_exponents(k): c for k, c in p.items()}) / scale
+
+
+# ---------------------------------------------------------------------------
 # route 2: the closed triple sum
 
 # signs (s1, s2, s3) of the quarter arguments (n + s1 x + s2 y + s3 z)/4
@@ -297,15 +352,16 @@ _SIGNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
 
 
 @lru_cache(maxsize=None)
-def _scaled_ff(f: int, length: int) -> TriPoly:
+def _scaled_ff(f: int, length: int) -> dict[int, int]:
     """4^length times the length-term falling factorial of the f-th quarter
-    argument.  Integer coefficients throughout."""
+    argument, packed.  Treat the cached dict as immutable."""
     if length == 0:
-        return ONE
+        return {0: 1}
     s1, s2, s3 = _SIGNS[f]
-    linear = TriPoly({(0, 0, 0, 1): 1, (1, 0, 0, 0): s1, (0, 1, 0, 0): s2,
-                      (0, 0, 1, 0): s3, (0, 0, 0, 0): -4 * (length - 1)})
-    return _scaled_ff(f, length - 1) * linear
+    linear = {_key(0, 0, 0, 1): 1, _key(1, 0, 0, 0): s1,
+              _key(0, 1, 0, 0): s2, _key(0, 0, 1, 0): s3,
+              0: -4 * (length - 1)}
+    return _product(_scaled_ff(f, length - 1), linear)
 
 
 def _scale(r1: int, r2: int, r3: int) -> int:
@@ -315,9 +371,9 @@ def _scale(r1: int, r2: int, r3: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _ff_product(sa: int, sb: int, sc: int, s0: int) -> TriPoly:
-    return ((_scaled_ff(1, sa) * _scaled_ff(2, sb))
-            * (_scaled_ff(3, sc) * _scaled_ff(0, s0)))
+def _ff_product(sa: int, sb: int, sc: int, s0: int) -> dict[int, int]:
+    return _product(_product(_scaled_ff(1, sa), _scaled_ff(2, sb)),
+                    _product(_scaled_ff(3, sc), _scaled_ff(0, s0)))
 
 
 def _part_splits(r: int, t: int) -> dict[tuple[int, int, int], int]:
@@ -341,7 +397,9 @@ def poly_direct(r1: int, r2: int, r3: int) -> TriPoly:
     shared `_ff_product`; one exact division ends the sum.
 
     Refuses, with ValueError, a degree r1 + r2 + r3 above 12 before any
-    work: (12, 0, 0) and (4, 4, 4) take 8-9 s, degree 20 runs past 60 s.
+    work: (12, 0, 0) and (4, 4, 4) take 1.1-1.2 s, (5, 5, 4) 3.9 s, and
+    degree 20 runs past 60 s (one fresh process each, 2-vCPU VM,
+    Python 3.11).
     """
     _check_parts(r1, r2, r3, bound=12)
     weights: dict[tuple[int, int, int], int] = {(0, 0, 0): 1}
@@ -352,12 +410,13 @@ def poly_direct(r1: int, r2: int, r3: int) -> TriPoly:
                 key = (a + i, b + j, c + k)
                 nxt[key] = nxt.get(key, 0) + w * u
         weights = nxt
-    total = ZERO
+    total: dict[int, int] = {}
     R = r1 + r2 + r3
     for (sa, sb, sc), w in sorted(weights.items()):
         if w:
-            total = total + w * _ff_product(sa, sb, sc, R - sa - sb - sc)
-    return total / _scale(r1, r2, r3)
+            _add_product(total, {0: w},
+                         _ff_product(sa, sb, sc, R - sa - sb - sc))
+    return _divided(total, _scale(r1, r2, r3))
 
 
 # ---------------------------------------------------------------------------
@@ -381,30 +440,32 @@ def genfun_coeff(r1: int, r2: int, r3: int) -> TriPoly:
     weighted sum once.
 
     Refuses, with ValueError, a degree r1 + r2 + r3 above 12 before any
-    work: (4, 4, 4) takes about 4 s, (5, 5, 4) 13 s, and degree 20 runs
-    past 60 s.
+    work: (4, 4, 4) takes about 0.43 s, (5, 5, 4) 1.6 s, and degree 20
+    runs past 60 s (one fresh process each, 2-vCPU VM, Python 3.11).
     """
     _check_parts(r1, r2, r3, bound=12)
     box = [(a, b, c) for a in range(r1 + 1) for b in range(r2 + 1)
            for c in range(r3 + 1)]
-    acc: dict[tuple[int, int, int], TriPoly] = {(0, 0, 0): ONE}
+    acc: dict[tuple[int, int, int], dict[int, int]] = {(0, 0, 0): {0: 1}}
     for f in range(4):
         s1, s2, s3 = _SIGNS[f]
-        nxt: dict[tuple[int, int, int], TriPoly] = {}
+        nxt: dict[tuple[int, int, int], dict[int, int]] = {}
         for e in (box if f < 3 else [(r1, r2, r3)]):
-            by_length: dict[int, TriPoly] = {}
+            by_length: dict[int, dict[int, int]] = {}
             for (a1, b1, c1), p in acc.items():
                 a2, b2, c2 = e[0] - a1, e[1] - b1, e[2] - c1
                 if min(a2, b2, c2) < 0:
                     continue
                 w = (s1 ** a2 * s2 ** b2 * s3 ** c2 * math.comb(e[0], a2)
                      * math.comb(e[1], b2) * math.comb(e[2], c2))
-                L = a2 + b2 + c2
-                by_length[L] = by_length.get(L, ZERO) + w * p
-            nxt[e] = sum((_scaled_ff(f, L) * q for L, q in by_length.items()),
-                         ZERO)
+                _add_product(by_length.setdefault(a2 + b2 + c2, {}),
+                             {0: w}, p)
+            total: dict[int, int] = {}
+            for L, q in by_length.items():
+                _add_product(total, _scaled_ff(f, L), _nonzero(q))
+            nxt[e] = _nonzero(total)
         acc = nxt
-    return acc[(r1, r2, r3)] / _scale(r1, r2, r3)
+    return _divided(acc[(r1, r2, r3)], _scale(r1, r2, r3))
 
 
 # ---------------------------------------------------------------------------
@@ -447,11 +508,18 @@ def _cleared_terms(P: TriPoly, n_value: int) -> tuple[int, dict]:
     return D0 // g, {e: k // g for e, k in sums.items() if k}
 
 
+@lru_cache(maxsize=64)
+def _level0(Q: QuotientMatrix, kind: str) -> TensorVector:
+    """The standard level-0 vector of a table of the given kind, built
+    once per matrix and kind."""
+    return default_initial(Q, kind)
+
+
 def _image_at_lifts(P: TriPoly, Q: QuotientMatrix, kind: str,
                     v: TensorVector) -> TensorVector:
     """v P(L1, L2, L3): D v P(L1, L2, L3) is an integer combination of the
-    lift powers of v, shared by the monomials, summed as flat tuples and
-    divided by D once."""
+    lift powers of v, shared by the monomials within this call, summed as
+    `TensorVector`s and divided by D once."""
     lifts = lifts_for(Q, kind)
     D, terms = _cleared_terms(P, Q.n)
     powers = {(0, 0, 0): v}
@@ -463,10 +531,10 @@ def _image_at_lifts(P: TriPoly, Q: QuotientMatrix, kind: str,
             powers[e] = apply_lift(power(down), lifts[slot])
         return powers[e]
 
-    out = TensorVector.zero(Q.m).entries
+    out = TensorVector.zero(Q.m)
     for e, k in terms.items():
-        out = tuple(map(add, out, map(mul, power(e).entries, repeat(k))))
-    return TensorVector(Q.m, out) / D
+        out = out + power(e) * k
+    return out / D
 
 
 def eval_at_lifts(P: TriPoly, Q: QuotientMatrix,
@@ -479,7 +547,7 @@ def eval_at_lifts(P: TriPoly, Q: QuotientMatrix,
     vector even though P(L1, L2, L3) itself need not vanish as a matrix.
     Entries are ints where integral, as in `build_table`.
     """
-    return _image_at_lifts(P, Q, kind, default_initial(Q, kind))
+    return _image_at_lifts(P, Q, kind, _level0(Q, kind))
 
 
 def lift_image_is_zero(P: TriPoly, Q: QuotientMatrix) -> bool:

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from eqcube.exact_linalg import kron3, mat_identity, mat_mul, vec_mat
+from eqcube import krawtchouk
+from eqcube.exact_linalg import (apply_lift, kron3, mat_identity, mat_mul,
+                                 vec_mat)
 from eqcube.krawtchouk import (N, ONE, ZERO, TriPoly, X, Y, Z,
                                classical_krawtchouk, eval_at_lifts,
                                genfun_coeff, lift_image_is_zero,
@@ -91,6 +93,29 @@ def test_sum_routes_refuse_past_degree_twelve_before_any_work(monkeypatch,
     for triple in [(12, 0, 0), (4, 4, 4)]:
         with pytest.raises(AssertionError, match="route ran"):
             fn(*triple)
+
+
+def test_packed_keys_hold_every_exponent_up_to_the_degree_bound():
+    for field in range(4):
+        for e in range(13):
+            exponents = tuple(e if f == field else 0 for f in range(4))
+            assert krawtchouk._exponents(krawtchouk._key(*exponents)) \
+                == exponents
+    full = (12, 12, 12, 12)
+    assert krawtchouk._exponents(krawtchouk._key(*full)) == full
+
+
+def test_packed_product_key_is_the_key_of_the_summed_exponents():
+    rng = random.Random(12)
+    for _ in range(200):
+        # two monomials whose exponents sum to at most 12 in each field
+        total = [rng.randint(0, 12) for _ in range(4)]
+        first = [rng.randint(0, t) for t in total]
+        second = [t - a for t, a in zip(total, first)]
+        k1, k2 = krawtchouk._key(*first), krawtchouk._key(*second)
+        assert k1 + k2 == krawtchouk._key(*total)
+        assert krawtchouk._add_product({}, {k1: 3}, {k2: -5}) == {
+            krawtchouk._key(*total): -15}
 
 
 def test_cyclic_symmetry():
@@ -190,6 +215,26 @@ def test_eval_at_lifts_matches_recursion_tables():
         for triple, vec in table.entries.items():
             P = poly_recursive(*triple)
             assert eval_at_lifts(P, Q_PAIR, kind) == vec
+
+
+def test_repeated_eval_at_lifts_sweeps_apply_the_same_lifts(monkeypatch):
+    # no lift power outlives its call: a second sweep over the same
+    # table applies exactly as many lifts as the first
+    calls = []
+
+    def counted(U, L):
+        calls.append(L)
+        return apply_lift(U, L)
+    monkeypatch.setattr("eqcube.krawtchouk.apply_lift", counted)
+    table = build_table(Q_SINGLE2, TRIANGLE)
+    polys = [poly_recursive(*triple) for triple in table.entries]
+    counts = []
+    for _ in range(2):
+        before = len(calls)
+        for P, vec in zip(polys, table.entries.values()):
+            assert eval_at_lifts(P, Q_SINGLE2) == vec
+        counts.append(len(calls) - before)
+    assert counts[0] == counts[1] > 0
 
 
 def test_eval_at_lifts_level_zero_is_initial():
